@@ -2,13 +2,12 @@
 
 A configuration is a Poisson number of balls with centers uniform in a
 sampling window and radii drawn independently from the mixture's atoms.
-Connectivity uses open balls (strict inequality on center distances) and is
-resolved with a union-find forest over candidate pairs from a uniform
-spatial hash grid with cell size twice the largest radius, so intersecting
-pairs can only sit in adjacent cells.  When the radius ratio is wide, that
-single resolution buries the small-ball pairs in candidates, and the scan
-switches to one grid per pair of radius classes sized by their exact
-interaction range (see _candidate_pairs_crossing).
+Connectivity uses open balls (strict inequality on center distances).
+Candidate pairs come from one scipy k-d tree per radius class, queried
+within and across classes at each class pair's interaction range r_u + r_v
+(see _candidate_pairs); an exact per-axis distance test then decides which
+candidates intersect, and the clusters are the connected components of the
+resulting graph (scipy.sparse.csgraph).
 
 Boundary conventions:
 
@@ -16,18 +15,21 @@ Boundary conventions:
   [-r_max, L + r_max)^d so balls reaching into the core box from outside
   are not under-counted; the percolation event is a single cluster touching
   both faces x_1 <= 0 and x_1 >= L.
-* "torus": centers in [0, L)^d with wrapped distances; no percolation
-  criterion is implemented for this boundary.
+* "torus": centers in [0, L)^d with wrapped distances (the k-d trees use
+  the periodic box of side L); no percolation criterion is implemented for
+  this boundary.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
+from scipy.spatial import cKDTree
 
 from .errors import CapacityError
 from .geometry import unit_ball_volume
@@ -54,6 +56,11 @@ __all__ = [
 MAX_EXPECTED_COUNT = 5e7
 
 DUMP_FORMAT_VERSION = "v1"
+
+# Relative margin on k-d tree query radii, so that the tree's own rounding
+# of distances cannot drop a pair the exact hit test would accept.  The
+# exact test alone decides which candidates connect.
+_QUERY_SLACK = 1.0 + 1e-9
 
 
 class RadiusMixture:
@@ -166,69 +173,34 @@ class BallConfiguration:
 
 @dataclass(frozen=True, eq=False)
 class ClusterLabeling:
-    """Union-find result: parent[i] is the root ball index of ball i.
+    """Connected-component result: labels[i] is the cluster id of ball i.
 
-    Two balls share a root exactly when they are joined by a chain of
-    pairwise intersecting open balls.  touches_low / touches_high mark the
-    balls overlapping the two crossing faces (all False for a torus).
+    Two balls share a label exactly when they are joined by a chain of
+    pairwise intersecting open balls; the ids themselves carry no meaning
+    beyond that.  touches_low / touches_high mark the balls overlapping the
+    two crossing faces (all False for a torus).
     """
 
-    parent: np.ndarray = field(repr=False)
+    labels: np.ndarray = field(repr=False)
     touches_low: np.ndarray = field(repr=False)
     touches_high: np.ndarray = field(repr=False)
 
     @property
     def n(self) -> int:
-        return self.parent.shape[0]
+        return self.labels.shape[0]
 
     def canonical_labels(self) -> np.ndarray:
         """Cluster labels renumbered by first appearance, for comparisons."""
-        labels = np.full(self.n, -1, dtype=np.int64)
-        next_label = 0
-        seen: dict[int, int] = {}
-        for i, root in enumerate(self.parent.tolist()):
-            if root not in seen:
-                seen[root] = next_label
-                next_label += 1
-            labels[i] = seen[root]
-        return labels
+        _, first, inverse = np.unique(self.labels, return_index=True, return_inverse=True)
+        return np.unique(first[inverse], return_inverse=True)[1]
 
     def cluster_count(self) -> int:
-        return len(set(self.parent.tolist()))
+        return np.unique(self.labels).size
 
 
 class CoverageEstimate(NamedTuple):
     fraction: float
     stderr: float
-
-
-class _UnionFind:
-    __slots__ = ("parent", "size")
-
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, i: int) -> int:
-        parent = self.parent
-        root = i
-        while parent[root] != root:
-            root = parent[root]
-        while parent[i] != root:
-            parent[i], i = root, parent[i]
-        return root
-
-    def union(self, i: int, j: int) -> None:
-        ri, rj = self.find(i), self.find(j)
-        if ri == rj:
-            return
-        if self.size[ri] < self.size[rj]:
-            ri, rj = rj, ri
-        self.parent[rj] = ri
-        self.size[ri] += self.size[rj]
-
-    def roots(self) -> np.ndarray:
-        return np.array([self.find(i) for i in range(len(self.parent))], dtype=np.int64)
 
 
 def _sampling_window(mixture: RadiusMixture, box: BoxSpec) -> tuple[float, float]:
@@ -272,220 +244,50 @@ def sample(
     return BallConfiguration(centers=centers, radii=radii, seed=int(seed), lam=float(lam))
 
 
-def _expand_ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Flatten per-row index ranges [lo_i, hi_i) into (row, position) pairs."""
-    counts = np.maximum(hi - lo, 0)
-    total = int(counts.sum())
-    if total == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    rows = np.repeat(np.arange(lo.shape[0], dtype=np.int64), counts)
-    run_starts = np.cumsum(counts) - counts
-    positions = np.arange(total, dtype=np.int64) - np.repeat(run_starts, counts) + np.repeat(lo, counts)
-    return rows, positions
-
-
-def _half_offsets(d: int) -> list[tuple[int, ...]]:
-    """Nonzero offsets in {-1,0,1}^d whose first nonzero entry is +1."""
-    out = []
-    for off in itertools.product((-1, 0, 1), repeat=d):
-        for v in off:
-            if v > 0:
-                out.append(off)
-                break
-            if v < 0:
-                break
-    return out
-
-
-def _grid_encoding(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Collision-free integer keys for cell coordinates, plus the strides.
-
-    Coordinates are shifted to leave one spare cell on each side so that
-    +-1 neighbor offsets in the key arithmetic never wrap across axes.
-    """
-    d = coords.shape[1]
-    shifted = coords - (coords.min(axis=0) - 1)
-    sizes = shifted.max(axis=0) + 2
-    if float(np.prod(sizes.astype(float))) > 2.0**62:
-        raise CapacityError("spatial hash grid is too large to index")
-    strides = np.ones(d, dtype=np.int64)
-    for axis in range(d - 2, -1, -1):
-        strides[axis] = strides[axis + 1] * sizes[axis + 1]
-    return shifted @ strides, strides
-
-
-def _grid_pairs_crossing(centers: np.ndarray, cell: float) -> tuple[np.ndarray, np.ndarray]:
-    """Candidate index pairs (i < j in scan order) from the uniform hash grid."""
-    n, d = centers.shape
-    key, strides = _grid_encoding(np.floor(centers / cell).astype(np.int64))
-    order = np.argsort(key, kind="stable")
-    ks = key[order]
-
-    pair_a: list[np.ndarray] = []
-    pair_b: list[np.ndarray] = []
-
-    # Within-cell pairs: each sorted position against the rest of its segment.
-    new_seg = np.r_[True, ks[1:] != ks[:-1]]
-    seg_start = np.flatnonzero(new_seg)
-    seg_id = np.cumsum(new_seg) - 1
-    seg_end = np.r_[seg_start[1:], n]
-    lo = np.arange(n, dtype=np.int64) + 1
-    hi = seg_end[seg_id]
-    rows, positions = _expand_ranges(lo, hi)
-    if rows.size:
-        pair_a.append(order[rows])
-        pair_b.append(order[positions])
-
-    # Cross-cell pairs for half of the neighbor offsets.
-    for off in _half_offsets(d):
-        code = int(np.dot(np.asarray(off, dtype=np.int64), strides))
-        target = ks + code
-        lo = np.searchsorted(ks, target, side="left")
-        hi = np.searchsorted(ks, target, side="right")
-        rows, positions = _expand_ranges(lo, hi)
-        if rows.size:
-            pair_a.append(order[rows])
-            pair_b.append(order[positions])
-
-    if not pair_a:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    return np.concatenate(pair_a), np.concatenate(pair_b)
-
-
-def _cross_set_pairs(
-    pts_a: np.ndarray, pts_b: np.ndarray, cell: float
+def _candidate_pairs(
+    centers: np.ndarray, radii: np.ndarray, boxsize: float | None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Candidate pairs between two disjoint point sets within one grid cell."""
-    d = pts_a.shape[1]
-    coords = np.floor(np.vstack([pts_a, pts_b]) / cell).astype(np.int64)
-    key, strides = _grid_encoding(coords)
-    key_a = key[: pts_a.shape[0]]
-    key_b = key[pts_a.shape[0] :]
-    order = np.argsort(key_b, kind="stable")
-    ks = key_b[order]
-    out_a: list[np.ndarray] = []
-    out_b: list[np.ndarray] = []
-    for off in itertools.product((-1, 0, 1), repeat=d):
-        code = int(np.dot(np.asarray(off, dtype=np.int64), strides))
-        target = key_a + code
-        lo = np.searchsorted(ks, target, side="left")
-        hi = np.searchsorted(ks, target, side="right")
-        rows, positions = _expand_ranges(lo, hi)
-        if rows.size:
-            out_a.append(rows)
-            out_b.append(order[positions])
-    if not out_a:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    return np.concatenate(out_a), np.concatenate(out_b)
+    """Index pairs that may intersect: a superset of the intersecting pairs.
 
-
-# A mixed-radius configuration with more distinct radii than this falls back
-# to the single-resolution grid.
-_MAX_RADIUS_CLASSES = 8
-
-# Radius ratio above which the single-resolution grid's candidate volume is
-# considered pathological and the per-class-pair grids take over.
-_CLASS_PAIR_RATIO = 2.0
-
-
-def _candidate_pairs_crossing(
-    centers: np.ndarray, radii: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Candidate intersecting pairs for the crossing boundary.
-
-    Monodisperse configurations use the uniform grid with cell size twice
-    the radius.  For mixed radii with a wide ratio, one uniform grid sized
-    by the largest radius drowns the small-ball pairs in candidates, so
-    each ordered pair of radius classes (u, v) is scanned on its own grid
-    with cell size r_u + r_v, the exact interaction range of that class
-    pair.  The union of candidates still covers every intersecting pair.
+    Balls are split by radius class with one k-d tree each; a class is
+    paired with itself at 2 r_u and with every larger class at r_u + r_v,
+    the exact interaction range, so a wide radius ratio does not bury the
+    small-ball pairs under the large-ball reach.
     """
     unique_r, class_idx = np.unique(radii, return_inverse=True)
-    r_max = float(unique_r[-1])
-    if (
-        len(unique_r) == 1
-        or len(unique_r) > _MAX_RADIUS_CLASSES
-        or r_max / float(unique_r[0]) <= _CLASS_PAIR_RATIO
-    ):
-        return _grid_pairs_crossing(centers, 2.0 * r_max)
-
     members = [np.flatnonzero(class_idx == c) for c in range(len(unique_r))]
+    trees = [cKDTree(centers[m], boxsize=boxsize) for m in members]
     pair_a: list[np.ndarray] = []
     pair_b: list[np.ndarray] = []
-    for u in range(len(unique_r)):
-        if members[u].size == 0:
-            continue
-        ia, ib = _grid_pairs_crossing(centers[members[u]], 2.0 * float(unique_r[u]))
-        if ia.size:
-            pair_a.append(members[u][ia])
-            pair_b.append(members[u][ib])
+    for u, r_u in enumerate(unique_r.tolist()):
+        same = trees[u].query_pairs(2.0 * r_u * _QUERY_SLACK, output_type="ndarray")
+        pair_a.append(members[u][same[:, 0]])
+        pair_b.append(members[u][same[:, 1]])
         for v in range(u + 1, len(unique_r)):
-            if members[v].size == 0:
-                continue
-            cell = float(unique_r[u]) + float(unique_r[v])
-            ia, ib = _cross_set_pairs(centers[members[u]], centers[members[v]], cell)
-            if ia.size:
-                pair_a.append(members[u][ia])
-                pair_b.append(members[v][ib])
-    if not pair_a:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
+            reach = (r_u + float(unique_r[v])) * _QUERY_SLACK
+            cross = trees[u].sparse_distance_matrix(trees[v], reach, output_type="ndarray")
+            pair_a.append(members[u][cross["i"]])
+            pair_b.append(members[v][cross["j"]])
     return np.concatenate(pair_a), np.concatenate(pair_b)
-
-
-def _grid_pairs_torus(
-    centers: np.ndarray, cell: float, side: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Candidate pairs on the torus via a wrapped cell dictionary."""
-    n, d = centers.shape
-    m = int(side // cell)
-    if m < 3:
-        i, j = np.triu_indices(n, k=1)
-        return i.astype(np.int64), j.astype(np.int64)
-    cell_t = side / m
-    coords = np.minimum(np.floor(centers / cell_t).astype(np.int64), m - 1)
-    cells: dict[tuple[int, ...], list[int]] = {}
-    for idx, c in enumerate(map(tuple, coords.tolist())):
-        cells.setdefault(c, []).append(idx)
-    offsets = _half_offsets(d)
-    pair_a: list[int] = []
-    pair_b: list[int] = []
-    for c, members in cells.items():
-        for pos, i in enumerate(members):
-            for j in members[pos + 1 :]:
-                pair_a.append(i)
-                pair_b.append(j)
-        for off in offsets:
-            neighbor = tuple((c[axis] + off[axis]) % m for axis in range(d))
-            other = cells.get(neighbor)
-            if other:
-                for i in members:
-                    for j in other:
-                        pair_a.append(i)
-                        pair_b.append(j)
-    return np.asarray(pair_a, dtype=np.int64), np.asarray(pair_b, dtype=np.int64)
 
 
 def clusters(config: BallConfiguration, box: BoxSpec) -> ClusterLabeling:
-    """Label intersecting-ball clusters with union-find over grid candidates."""
+    """Label intersecting-ball clusters: connected components of the hit graph.
+
+    On the torus every center must lie in [0, side)^d; cKDTree raises
+    ValueError for one outside the periodic box.
+    """
     n = config.n
     d = box.dimension
     if n == 0:
         empty_i = np.empty(0, dtype=np.int64)
         empty_b = np.empty(0, dtype=bool)
-        return ClusterLabeling(parent=empty_i, touches_low=empty_b, touches_high=empty_b)
+        return ClusterLabeling(labels=empty_i, touches_low=empty_b, touches_high=empty_b)
     centers = config.centers
     radii = config.radii
 
-    if box.boundary == "crossing":
-        ia, ib = _candidate_pairs_crossing(centers, radii)
-        wrap = None
-    else:
-        ia, ib = _grid_pairs_torus(centers, 2.0 * float(radii.max()), box.side)
-        wrap = box.side
+    wrap = box.side if box.boundary == "torus" else None
+    ia, ib = _candidate_pairs(centers, radii, wrap)
     dist2 = np.zeros(ia.shape[0])
     for axis in range(d):
         x = centers[:, axis]
@@ -497,10 +299,9 @@ def clusters(config: BallConfiguration, box: BoxSpec) -> ClusterLabeling:
     rsum = radii[ia] + radii[ib]
     hit = dist2 < rsum * rsum
 
-    uf = _UnionFind(n)
-    for i, j in zip(ia[hit].tolist(), ib[hit].tolist()):
-        uf.union(i, j)
-    parent = uf.roots()
+    edges = (ia[hit], ib[hit])
+    graph = coo_matrix((np.ones(edges[0].size), edges), shape=(n, n))
+    _, labels = connected_components(graph, directed=False)
 
     if box.boundary == "crossing":
         touches_low = centers[:, 0] < radii
@@ -508,20 +309,16 @@ def clusters(config: BallConfiguration, box: BoxSpec) -> ClusterLabeling:
     else:
         touches_low = np.zeros(n, dtype=bool)
         touches_high = np.zeros(n, dtype=bool)
-    return ClusterLabeling(parent=parent, touches_low=touches_low, touches_high=touches_high)
+    return ClusterLabeling(labels=labels, touches_low=touches_low, touches_high=touches_high)
 
 
 def percolates(labeling: ClusterLabeling, config: BallConfiguration, box: BoxSpec) -> bool:
     """True if one cluster overlaps both the x_1 <= 0 and x_1 >= L faces."""
     if box.boundary != "crossing":
         raise NotImplementedError("percolation criterion is defined for the crossing boundary only")
-    if labeling.n == 0:
-        return False
-    low_roots = set(labeling.parent[labeling.touches_low].tolist())
-    if not low_roots:
-        return False
-    high_roots = set(labeling.parent[labeling.touches_high].tolist())
-    return not low_roots.isdisjoint(high_roots)
+    low = labeling.labels[labeling.touches_low]
+    high = labeling.labels[labeling.touches_high]
+    return bool(np.isin(high, low).any())
 
 
 def covered_fraction_exact(mixture: RadiusMixture, lam: float, d: int) -> float:
@@ -548,33 +345,22 @@ def covered_fraction_empirical(
     points = rng.random((probes, d)) * box.side
     if config.n == 0:
         return CoverageEstimate(0.0, 0.0)
+    wrap = box.side if box.boundary == "torus" else None
+    reach = float(config.radii.max()) * _QUERY_SLACK
+    near = cKDTree(points, boxsize=wrap).sparse_distance_matrix(
+        cKDTree(config.centers, boxsize=wrap), reach, output_type="ndarray"
+    )
+    pi, bi = near["i"], near["j"]
+    delta = points[pi] - config.centers[bi]
+    if wrap is not None:
+        np.abs(delta, out=delta)
+        np.minimum(delta, wrap - delta, out=delta)
+    dist2 = np.einsum("ij,ij->i", delta, delta)
     covered = np.zeros(probes, dtype=bool)
-    if box.boundary == "torus":
-        chunk = max(1, int(2_000_000 // max(config.n, 1)))
-        for start in range(0, probes, chunk):
-            pts = points[start : start + chunk]
-            delta = np.abs(pts[:, None, :] - config.centers[None, :, :])
-            delta = np.minimum(delta, box.side - delta)
-            dist2 = np.einsum("pnd,pnd->pn", delta, delta)
-            covered[start : start + chunk] = (dist2 < config.radii**2).any(axis=1)
-    else:
-        cell = 2.0 * float(config.radii.max())
-        pi, bi = _point_ball_candidates(points, config.centers, cell)
-        if pi.size:
-            delta = points[pi] - config.centers[bi]
-            dist2 = np.einsum("ij,ij->i", delta, delta)
-            hit = dist2 < config.radii[bi] ** 2
-            covered[pi[hit]] = True
+    covered[pi[dist2 < config.radii[bi] ** 2]] = True
     p_hat = float(covered.mean())
     stderr = math.sqrt(p_hat * (1.0 - p_hat) / probes)
     return CoverageEstimate(p_hat, stderr)
-
-
-def _point_ball_candidates(
-    points: np.ndarray, centers: np.ndarray, cell: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """(point, ball) candidate pairs whose cells are adjacent in the grid."""
-    return _cross_set_pairs(points, centers, cell)
 
 
 def thin_configuration(

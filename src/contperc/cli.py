@@ -321,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", default=None, help="output path ('-' for stdout)")
         p.add_argument("--save-config", default=None, help="write the RunConfig JSON here")
         p.add_argument("--quiet", action="store_true", help="suppress progress on stderr")
-        p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("kappa", help="threshold constant for one rho")
     p.add_argument("--rho", type=float, required=True)
@@ -344,6 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--tol", type=float, default=0.02)
     p.add_argument("--boundary", choices=("crossing", "torus"), default="crossing")
+    p.add_argument("--threads", type=int, default=1, help="trial worker threads (>= 1)")
     add_common(p)
 
     p = sub.add_parser("alpha-sweep", help="critical covered volume along a two-radius interpolation")
@@ -354,6 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--L", type=float, required=True, help="box side in units of the largest radius")
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--tol", type=float, default=0.02)
+    p.add_argument("--threads", type=int, default=1, help="trial worker threads (>= 1)")
     add_common(p)
 
     p = sub.add_parser("gw", help="two-type branching means and critical kappa")

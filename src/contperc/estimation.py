@@ -162,12 +162,21 @@ def estimate_lambda_c(
     box.  The initial bracket starts at the branching lower-bound heuristic
     lambda_lo = 1 / (v_d sum w (2r)^d) with lambda_hi = 8 lambda_lo, and
     doubles outward until the endpoints are decisively sub- and
-    supercritical.  Failure to bracket raises EstimationFailedError.
+    supercritical.  Failure to bracket raises EstimationFailedError.  The
+    default probe needs a crossing box: no percolation criterion exists for
+    the torus, so one is rejected before any sampling.
     """
     if trials < 50:
         raise ValueError("need at least 50 trials per level")
     if not target_rel_tol > 0.0:
         raise ValueError("target_rel_tol must be positive")
+    if threads < 1:
+        raise ValueError("threads must be at least 1")
+    if probe is None and box.boundary != "crossing":
+        raise ValueError(
+            f"threshold estimation needs the crossing boundary, not {box.boundary!r}: "
+            "no percolation criterion is implemented for the torus"
+        )
     d = box.dimension
     if d > MAX_SIMULATION_DIMENSION:
         raise ValueError(
@@ -255,7 +264,8 @@ def estimate_lambda_c(
         t = min(1.0, max(0.0, (0.5 - pa) / (pb - pa)))
     else:
         t = 0.5
-    lam_c = lam_lo * ratio**t
+    # Clamped because lam_lo * ratio**1 can round one ulp above lam_hi.
+    lam_c = min(max(lam_lo * ratio**t, lam_lo), lam_hi)
 
     denom = mass * ipow(scale, d)
     normalized = lam_c * norm_factor

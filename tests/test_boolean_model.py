@@ -278,3 +278,13 @@ def test_dump_and_load_round_trip():
 def test_load_rejects_bad_header():
     with pytest.raises(ValueError):
         load_configuration(io.StringIO("#other v2 d=2 L=1 seed=0\n"))
+
+
+def test_torus_rejects_centers_outside_the_box():
+    box = BoxSpec(2, 20.0, "torus")
+    for bad in ([[20.0, 5.0], [3.0, 3.0]], [[-0.5, 5.0], [3.0, 3.0]]):
+        cfg = make_config(bad, [1.0, 1.0])
+        with pytest.raises(ValueError, match="periodic box"):
+            clusters(cfg, box)
+        with pytest.raises(ValueError, match="periodic box"):
+            covered_fraction_empirical(cfg, box, probes=10, seed=0)

@@ -167,3 +167,31 @@ def test_render_formats_are_consistent():
     assert float(as_csv["x"]) == as_json["x"]
     assert as_csv["flag"] == "true"
     assert as_csv["name"] == ""
+
+
+def test_torus_threshold_exits_2_before_sampling(capsys):
+    code, out, err = run_cli(
+        capsys, "threshold", "--d", "2", "--mixture", "1:1", "--L", "16",
+        "--boundary", "torus",
+    )
+    assert code == 2
+    assert out == ""
+    assert "crossing boundary" in err
+    assert "level 0" not in err  # no progress line: nothing was sampled
+
+
+def test_threads_only_on_estimators_and_positive(capsys):
+    for threads in ("0", "-1"):
+        code, out, err = run_cli(
+            capsys, "threshold", "--d", "2", "--mixture", "1:1", "--L", "16",
+            "--threads", threads,
+        )
+        assert code == 2
+        assert "threads must be at least 1" in err
+        assert "level 0" not in err
+    code, _, err = run_cli(
+        capsys, "alpha-sweep", "--rho", "2", "--L", "12", "--alphas", "0.5", "--threads", "0",
+    )
+    assert code == 2 and "threads" in err
+    assert main(["kappa", "--rho", "2", "--k", "1", "--threads", "2"]) == 2
+    assert main(["slab", "--d", "3", "--r", "1", "--a", "0", "--b", "1", "--threads", "2"]) == 2

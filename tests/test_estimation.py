@@ -205,3 +205,14 @@ def test_multiscale_threshold_exceeds_monodisperse():
     multi_half = 0.5 * (multi.normalized_ci_high - multi.normalized_ci_low)
     pooled = math.hypot(mono_half, multi_half)
     assert multi.normalized > mono.normalized + 2.0 * pooled
+
+
+def test_lambda_c_stays_inside_its_bracket():
+    # At this seed the last upper level has exactly half its trials crossing,
+    # so the interpolation lands on lam_hi, and lam_lo * (lam_hi / lam_lo)**1
+    # rounds one ulp above lam_hi unless it is clamped.
+    est = alpha_sweep(
+        10.0, [0.5], 2, BoxSpec(2, 12.0), trials=60, seed=1, target_rel_tol=0.07
+    )[0].estimate
+    assert est.ci_low <= est.lambda_c <= est.ci_high
+    assert est.normalized_ci_low <= est.normalized <= est.normalized_ci_high
