@@ -165,7 +165,6 @@ def _cmd_threshold(params: dict, seed: int, quiet: bool):
         target_rel_tol=float(params.get("tol", 0.02)),
         seed=seed,
         progress=_progress_printer(quiet),
-        threads=int(params.get("threads", 1)),
     )
     return [_estimate_row(est)], True
 
@@ -187,7 +186,6 @@ def _cmd_alpha_sweep(params: dict, seed: int, quiet: bool):
         seed=seed,
         target_rel_tol=float(params.get("tol", 0.02)),
         progress=_progress_printer(quiet),
-        threads=int(params.get("threads", 1)),
     )
     rows = [_estimate_row(p.estimate, rho=p.rho, alpha=p.alpha) for p in points]
     return rows, False
@@ -234,7 +232,6 @@ def _cmd_paths(params: dict, seed: int, quiet: bool):
         "mean_M": run.mean_m,
         "se_M": run.se_m,
         "exact_M": pathcount.tuple_expectation_exact(d, rho, kappa, k),
-        "gw_bound": pathcount.gw_mean_bound(d, rho, kappa, k),
     }
     return [row], True
 
@@ -343,7 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--tol", type=float, default=0.02)
     p.add_argument("--boundary", choices=("crossing", "torus"), default="crossing")
-    p.add_argument("--threads", type=int, default=1, help="trial worker threads (>= 1)")
     add_common(p)
 
     p = sub.add_parser("alpha-sweep", help="critical covered volume along a two-radius interpolation")
@@ -354,7 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--L", type=float, required=True, help="box side in units of the largest radius")
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--tol", type=float, default=0.02)
-    p.add_argument("--threads", type=int, default=1, help="trial worker threads (>= 1)")
     add_common(p)
 
     p = sub.add_parser("gw", help="two-type branching means and critical kappa")
@@ -399,8 +394,8 @@ _DEFAULT_FORMATS = {
 _PARAM_KEYS = {
     "kappa": ("rho", "k", "kmax"),
     "kappa-sweep": ("rho_min", "rho_max", "steps", "kmax"),
-    "threshold": ("d", "mixture", "L", "trials", "tol", "boundary", "threads"),
-    "alpha-sweep": ("rho", "d", "alphas", "alpha_count", "L", "trials", "tol", "threads"),
+    "threshold": ("d", "mixture", "L", "trials", "tol", "boundary"),
+    "alpha-sweep": ("rho", "d", "alphas", "alpha_count", "L", "trials", "tol"),
     "gw": ("d", "rho", "kappa"),
     "paths": ("d", "rho", "kappa", "k", "trials", "domain_radius"),
     "slab": ("d", "r", "a", "b"),

@@ -24,7 +24,6 @@ seeds ("radii scaled last").
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -127,17 +126,12 @@ def canonicalize(mixture: RadiusMixture) -> tuple[RadiusMixture, float, float]:
     return canon, scale, mass
 
 
-def _boolean_probe(
-    mixture: RadiusMixture, box: BoxSpec, seed: int, threads: int
-) -> ProbeFn:
+def _boolean_probe(mixture: RadiusMixture, box: BoxSpec, seed: int) -> ProbeFn:
     def probe(lam: float, trials: int, level: int) -> list[bool]:
         def one(t: int) -> bool:
             cfg = sample(mixture, lam, box, derive_seed(seed, level, t))
             return percolates(clusters(cfg, box), cfg, box)
 
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                return list(pool.map(one, range(trials)))
         return [one(t) for t in range(trials)]
 
     return probe
@@ -151,7 +145,6 @@ def estimate_lambda_c(
     seed: int = 0,
     probe: ProbeFn | None = None,
     progress: ProgressFn | None = None,
-    threads: int = 1,
     max_expand: int = 24,
     max_levels: int = 80,
 ) -> ThresholdEstimate:
@@ -170,8 +163,6 @@ def estimate_lambda_c(
         raise ValueError("need at least 50 trials per level")
     if not target_rel_tol > 0.0:
         raise ValueError("target_rel_tol must be positive")
-    if threads < 1:
-        raise ValueError("threads must be at least 1")
     if probe is None and box.boundary != "crossing":
         raise ValueError(
             f"threshold estimation needs the crossing boundary, not {box.boundary!r}: "
@@ -187,7 +178,7 @@ def estimate_lambda_c(
     canon, scale, mass = canonicalize(mixture)
     canon_box = BoxSpec(dimension=d, side=box.side / scale, boundary=box.boundary)
     if probe is None:
-        probe = _boolean_probe(canon, canon_box, seed, threads)
+        probe = _boolean_probe(canon, canon_box, seed)
 
     norm_factor = unit_ball_volume(d) * canon.doubled_moment(d)
     levels: list[LevelStat] = []
@@ -304,7 +295,6 @@ def size_ladder(
     target_rel_tol: float = 0.02,
     boundary: str = "crossing",
     progress: ProgressFn | None = None,
-    threads: int = 1,
 ) -> LadderResult:
     """Estimate at increasing box sides and flag unresolved finite-size drift.
 
@@ -328,7 +318,6 @@ def size_ladder(
                 target_rel_tol=target_rel_tol,
                 seed=derive_seed(seed, 101, i),
                 progress=progress,
-                threads=threads,
             )
         )
     drifts = tuple(
@@ -407,7 +396,6 @@ def alpha_sweep(
     seed: int = 0,
     target_rel_tol: float = 0.02,
     progress: ProgressFn | None = None,
-    threads: int = 1,
 ) -> list[AlphaEstimate]:
     """Estimate critical covered volumes along the two-radius interpolation.
 
@@ -432,7 +420,6 @@ def alpha_sweep(
             target_rel_tol=target_rel_tol,
             seed=seed,
             progress=progress,
-            threads=threads,
         )
         out.append(AlphaEstimate(alpha=float(alpha), rho=float(rho), estimate=est))
     return out

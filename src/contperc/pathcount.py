@@ -18,6 +18,12 @@ Every point that can contribute lies within 2 rho + 2 k of the origin, so a
 sampling ball of that radius reproduces the infinite-volume counts and the
 ordered-tuple expectation has the exact closed form
 E(M_k) = (kappa^(k+1) (1+rho)^2 / (4 rho))^d for k >= 1, E(M_0) = kappa^d.
+
+One chain walker serves every count.  k-d trees give the unit-unit and
+unit-large neighbour lists in CSR form, and the chains grow one center at a
+time as integer index arrays, dropping steps back onto a center already in
+the chain.  count_paths walks all trials of a chunk at once; chunks are
+sized so that their expected points and partial chains stay under caps.
 """
 
 from __future__ import annotations
@@ -26,7 +32,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
+from .boolean_model import _QUERY_SLACK
 from .errors import CapacityError
 from .geometry import log_unit_ball_volume, unit_ball_volume
 from .rng import stream
@@ -36,7 +44,6 @@ __all__ = [
     "PathCountRun",
     "intensities",
     "tuple_expectation_exact",
-    "gw_mean_bound",
     "chain_counts",
     "chain_counts_sliced",
     "count_paths",
@@ -44,7 +51,12 @@ __all__ = [
 
 _MAX_DIMENSION = 6
 _MAX_K = 4
-_MAX_EXPECTED_POINTS = 1e6
+# Trials per chunk, and caps on a chunk's expected sampled points and partial
+# chains (the walker's largest frontier).  Every configuration in the tests,
+# demos and benchmark keeps 4096 trials, so its Philox streams do not move.
+_CHUNK_TRIALS = 4096
+_MAX_CHUNK_POINTS = 1.5e6
+_MAX_CHUNK_CHAINS = 1e6
 
 
 @dataclass(frozen=True)
@@ -89,13 +101,86 @@ def tuple_expectation_exact(d: int, rho: float, kappa: float, k: int) -> float:
     return math.exp(log_val)
 
 
-def gw_mean_bound(d: int, rho: float, kappa: float, k: int) -> float:
-    """Genealogy-only upper bound on E(N_k).
+def _norm2(points: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", points, points)
 
-    Coincides with tuple_expectation_exact because the bound is derived by
-    relaxing endpoint distinctness to ordered tuples.
+
+def _csr(src: np.ndarray, dst: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Neighbour lists of nodes 0..n-1 from directed edges, in CSR form."""
+    ptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(src, minlength=n), out=ptr[1:])
+    return ptr, dst[np.argsort(src, kind="stable")]
+
+
+def _gather(ptr: np.ndarray, idx: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(position in nodes, neighbour) for every neighbour of every node."""
+    first = ptr[nodes]
+    deg = ptr[nodes + 1] - first
+    owner = np.repeat(np.arange(nodes.size), deg)
+    shift = first - (np.cumsum(deg) - deg)
+    return owner, idx[np.arange(owner.size) + shift[owner]]
+
+
+def _hits(a, b, i, j, reach):
+    """Keep the candidate pairs (i, j) of one trial strictly closer than reach."""
+    (points_a, trial_a), (points_b, trial_b) = a, b
+    diff = points_a[i] - points_b[j]
+    hit = (trial_a[i] == trial_b[j]) & (_norm2(diff) < reach * reach)
+    return i[hit], j[hit]
+
+
+def _walk(unit, large, rho, k):
+    """Every ordered chain x_1, ..., x_k (k >= 1) of distinct unit centers, per trial.
+
+    unit and large are (points, trial ids) pairs.  Returns (chains, end_ptr,
+    end_idx): a row of chains holds the unit indices of one chain, and
+    end_idx[end_ptr[u] : end_ptr[u + 1]] lists the large centers within
+    1 + rho of unit center u.  Trials share the k-d trees but sit 2 (1 + rho)
+    apart along an extra coordinate, beyond both query radii; the strict
+    test in _hits, which also compares trial ids, alone decides every edge.
     """
-    return tuple_expectation_exact(d, rho, kappa, k)
+    reach = 1.0 + rho
+    norms2 = _norm2(unit[0])
+    # The i-th point of a chain lies within 1 + rho + 2 (i - 1) of the origin.
+    keep_u = np.flatnonzero(norms2 < ((reach + 2.0 * (k - 1)) * _QUERY_SLACK) ** 2)
+    keep_l = np.flatnonzero(_norm2(large[0]) < ((2.0 * rho + 2.0 * k) * _QUERY_SLACK) ** 2)
+    tree_u, tree_l = (
+        cKDTree(np.column_stack([points[keep], trial[keep] * (2.0 * reach)]))
+        for (points, trial), keep in ((unit, keep_u), (large, keep_l))
+    )
+    near = tree_u.sparse_distance_matrix(tree_l, reach * _QUERY_SLACK, output_type="ndarray")
+    u, l = _hits(unit, large, keep_u[near["i"]], keep_l[near["j"]], reach)
+    end_ptr, end_idx = _csr(u, l, norms2.size)
+
+    chains = np.flatnonzero(norms2 < reach * reach)[:, None]
+    if k >= 2:
+        near = tree_u.query_pairs(2.0 * _QUERY_SLACK, output_type="ndarray")
+        a, b = _hits(unit, unit, keep_u[near[:, 0]], keep_u[near[:, 1]], 2.0)
+        ptr, idx = _csr(np.concatenate([a, b]), np.concatenate([b, a]), norms2.size)
+    for _ in range(k - 1):
+        owner, nxt = _gather(ptr, idx, chains[:, -1])
+        prev = chains[owner]
+        fresh = (prev != nxt[:, None]).all(axis=1)
+        chains = np.column_stack([prev[fresh], nxt[fresh]])
+    return chains, end_ptr, end_idx
+
+
+def _trial_counts(unit, large, rho, k, n_trials):
+    """Per-trial (N_k, M_k) as two integer arrays of length n_trials."""
+    if k == 0:
+        hit = _norm2(large[0]) < (2.0 * rho) ** 2
+        counts = np.bincount(large[1][hit], minlength=n_trials)
+        return counts, counts
+    chains, end_ptr, end_idx = _walk(unit, large, rho, k)
+    last = chains[:, -1]
+    m = np.bincount(unit[1][last], weights=np.diff(end_ptr)[last], minlength=n_trials)
+    _, ends = _gather(end_ptr, end_idx, np.unique(last))
+    n = np.bincount(large[1][np.unique(ends)], minlength=n_trials)
+    return n, m.astype(np.int64)
+
+
+def _one_trial(points):
+    return points, np.zeros(points.shape[0], dtype=np.intp)
 
 
 def chain_counts(
@@ -104,119 +189,51 @@ def chain_counts(
     """Count (N_k, M_k) for one realization of the two point sets.
 
     For k = 0 both counts equal the number of large centers within 2 rho of
-    the origin.  For k >= 1 a depth-first search enumerates simple chains
-    of k distinct unit centers; endpoints are counted once for N_k and per
-    chain for M_k.
+    the origin.  For k >= 1 the chain walker lists every ordered chain of k
+    distinct unit centers; M_k adds up the large centers within 1 + rho of
+    each chain's last center and N_k counts those centers once each.
     """
-    if k == 0:
-        norms2 = np.einsum("ij,ij->i", points_large, points_large)
-        cnt = int((norms2 < (2.0 * rho) ** 2).sum())
-        return cnt, cnt
-    n1 = points_unit.shape[0]
-    if n1 < k or points_large.shape[0] == 0:
-        return 0, 0
-    reach = 1.0 + rho
-    norms2 = np.einsum("ij,ij->i", points_unit, points_unit)
-    start = np.flatnonzero(norms2 < reach * reach)
-    if start.size == 0:
-        return 0, 0
-    delta = points_unit[:, None, :] - points_large[None, :, :]
-    end_mask = np.einsum("ijk,ijk->ij", delta, delta) < reach * reach
-    end_counts = end_mask.sum(axis=1)
-    if k == 1:
-        m = int(end_counts[start].sum())
-        n = int(end_mask[start].any(axis=0).sum())
-        return n, m
-    diff = points_unit[:, None, :] - points_unit[None, :, :]
-    adj = np.einsum("ijk,ijk->ij", diff, diff) < 4.0
-    np.fill_diagonal(adj, False)
-    neighbors = [np.flatnonzero(adj[i]).tolist() for i in range(n1)]
+    n, m = _trial_counts(_one_trial(points_unit), _one_trial(points_large), rho, k, 1)
+    return int(n[0]), int(m[0])
 
-    reached = np.zeros(points_large.shape[0], dtype=bool)
-    m_total = 0
 
-    def walk(node: int, depth: int, visited: set[int]) -> None:
-        nonlocal m_total
-        if depth == k:
-            m_total += int(end_counts[node])
-            reached[end_mask[node]] = True
-            return
-        for nxt in neighbors[node]:
-            if nxt not in visited:
-                visited.add(nxt)
-                walk(nxt, depth + 1, visited)
-                visited.remove(nxt)
-
-    for s in start.tolist():
-        walk(s, 1, {s})
-    return int(reached.sum()), m_total
+def _slab_index(centers, norms, targets, step_radius, n_slices):
+    """Slab index of each step target against the direction of its center."""
+    dot = np.einsum("ij,ij->i", targets - centers, centers)
+    frac = np.divide(dot, norms * step_radius, out=np.zeros_like(dot), where=norms != 0.0)
+    index = np.minimum(n_slices - 1, np.ceil(frac * n_slices).astype(np.int64) - 1)
+    return np.where(frac <= 1.0 / n_slices, 0, index)
 
 
 def chain_counts_sliced(
-    points_unit: np.ndarray,
-    points_large: np.ndarray,
-    rho: float,
-    k: int,
-    n_slices: int,
+    points_unit: np.ndarray, points_large: np.ndarray, rho: float, k: int, n_slices: int
 ) -> tuple[dict[tuple[int, ...], int], int]:
     """Tally ordered chains by the slab index of each step.
 
     Step i lands in the slab of its step ball indexed against the direction
     of the previous center seen from the origin; index 0 is the slab
-    absorbing everything below fraction 1/n_slices (the a = 0 convention).
-    Returns (per-slice counts, total M_k); the slice counts partition the
-    chains, so they sum to M_k exactly.
+    absorbing everything below fraction 1/n_slices (the a = 0 convention),
+    and a center at the origin puts its step in slab 0.  The chains are
+    those of chain_counts, each once per endpoint.  Returns (per-slice
+    counts, total M_k); the slice counts partition the chains, so they sum
+    to M_k exactly.
     """
     if k < 1:
         raise ValueError("slicing needs k >= 1")
-    tally: dict[tuple[int, ...], int] = {}
-    n1 = points_unit.shape[0]
-    if n1 < k or points_large.shape[0] == 0:
-        return tally, 0
-    reach = 1.0 + rho
-    norms = np.sqrt(np.einsum("ij,ij->i", points_unit, points_unit))
-    start = np.flatnonzero(norms < reach)
-    if start.size == 0:
-        return tally, 0
-    delta = points_unit[:, None, :] - points_large[None, :, :]
-    end_mask = np.einsum("ijk,ijk->ij", delta, delta) < reach * reach
-    if k >= 2:
-        diff = points_unit[:, None, :] - points_unit[None, :, :]
-        adj = np.einsum("ijk,ijk->ij", diff, diff) < 4.0
-        np.fill_diagonal(adj, False)
-        neighbors = [np.flatnonzero(adj[i]).tolist() for i in range(n1)]
-    else:
-        neighbors = []
-
-    def slab_index(origin_idx: int, target: np.ndarray, step_radius: float) -> int:
-        center = points_unit[origin_idx]
-        norm = norms[origin_idx]
-        if norm == 0.0:
-            return 0
-        frac = float(np.dot(target - center, center)) / (norm * step_radius)
-        if frac <= 1.0 / n_slices:
-            return 0
-        return min(n_slices - 1, int(math.ceil(frac * n_slices)) - 1)
-
-    m_total = 0
-
-    def walk(node: int, depth: int, visited: set[int], slabs: tuple[int, ...]) -> None:
-        nonlocal m_total
-        if depth == k:
-            for endpoint in np.flatnonzero(end_mask[node]):
-                key = slabs + (slab_index(node, points_large[endpoint], reach),)
-                tally[key] = tally.get(key, 0) + 1
-                m_total += 1
-            return
-        for nxt in neighbors[node]:
-            if nxt not in visited:
-                visited.add(nxt)
-                walk(nxt, depth + 1, visited, slabs + (slab_index(node, points_unit[nxt], 2.0),))
-                visited.remove(nxt)
-
-    for s in start.tolist():
-        walk(s, 1, {s}, ())
-    return tally, m_total
+    chains, end_ptr, end_idx = _walk(_one_trial(points_unit), _one_trial(points_large), rho, k)
+    row, ends = _gather(end_ptr, end_idx, chains[:, -1])
+    if row.size == 0:
+        return {}, 0
+    norms = np.sqrt(_norm2(points_unit))
+    path = chains[row]
+    targets = [points_unit[path[:, i]] for i in range(1, k)] + [points_large[ends]]
+    radii = [2.0] * (k - 1) + [1.0 + rho]
+    steps = [
+        _slab_index(points_unit[path[:, i]], norms[path[:, i]], targets[i], radii[i], n_slices)
+        for i in range(k)
+    ]
+    keys, counts = np.unique(np.column_stack(steps), axis=0, return_counts=True)
+    return dict(zip(map(tuple, keys.tolist()), counts.tolist())), int(row.size)
 
 
 def _uniform_ball(rng: np.random.Generator, n: int, d: int, radius: float) -> np.ndarray:
@@ -224,27 +241,24 @@ def _uniform_ball(rng: np.random.Generator, n: int, d: int, radius: float) -> np
     if n == 0:
         return np.empty((0, d))
     g = rng.standard_normal((n, d))
-    norms = np.sqrt(np.einsum("ij,ij->i", g, g))
+    norms = np.sqrt(_norm2(g))
     norms[norms == 0.0] = 1.0
     scale = radius * rng.random(n) ** (1.0 / d) / norms
     return g * scale[:, None]
 
 
 def count_paths(
-    d: int,
-    rho: float,
-    kappa: float,
-    k: int,
-    trials: int,
-    seed: int,
+    d: int, rho: float, kappa: float, k: int, trials: int, seed: int,
     domain_radius: float | None = None,
-    chunk_size: int = 4096,
 ) -> PathCountRun:
     """Estimate E(N_k) and E(M_k) over independent trials.
 
     Trials are processed in chunks, one Philox substream per chunk; within
     a chunk the counts for both processes are drawn first, then all points
-    of the chunk in one batch.
+    of the chunk in one batch, and the chain walker counts every trial of
+    the chunk at once.  A chunk holds _CHUNK_TRIALS trials unless its
+    expected points or partial chains would pass their caps; a request whose
+    single trial passes a cap raises CapacityError before any sampling.
     """
     if not isinstance(d, int) or not 1 <= d <= _MAX_DIMENSION:
         raise ValueError(f"dimension must lie in 1..{_MAX_DIMENSION}")
@@ -264,40 +278,34 @@ def count_paths(
 
     lam1, lam_rho = intensities(d, rho, kappa)
     log_ball = log_unit_ball_volume(d) + d * math.log(domain_radius)
-    mean1 = lam1 * math.exp(log_ball)
+    mean1 = lam1 * math.exp(log_ball) if k >= 1 else 0.0
     mean_rho = lam_rho * math.exp(log_ball)
-    if mean1 > _MAX_EXPECTED_POINTS:
+    # Mecke formula, as for M_k: E(#chains x_1, ..., x_j) = (kappa^j (1 + rho) / 2)^d.
+    steps = range(1, k + 1)
+    chains = max((ipow(ipow(kappa, j) * (1.0 + rho) / 2.0, d) for j in steps), default=0.0)
+    share = max((mean1 + mean_rho) / _MAX_CHUNK_POINTS, chains / _MAX_CHUNK_CHAINS)
+    if share > 1.0:
         raise CapacityError(
-            f"expected unit-center count per trial {mean1:.3g} exceeds {_MAX_EXPECTED_POINTS:.0e}"
+            f"one trial expects {mean1 + mean_rho:.3g} points and {chains:.3g} partial chains; "
+            f"the caps are {_MAX_CHUNK_POINTS:.3g} and {_MAX_CHUNK_CHAINS:.3g}"
         )
-    if mean_rho > _MAX_EXPECTED_POINTS:
-        raise CapacityError(
-            f"expected large-center count per trial {mean_rho:.3g} exceeds {_MAX_EXPECTED_POINTS:.0e}"
-        )
+    chunk = _CHUNK_TRIALS if share * _CHUNK_TRIALS <= 1.0 else math.floor(1.0 / share)
 
-    sum_n = sumsq_n = 0.0
-    sum_m = sumsq_m = 0.0
-    done = 0
-    chunk_index = 0
-    while done < trials:
-        count = min(chunk_size, trials - done)
+    totals = np.zeros(4, dtype=np.int64)  # sums of N, N^2, M, M^2 over trials
+    for chunk_index, first in enumerate(range(0, trials, chunk)):
+        count = min(chunk, trials - first)
         rng = stream(seed, chunk_index)
         counts1 = rng.poisson(mean1, count) if k >= 1 else np.zeros(count, dtype=np.int64)
         counts_rho = rng.poisson(mean_rho, count)
         pts1 = _uniform_ball(rng, int(counts1.sum()), d, domain_radius)
         pts_rho = _uniform_ball(rng, int(counts_rho.sum()), d, domain_radius)
-        offs1 = np.concatenate([[0], np.cumsum(counts1)])
-        offs_rho = np.concatenate([[0], np.cumsum(counts_rho)])
-        for t in range(count):
-            p1 = pts1[offs1[t] : offs1[t + 1]]
-            pr = pts_rho[offs_rho[t] : offs_rho[t + 1]]
-            n_cnt, m_cnt = chain_counts(p1, pr, rho, k)
-            sum_n += n_cnt
-            sumsq_n += n_cnt * n_cnt
-            sum_m += m_cnt
-            sumsq_m += m_cnt * m_cnt
-        done += count
-        chunk_index += 1
+        trial_ids = np.arange(count)
+        unit = (pts1, np.repeat(trial_ids, counts1))
+        large = (pts_rho, np.repeat(trial_ids, counts_rho))
+        n, m = _trial_counts(unit, large, rho, k, count)
+        totals += [n.sum(), (n * n).sum(), m.sum(), (m * m).sum()]
+
+    sum_n, sumsq_n, sum_m, sumsq_m = totals.tolist()
 
     def mean_se(total: float, total_sq: float) -> tuple[float, float]:
         mean = total / trials
@@ -308,15 +316,4 @@ def count_paths(
 
     mean_n, se_n = mean_se(sum_n, sumsq_n)
     mean_m, se_m = mean_se(sum_m, sumsq_m)
-    return PathCountRun(
-        dimension=d,
-        rho=rho,
-        kappa=kappa,
-        k=k,
-        trials=trials,
-        domain_radius=float(domain_radius),
-        mean_n=mean_n,
-        se_n=se_n,
-        mean_m=mean_m,
-        se_m=se_m,
-    )
+    return PathCountRun(d, rho, kappa, k, trials, float(domain_radius), mean_n, se_n, mean_m, se_m)

@@ -1,5 +1,6 @@
 """Independent oracles used by the tests: deliberately simple implementations."""
 
+import itertools
 import math
 
 import numpy as np
@@ -84,3 +85,55 @@ def rejection_sample_slab_volume(d, r, a, b, n_samples, rng):
     p = in_slab.mean()
     cube = (2.0 * r) ** d
     return cube * p, cube * np.sqrt(p * (1.0 - p) / n_samples)
+
+
+def _dist2(a, b):
+    return sum((float(x) - float(y)) ** 2 for x, y in zip(a, b))
+
+
+def _norm2(a):
+    return sum(float(x) ** 2 for x in a)
+
+
+def brute_force_chains(points_unit, points_large, rho, k):
+    """Every ordered chain as (unit index tuple, large index), over all k-permutations.
+
+    A chain starts within 1 + rho of the origin, steps between distinct unit
+    centers closer than 2 and ends at a large center within 1 + rho of its
+    last unit center; for k = 0 it is a large center within 2 rho of the
+    origin.  All comparisons are strict.
+    """
+    if k == 0:
+        return [((), j) for j, q in enumerate(points_large) if _norm2(q) < (2.0 * rho) ** 2]
+    reach2 = (1.0 + rho) ** 2
+    chains = []
+    for perm in itertools.permutations(range(len(points_unit)), k):
+        x = [points_unit[i] for i in perm]
+        if _norm2(x[0]) >= reach2:
+            continue
+        if any(_dist2(a, b) >= 4.0 for a, b in zip(x, x[1:])):
+            continue
+        chains += [(perm, j) for j, q in enumerate(points_large) if _dist2(x[-1], q) < reach2]
+    return chains
+
+
+def brute_force_slab_tally(points_unit, points_large, rho, k, n_slices):
+    """Slab-index tally of the brute-force chains, one scalar step at a time."""
+
+    def slab(center, target, step):
+        norm = math.sqrt(_norm2(center))
+        if norm == 0.0:
+            return 0
+        dot = sum((float(t) - float(c)) * float(c) for t, c in zip(target, center))
+        frac = dot / (norm * step)
+        if frac <= 1.0 / n_slices:
+            return 0
+        return min(n_slices - 1, math.ceil(frac * n_slices) - 1)
+
+    tally = {}
+    for perm, j in brute_force_chains(points_unit, points_large, rho, k):
+        x = [points_unit[i] for i in perm]
+        key = tuple(slab(a, b, 2.0) for a, b in zip(x, x[1:]))
+        key += (slab(x[-1], points_large[j], 1.0 + rho),)
+        tally[key] = tally.get(key, 0) + 1
+    return tally

@@ -22,7 +22,7 @@ from contperc.geometry import (
     log_unit_ball_volume,
     slab_log_rate,
 )
-from contperc.pathcount import count_paths, gw_mean_bound, tuple_expectation_exact
+from contperc.pathcount import count_paths, tuple_expectation_exact
 from contperc.thresholds import (
     genealogy_envelope,
     kappa_c1_closed_form,
@@ -109,7 +109,7 @@ def test_criterion_4_path_count_oracles():
         run = count_paths(d, rho, kappa, k, trials=100_000, seed=SEED)
         exact = tuple_expectation_exact(d, rho, kappa, k)
         z_m = abs(run.mean_m - exact) / run.se_m
-        bound_margin = run.mean_n - gw_mean_bound(d, rho, kappa, k)
+        bound_margin = run.mean_n - exact
         ok &= z_m <= 3.0 and bound_margin <= 3.0 * run.se_n
         if k == 0:
             ok &= abs(run.mean_n - exact) / run.se_n <= 3.0

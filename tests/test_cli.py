@@ -79,7 +79,7 @@ def test_paths_output(capsys):
     data = json.loads(out)
     assert abs(data["mean_N"] - 0.64) <= 4.0 * data["se_N"]
     assert data["exact_M"] == pytest.approx(0.64, rel=1e-12)
-    assert data["gw_bound"] == data["exact_M"]
+    assert set(data) == {"d", "rho", "kappa", "k", "mean_N", "se_N", "mean_M", "se_M", "exact_M"}
 
 
 def test_threshold_json_and_csv_agree(capsys, tmp_path):
@@ -180,18 +180,32 @@ def test_torus_threshold_exits_2_before_sampling(capsys):
     assert "level 0" not in err  # no progress line: nothing was sampled
 
 
-def test_threads_only_on_estimators_and_positive(capsys):
-    for threads in ("0", "-1"):
-        code, out, err = run_cli(
-            capsys, "threshold", "--d", "2", "--mixture", "1:1", "--L", "16",
-            "--threads", threads,
-        )
-        assert code == 2
-        assert "threads must be at least 1" in err
-        assert "level 0" not in err
-    code, _, err = run_cli(
-        capsys, "alpha-sweep", "--rho", "2", "--L", "12", "--alphas", "0.5", "--threads", "0",
+def test_every_command_rejects_threads(capsys):
+    commands = (
+        ["kappa", "--rho", "2", "--k", "1"],
+        ["kappa-sweep", "--steps", "2"],
+        ["threshold", "--d", "2", "--mixture", "1:1", "--L", "16"],
+        ["alpha-sweep", "--rho", "2", "--L", "12", "--alphas", "0.5"],
+        ["gw", "--d", "2", "--rho", "2"],
+        ["paths", "--d", "2", "--rho", "2", "--kappa", "0.5", "--k", "1", "--trials", "10"],
+        ["slab", "--d", "3", "--r", "1", "--a", "0", "--b", "1"],
     )
-    assert code == 2 and "threads" in err
-    assert main(["kappa", "--rho", "2", "--k", "1", "--threads", "2"]) == 2
-    assert main(["slab", "--d", "3", "--r", "1", "--a", "0", "--b", "1", "--threads", "2"]) == 2
+    for argv in commands:
+        code, out, err = run_cli(capsys, *argv, "--threads", "2")
+        assert code == 2, argv
+        assert out == "" and "unrecognized arguments: --threads" in err
+
+
+def test_replay_ignores_a_saved_threads_key(tmp_path, capsys):
+    config = RunConfig(
+        command="threshold",
+        params={"d": 2, "mixture": "1:1", "L": 8.0, "trials": 50, "tol": 0.5, "threads": 2},
+        seed=3,
+        output=str(tmp_path / "out.json"),
+        fmt="json",
+    )
+    path = tmp_path / "old.json"
+    path.write_text(config.to_json())
+    code, _, _ = run_cli(capsys, "replay", str(path), "--quiet")
+    assert code == 0
+    assert json.loads((tmp_path / "out.json").read_text())["trials"] == 50

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from contperc import pathcount
+from contperc.cli import main
 from contperc.errors import CapacityError
 from contperc.pathcount import (
     chain_counts,
     chain_counts_sliced,
     count_paths,
-    gw_mean_bound,
     intensities,
     tuple_expectation_exact,
 )
@@ -35,8 +36,6 @@ def test_tuple_expectation_values():
     vd = unit_ball_volume(d)
     direct = lam1 * lam_rho * (vd * (1.0 + rho) ** d) ** 2
     assert tuple_expectation_exact(d, rho, kappa, 1) == pytest.approx(direct, rel=1e-12)
-    # the genealogy bound is the same tuple relaxation
-    assert gw_mean_bound(2, 2.0, 0.7, 3) == tuple_expectation_exact(2, 2.0, 0.7, 3)
 
 
 def test_validations():
@@ -48,6 +47,20 @@ def test_validations():
         count_paths(2, 2.0, 0.5, 1, trials=10, seed=0, domain_radius=3.0)
     with pytest.raises(CapacityError):
         count_paths(6, 5.0, 3.0, 4, trials=10, seed=0)
+
+
+def test_chain_capacity_fails_before_sampling(monkeypatch, capsys):
+    # About 1.6e3 points but 2.6e6 expected 4-chains per trial: only the
+    # chain cap is exceeded, and no random stream may be opened.
+    def no_sampling(*args):
+        raise AssertionError("sampled before the capacity check")
+
+    monkeypatch.setattr(pathcount, "stream", no_sampling)
+    with pytest.raises(CapacityError, match="partial chains"):
+        count_paths(2, 1.5, 6.0, 4, trials=10, seed=0)
+    argv = ["paths", "--d", "2", "--rho", "1.5", "--kappa", "6", "--k", "4", "--quiet"]
+    assert main(argv) == 3
+    assert "partial chains" in capsys.readouterr().err
 
 
 def test_chain_counts_manual_config():
@@ -89,7 +102,7 @@ def test_n_le_m_and_oracle_agreement_small():
         exact = tuple_expectation_exact(d, rho, kappa, k)
         assert run.mean_m == pytest.approx(exact, abs=3.0 * run.se_m), (d, rho, kappa, k)
         assert run.mean_n <= run.mean_m + 1e-12
-        assert run.mean_n <= gw_mean_bound(d, rho, kappa, k) + 3.0 * run.se_n
+        assert run.mean_n <= exact + 3.0 * run.se_n
 
 
 def test_per_sample_domination():
