@@ -109,9 +109,9 @@ def _estimate_row(est: estimation.ThresholdEstimate, rho=None, alpha=None) -> di
 def _cmd_kappa(params: dict, seed: int, quiet: bool):
     rho = float(params["rho"])
     if params.get("k") is not None:
-        res = thresholds.kappa_c_k(rho, int(params["k"]), seed=seed)
+        res = thresholds.kappa_c_k(rho, int(params["k"]))
     else:
-        res = thresholds.kappa_c(rho, int(params.get("kmax", 6)), seed=seed)
+        res = thresholds.kappa_c(rho, int(params.get("kmax", 6)))
     row = {
         "rho": rho,
         "k": res.k_used,
@@ -127,14 +127,14 @@ def _cmd_kappa_sweep(params: dict, seed: int, quiet: bool):
     rho_max = float(params["rho_max"])
     steps = int(params["steps"])
     k_max = int(params.get("kmax", 3))
-    if k_max < 3:
-        raise ValueError("kappa-sweep needs kmax >= 3 for its fixed columns")
+    if not 3 <= k_max <= thresholds.MAX_K:
+        raise ValueError(f"kappa-sweep needs kmax in 3..{thresholds.MAX_K}")
     if steps < 2 or not 1.0 < rho_min < rho_max:
         raise ValueError("need steps >= 2 and 1 < rho_min < rho_max")
     progress = _progress_printer(quiet)
     rows = []
     for i, rho in enumerate(np.linspace(rho_min, rho_max, steps)):
-        results = {k: thresholds.kappa_c_k(float(rho), k, seed=seed) for k in range(1, k_max + 1)}
+        results = {k: thresholds.kappa_c_k(float(rho), k) for k in range(1, k_max + 1)}
         best_k = min(results, key=lambda k: results[k].kappa)
         rows.append(
             {

@@ -52,6 +52,9 @@ __all__ = [
 _Z95 = 1.959963984540054
 
 MAX_SIMULATION_DIMENSION = 6
+# Bracket doublings before giving up; bisection levels before stopping anyway.
+_MAX_EXPAND = 24
+_MAX_LEVELS = 80
 
 ProbeFn = Callable[[float, int, int], Sequence[bool]]
 ProgressFn = Callable[[str], None]
@@ -145,8 +148,6 @@ def estimate_lambda_c(
     seed: int = 0,
     probe: ProbeFn | None = None,
     progress: ProgressFn | None = None,
-    max_expand: int = 24,
-    max_levels: int = 80,
 ) -> ThresholdEstimate:
     """Estimate the critical intensity by bisection on the crossing probability.
 
@@ -211,19 +212,19 @@ def estimate_lambda_c(
 
     expansions = 0
     while stat_hi.wilson_low <= 0.5:
-        if expansions >= max_expand:
+        if expansions >= _MAX_EXPAND:
             raise EstimationFailedError(
                 "could not bracket the threshold from above after "
-                f"{max_expand} expansions (last p={stat_hi.p_hat:.3f})"
+                f"{_MAX_EXPAND} expansions (last p={stat_hi.p_hat:.3f})"
             )
         lam_hi *= 2.0
         stat_hi = evaluate(lam_hi)
         expansions += 1
     while stat_lo.wilson_high >= 0.5:
-        if expansions >= max_expand:
+        if expansions >= _MAX_EXPAND:
             raise EstimationFailedError(
                 "could not bracket the threshold from below after "
-                f"{max_expand} expansions (last p={stat_lo.p_hat:.3f})"
+                f"{_MAX_EXPAND} expansions (last p={stat_lo.p_hat:.3f})"
             )
         lam_lo *= 0.5
         stat_lo = evaluate(lam_lo)
@@ -235,7 +236,7 @@ def estimate_lambda_c(
             break
         if stat_lo.straddles and stat_hi.straddles:
             break  # statistical resolution exhausted
-        if len(levels) >= max_levels:
+        if len(levels) >= _MAX_LEVELS:
             break
         mid = math.sqrt(lam_lo * lam_hi)
         stat_mid = evaluate(mid)
@@ -293,7 +294,6 @@ def size_ladder(
     trials: int,
     seed: int = 0,
     target_rel_tol: float = 0.02,
-    boundary: str = "crossing",
     progress: ProgressFn | None = None,
 ) -> LadderResult:
     """Estimate at increasing box sides and flag unresolved finite-size drift.
@@ -313,7 +313,7 @@ def size_ladder(
         estimates.append(
             estimate_lambda_c(
                 mixture,
-                BoxSpec(dimension=d, side=float(side), boundary=boundary),
+                BoxSpec(dimension=d, side=float(side)),
                 trials,
                 target_rel_tol=target_rel_tol,
                 seed=derive_seed(seed, 101, i),
@@ -403,11 +403,12 @@ def alpha_sweep(
     every sweep point runs at the same relative finite-size resolution and
     the alpha = 0 and alpha = 1 endpoints reduce to the identical canonical
     problem.  All points share the one seed for the same reason (matched
-    trial streams; common random numbers also smooth the curve).
+    trial streams; common random numbers also smooth the curve).  Every
+    alpha is validated before the first estimate starts.
     """
+    mixtures = [mixture_for_alpha(float(alpha), rho, d) for alpha in alphas]
     out = []
-    for alpha in alphas:
-        mixture = mixture_for_alpha(float(alpha), rho, d)
+    for alpha, mixture in zip(alphas, mixtures):
         physical = BoxSpec(
             dimension=d, side=box.side * mixture.r_max, boundary=box.boundary
         )

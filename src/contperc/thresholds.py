@@ -12,8 +12,12 @@ kappa_c(rho, k) is the infimum over radial offsets (a_2, ..., a_{k+1}) in
 The genealogy term increases and the geometry term decreases in every
 offset, so the objective is a max of two monotone surfaces and the optimum
 sits either at the zero-offset boundary or on the crossing set.  The
-optimizer is a coarse grid followed by Nelder-Mead refinement; gradient
-methods are avoided because the max is not differentiable on the crossing.
+optimizer is a coarse stage (a full grid for k <= 3, a fixed uniform sample
+beyond) followed by Nelder-Mead refinement; gradient methods are avoided
+because the max is not differentiable on the crossing.  Every value, from
+the coarse stage to the reported kappa, comes from one vectorised
+evaluation of both terms, and the coarse sample is fixed, so results depend
+on (rho, k) alone.
 """
 
 from __future__ import annotations
@@ -23,9 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.stats import qmc
 
 from .errors import CapacityError
+from .rng import stream
 
 __all__ = [
     "AlternationParams",
@@ -43,9 +47,10 @@ __all__ = [
 # Offsets live in [0, 1 - _EDGE]; the genealogy term diverges at 1 so the
 # infimum is never on the excluded boundary.
 _EDGE = 1e-9
-_MAX_K = 12
+MAX_K = 12
 _GRID_STEP = 0.02
-_LHS_POINTS = 4096
+_COARSE_POINTS = 4096
+_COARSE_SEED = 0
 _REFINE_TOL = 1e-9
 
 
@@ -94,68 +99,61 @@ class KappaResult:
     certified: bool | None = None
 
 
-def _step_radii(rho: float, k: int) -> list[float]:
-    # Step radii r_2 ... r_{k+1}: interior steps link unit balls (radius sum
-    # 2), the final step reaches a ball of the large radius (sum 1 + rho).
-    return [2.0] * (k - 1) + [1.0 + rho]
-
-
-def distance_profile(params: AlternationParams) -> DistanceProfile:
-    """Build the distance sequence d_i for the given offsets.
+def _path_terms(
+    rho: float, offsets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """Genealogy term, geometry term and distances for each row of (n, k) offsets.
 
     d_1 = 1 + rho and d_i^2 = d_{i-1}^2 + 2 r_i a_i d_{i-1} + r_i^2, the
     law of cosines for a step of length r_i leaving at radial offset a_i.
+    Interior steps link unit balls (r_i = 2), the last one reaches a ball of
+    the large radius (r_{k+1} = 1 + rho).  The distances come back as k + 1
+    arrays of length n.
     """
-    rho = params.rho
-    dists = [1.0 + rho]
-    for r_i, a_i in zip(_step_radii(rho, params.k), params.offsets):
+    k = offsets.shape[1]
+    prod = np.prod(1.0 - offsets * offsets, axis=1)
+    genealogy = (4.0 * rho / ((1.0 + rho) ** 2 * np.sqrt(prod))) ** (1.0 / (k + 1))
+    dists = [np.full(offsets.shape[0], 1.0 + rho)]
+    for j, r_i in enumerate([2.0] * (k - 1) + [1.0 + rho]):
         prev = dists[-1]
-        dists.append(math.sqrt(prev * prev + 2.0 * r_i * a_i * prev + r_i * r_i))
-    return DistanceProfile(tuple(dists))
+        dists.append(np.sqrt(prev * prev + 2.0 * r_i * offsets[:, j] * prev + r_i * r_i))
+    return genealogy, 2.0 * rho / dists[-1], dists
+
+
+def distance_profile(params: AlternationParams) -> DistanceProfile:
+    """Build the distance sequence d_1, ..., d_{k+1} for the given offsets."""
+    _, _, dists = _path_terms(params.rho, np.array([params.offsets], dtype=float))
+    return DistanceProfile(tuple(float(d[0]) for d in dists))
 
 
 def objective(params: AlternationParams) -> tuple[float, float]:
     """Return (genealogy_term, geometry_term); the caller takes the max."""
-    rho, k = params.rho, params.k
-    prod = 1.0
-    for a in params.offsets:
-        prod *= (1.0 - a) * (1.0 + a)
-    genealogy = (4.0 * rho / ((1.0 + rho) ** 2 * math.sqrt(prod))) ** (1.0 / (k + 1))
-    geometry = 2.0 * rho / distance_profile(params).final
-    return genealogy, geometry
+    genealogy, geometry, _ = _path_terms(params.rho, np.array([params.offsets], dtype=float))
+    return float(genealogy[0]), float(geometry[0])
 
 
 def genealogy_envelope(rho: float, k: int) -> float:
     """Zero-offset lower bound (4 rho / (1+rho)^2)^(1/(k+1)) for kappa_c(rho, k)."""
-    return (4.0 * rho / (1.0 + rho) ** 2) ** (1.0 / (k + 1))
+    return float(_path_terms(rho, np.zeros((1, k)))[0][0])
 
 
-def _objective_grid(rho: float, k: int, offsets: np.ndarray) -> np.ndarray:
-    """Vectorized max(genealogy, geometry) over rows of an offsets array."""
-    offsets = np.asarray(offsets, dtype=float)
-    prod = np.prod(1.0 - offsets * offsets, axis=1)
-    genealogy = (4.0 * rho / ((1.0 + rho) ** 2 * np.sqrt(prod))) ** (1.0 / (k + 1))
-    dist = np.full(offsets.shape[0], 1.0 + rho)
-    for j, r_i in enumerate(_step_radii(rho, k)):
-        dist = np.sqrt(dist * dist + 2.0 * r_i * offsets[:, j] * dist + r_i * r_i)
-    geometry = 2.0 * rho / dist
-    return np.maximum(genealogy, geometry)
-
-
-def kappa_c_k(rho: float, k: int, seed: int = 0) -> KappaResult:
+def kappa_c_k(rho: float, k: int) -> KappaResult:
     """Minimize the alternating-path objective over offsets in [0, 1)^k.
 
     Coarse stage: a full grid with step 0.02 per coordinate for k <= 3,
-    Latin-hypercube seeding beyond that.  The best candidates are refined
-    with Nelder-Mead to an objective tolerance of about 1e-9.
+    4096 uniform points from a fixed stream plus the zero offsets beyond
+    that.  The three best candidates are refined with bounded Nelder-Mead.
+    For k <= 3 the result is converged to about 1e-9.  From k = 6 on it can
+    sit up to about 1e-5 above the best value a longer multi-start search
+    finds, because the 4096 points leave some refinements in a worse basin.
     """
     if not rho > 1.0:
         raise ValueError("rho must exceed 1")
     if not isinstance(k, int) or k < 1:
         raise ValueError("k must be a positive integer")
-    if k > _MAX_K:
+    if k > MAX_K:
         raise CapacityError(
-            f"k={k} exceeds the supported maximum {_MAX_K}: "
+            f"k={k} exceeds the supported maximum {MAX_K}: "
             "the coarse grid stage grows exponentially with k"
         )
 
@@ -164,16 +162,16 @@ def kappa_c_k(rho: float, k: int, seed: int = 0) -> KappaResult:
         grids = np.meshgrid(*([axis] * k), indexing="ij")
         candidates = np.stack([g.ravel() for g in grids], axis=1)
     else:
-        sampler = qmc.LatinHypercube(d=k, seed=seed)
-        candidates = sampler.random(_LHS_POINTS) * (1.0 - _EDGE)
+        candidates = stream(_COARSE_SEED, k).random((_COARSE_POINTS, k)) * (1.0 - _EDGE)
         candidates = np.vstack([candidates, np.zeros((1, k))])
 
-    values = _objective_grid(rho, k, candidates)
+    genealogy, geometry, _ = _path_terms(rho, candidates)
+    values = np.maximum(genealogy, geometry)
     order = np.argsort(values)
 
     def fun(x: np.ndarray) -> float:
-        x = np.clip(x, 0.0, 1.0 - _EDGE)
-        return float(_objective_grid(rho, k, x[None, :])[0])
+        genealogy, geometry, _ = _path_terms(rho, x[None, :])
+        return float(max(genealogy[0], geometry[0]))
 
     best_x = candidates[order[0]]
     best_f = float(values[order[0]])
@@ -192,22 +190,22 @@ def kappa_c_k(rho: float, k: int, seed: int = 0) -> KappaResult:
                     "maxfev": 4000 * k,
                 },
             )
-            x0 = np.clip(res.x, 0.0, 1.0 - _EDGE)
+            x0 = res.x
             if res.fun < best_f:
                 best_f = float(res.fun)
                 best_x = x0
 
-    params = AlternationParams(rho, k, tuple(float(a) for a in best_x))
-    branches = objective(params)
+    genealogy, geometry, _ = _path_terms(rho, best_x[None, :])
+    branches = (float(genealogy[0]), float(geometry[0]))
     return KappaResult(
         kappa=max(branches),
-        offsets=params.offsets,
+        offsets=tuple(float(a) for a in best_x),
         branch_values=branches,
         k_used=k,
     )
 
 
-def kappa_c(rho: float, k_max: int = 6, seed: int = 0) -> KappaResult:
+def kappa_c(rho: float, k_max: int = 6) -> KappaResult:
     """Minimum of kappa_c_k over k = 1 .. k_max, with a truncation certificate.
 
     The zero-offset envelope (4 rho/(1+rho)^2)^(1/(k+1)) increases with k,
@@ -215,11 +213,11 @@ def kappa_c(rho: float, k_max: int = 6, seed: int = 0) -> KappaResult:
     already exceeds the minimum found: every k > k_max then costs at least
     that much.  Otherwise the result is flagged uncertified.
     """
-    if not isinstance(k_max, int) or not 1 <= k_max <= _MAX_K:
-        raise ValueError(f"k_max must lie in 1..{_MAX_K}")
+    if not isinstance(k_max, int) or not 1 <= k_max <= MAX_K:
+        raise ValueError(f"k_max must lie in 1..{MAX_K}")
     best: KappaResult | None = None
     for k in range(1, k_max + 1):
-        result = kappa_c_k(rho, k, seed=seed)
+        result = kappa_c_k(rho, k)
         if best is None or result.kappa < best.kappa:
             best = result
     assert best is not None
@@ -247,9 +245,7 @@ def kappa_c1_closed_form(rho: float) -> float:
     return math.sqrt(4.0 + rho * rho) / (1.0 + rho)
 
 
-def k2_crossover_rho(
-    rho_lo: float = 2.0, rho_hi: float = 12.0, tol: float = 1e-3, seed: int = 0
-) -> float:
+def k2_crossover_rho(rho_lo: float = 2.0, rho_hi: float = 12.0, tol: float = 1e-3) -> float:
     """Numerically locate where kappa_c(rho, 2) first drops below kappa_c(rho, 1).
 
     Bisection on the sign of kappa_c_k(rho, 2) - kappa_c_k(rho, 1).  This is
@@ -258,7 +254,7 @@ def k2_crossover_rho(
     """
 
     def gap(rho: float) -> float:
-        return kappa_c_k(rho, 2, seed=seed).kappa - kappa_c_k(rho, 1, seed=seed).kappa
+        return kappa_c_k(rho, 2).kappa - kappa_c_k(rho, 1).kappa
 
     lo, hi = rho_lo, rho_hi
     if gap(lo) <= 0.0:

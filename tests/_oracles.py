@@ -137,3 +137,21 @@ def brute_force_slab_tally(points_unit, points_large, rho, k, n_slices):
         key += (slab(x[-1], points_large[j], 1.0 + rho),)
         tally[key] = tally.get(key, 0) + 1
     return tally
+
+
+def reference_path_terms(rho, k, offsets):
+    """Scalar (genealogy, geometry, distances) of one alternating path, one step at a time.
+
+    d_1 = 1 + rho and d_i^2 = d_{i-1}^2 + 2 r_i a_i d_{i-1} + r_i^2 with step
+    radii r_i = 2 for interior steps and 1 + rho for the last one.
+    """
+    radii = [2.0] * (k - 1) + [1.0 + rho]
+    dists = [1.0 + rho]
+    for r_i, a_i in zip(radii, offsets):
+        prev = dists[-1]
+        dists.append(math.sqrt(prev * prev + 2.0 * r_i * a_i * prev + r_i * r_i))
+    prod = 1.0
+    for a in offsets:
+        prod *= (1.0 - a) * (1.0 + a)
+    genealogy = (4.0 * rho / ((1.0 + rho) ** 2 * math.sqrt(prod))) ** (1.0 / (k + 1))
+    return genealogy, 2.0 * rho / dists[-1], dists

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from contperc import thresholds
 from contperc.cli import RunConfig, main, parse_mixture, render
 
 
@@ -209,3 +210,25 @@ def test_replay_ignores_a_saved_threads_key(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "replay", str(path), "--quiet")
     assert code == 0
     assert json.loads((tmp_path / "out.json").read_text())["trials"] == 50
+
+
+def test_kappa_sweep_rejects_kmax_before_optimizing(monkeypatch, capsys):
+    def no_optimizing(*args, **kwargs):
+        raise AssertionError("kappa_c_k called before kmax was checked")
+
+    monkeypatch.setattr(thresholds, "kappa_c_k", no_optimizing)
+    for kmax in ("2", "13"):
+        code, out, err = run_cli(capsys, "kappa-sweep", "--steps", "2", "--kmax", kmax)
+        assert code == 2, kmax
+        assert out == "" and "kmax in 3..12" in err
+
+
+def test_alpha_sweep_rejects_a_bad_alpha_before_sampling(capsys):
+    code, out, err = run_cli(
+        capsys, "alpha-sweep", "--rho", "10", "--d", "2", "--alphas", "0.5,1.5",
+        "--L", "12", "--trials", "60", "--tol", "0.07",
+    )
+    assert code == 2
+    assert out == ""
+    assert "alpha must lie in [0, 1]" in err
+    assert "alpha=" not in err and "level 0" not in err  # no progress line

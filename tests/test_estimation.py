@@ -65,7 +65,7 @@ def test_estimation_failure_when_never_crossing():
         return [False] * trials
 
     with pytest.raises(EstimationFailedError):
-        estimate_lambda_c(UNIT, BOX, trials=60, seed=0, probe=never, max_expand=6)
+        estimate_lambda_c(UNIT, BOX, trials=60, seed=0, probe=never)
 
 
 def test_canonicalize():

@@ -1,8 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import contperc
 from contperc.errors import CapacityError
 from contperc.thresholds import (
     AlternationParams,
@@ -14,6 +20,8 @@ from contperc.thresholds import (
     kappa_c_k,
     objective,
 )
+
+from _oracles import reference_path_terms
 
 
 def test_params_validation():
@@ -159,3 +167,50 @@ def test_k2_crossover_location():
     rho_star = k2_crossover_rho(tol=0.05)
     assert 2.0 < rho_star < 12.0
     assert kappa_c_k(rho_star + 0.5, 2).kappa < kappa_c_k(rho_star + 0.5, 1).kappa
+
+
+@st.composite
+def paths(draw):
+    rho = draw(st.floats(1.0, 20.0, exclude_min=True))
+    k = draw(st.integers(1, 12))
+    offsets = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=k, max_size=k))
+    return AlternationParams(rho, k, tuple(offsets))
+
+
+@settings(deadline=None, max_examples=300)
+@given(paths())
+@example(AlternationParams(2.0, 1, (1.0 - 1e-6,)))
+@example(AlternationParams(20.0, 12, (0.999999,) * 12))
+def test_vector_terms_match_scalar_reference(params):
+    genealogy, geometry, dists = reference_path_terms(params.rho, params.k, params.offsets)
+    # The vector genealogy term forms 1 - a*a, which loses up to 2^-53 a^2
+    # absolutely to cancellation; the reference forms (1 - a)(1 + a).
+    cancel = sum(a * a / ((1.0 - a) * (1.0 + a)) for a in params.offsets) * 2.0**-53
+    got_genealogy, got_geometry = objective(params)
+    assert got_genealogy == pytest.approx(
+        genealogy, rel=1e-13 + cancel / (2 * (params.k + 1)), abs=0.0
+    )
+    assert got_geometry == pytest.approx(geometry, rel=1e-13, abs=0.0)
+    assert distance_profile(params).distances == pytest.approx(dists, rel=1e-13, abs=0.0)
+    zero = reference_path_terms(params.rho, params.k, (0.0,) * params.k)[0]
+    assert genealogy_envelope(params.rho, params.k) == pytest.approx(zero, rel=1e-13, abs=0.0)
+
+
+def _run_python(code):
+    """Run code in a fresh interpreter that imports this contperc."""
+    src = os.path.dirname(os.path.dirname(contperc.__file__))
+    entries = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(entries)}
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    ).stdout
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    out = _run_python("import sys, contperc.cli; print('scipy.stats' in sys.modules)")
+    assert out.strip() == "False"
+
+
+def test_kappa_c_k_coarse_sample_is_fixed_across_processes():
+    code = "from contperc.thresholds import kappa_c_k; r = kappa_c_k(3.0, 5); print(r)"
+    assert _run_python(code) == _run_python(code)
