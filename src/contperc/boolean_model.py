@@ -55,7 +55,7 @@ __all__ = [
 # Hard cap on the expected number of balls in one configuration.
 MAX_EXPECTED_COUNT = 5e7
 
-DUMP_FORMAT_VERSION = "v1"
+DUMP_FORMAT_VERSION = "v2"
 
 # Relative margin on k-d tree query radii, so that the tree's own rounding
 # of distances cannot drop a pair the exact hit test would accept.  The
@@ -178,12 +178,14 @@ class ClusterLabeling:
     Two balls share a label exactly when they are joined by a chain of
     pairwise intersecting open balls; the ids themselves carry no meaning
     beyond that.  touches_low / touches_high mark the balls overlapping the
-    two crossing faces (all False for a torus).
+    two crossing faces (all False for a torus).  edges is the (2, m) index
+    array of the intersecting pairs, each unordered pair once.
     """
 
     labels: np.ndarray = field(repr=False)
     touches_low: np.ndarray = field(repr=False)
     touches_high: np.ndarray = field(repr=False)
+    edges: np.ndarray = field(repr=False)
 
     @property
     def n(self) -> int:
@@ -282,7 +284,12 @@ def clusters(config: BallConfiguration, box: BoxSpec) -> ClusterLabeling:
     if n == 0:
         empty_i = np.empty(0, dtype=np.int64)
         empty_b = np.empty(0, dtype=bool)
-        return ClusterLabeling(labels=empty_i, touches_low=empty_b, touches_high=empty_b)
+        return ClusterLabeling(
+            labels=empty_i,
+            touches_low=empty_b,
+            touches_high=empty_b,
+            edges=np.empty((2, 0), dtype=np.int64),
+        )
     centers = config.centers
     radii = config.radii
 
@@ -299,8 +306,8 @@ def clusters(config: BallConfiguration, box: BoxSpec) -> ClusterLabeling:
     rsum = radii[ia] + radii[ib]
     hit = dist2 < rsum * rsum
 
-    edges = (ia[hit], ib[hit])
-    graph = coo_matrix((np.ones(edges[0].size), edges), shape=(n, n))
+    edges = np.stack((ia[hit], ib[hit]))
+    graph = coo_matrix((np.ones(edges.shape[1]), (edges[0], edges[1])), shape=(n, n))
     _, labels = connected_components(graph, directed=False)
 
     if box.boundary == "crossing":
@@ -309,7 +316,9 @@ def clusters(config: BallConfiguration, box: BoxSpec) -> ClusterLabeling:
     else:
         touches_low = np.zeros(n, dtype=bool)
         touches_high = np.zeros(n, dtype=bool)
-    return ClusterLabeling(labels=labels, touches_low=touches_low, touches_high=touches_high)
+    return ClusterLabeling(
+        labels=labels, touches_low=touches_low, touches_high=touches_high, edges=edges
+    )
 
 
 def percolates(labeling: ClusterLabeling, config: BallConfiguration, box: BoxSpec) -> bool:
@@ -370,7 +379,10 @@ def thin_configuration(
 
     Thinning a configuration sampled at intensity lam yields the sampling
     distribution at keep_prob * lam and is a subset of the original, which
-    makes percolation monotone along the coupling.
+    makes percolation monotone along the coupling.  The threshold estimator
+    (estimation.estimate_lambda_c) uses this coupling: its level at
+    keep_prob * lam is this thinning of the one sample per trial, read off
+    the trial's critical mark instead of being built.
     """
     if not 0.0 <= keep_prob <= 1.0:
         raise ValueError("keep probability must lie in [0, 1]")
@@ -385,12 +397,16 @@ def thin_configuration(
 
 
 def dump_configuration(config: BallConfiguration, box: BoxSpec, fp) -> None:
-    """Write one ball per line, 'x_1 ... x_d r', after a self-describing header."""
+    """Write one ball per line, 'x_1 ... x_d r', after a self-describing header.
+
+    The v2 header records the dimension, side, seed, boundary and intensity.
+    """
     own = isinstance(fp, (str, bytes))
     handle = open(fp, "w") if own else fp
     try:
         handle.write(
-            f"#contperc {DUMP_FORMAT_VERSION} d={box.dimension} L={box.side!r} seed={config.seed}\n"
+            f"#contperc {DUMP_FORMAT_VERSION} d={box.dimension} L={box.side!r} "
+            f"seed={config.seed} boundary={box.boundary} lam={config.lam!r}\n"
         )
         for row, r in zip(config.centers, config.radii):
             cols = " ".join(f"{x:.17g}" for x in row)
@@ -400,23 +416,30 @@ def dump_configuration(config: BallConfiguration, box: BoxSpec, fp) -> None:
             handle.close()
 
 
+# Header keys of each dump format version.
+_HEADER_KEYS = {"v1": {"d", "L", "seed"}, "v2": {"d", "L", "seed", "boundary", "lam"}}
+
+
 def load_configuration(fp) -> tuple[BallConfiguration, BoxSpec]:
     """Read a configuration written by dump_configuration.
 
-    The intensity is not part of the format; the returned configuration
-    carries lam = nan.  The boundary is assumed to be "crossing".
+    v1 files carry neither the boundary nor the intensity; they load as a
+    crossing box with lam = nan.
     """
     own = isinstance(fp, (str, bytes))
     handle = open(fp, "r") if own else fp
     try:
         header = handle.readline().strip()
         parts = header.split()
-        if len(parts) != 5 or parts[0] != "#contperc" or parts[1] != DUMP_FORMAT_VERSION:
+        version = parts[1] if len(parts) > 1 and parts[0] == "#contperc" else None
+        meta = dict(p.split("=", 1) for p in parts[2:] if "=" in p)
+        if len(meta) != len(parts) - 2 or set(meta) != _HEADER_KEYS.get(version):
             raise ValueError(f"unrecognized configuration header: {header!r}")
-        meta = dict(p.split("=", 1) for p in parts[2:])
         d = int(meta["d"])
         side = float(meta["L"])
         seed = int(meta["seed"])
+        boundary = meta.get("boundary", "crossing")
+        lam = float(meta.get("lam", "nan"))
         rows = [[float(tok) for tok in line.split()] for line in handle if line.strip()]
     finally:
         if own:
@@ -429,5 +452,5 @@ def load_configuration(fp) -> tuple[BallConfiguration, BoxSpec]:
     else:
         centers = np.empty((0, d))
         radii = np.empty(0)
-    config = BallConfiguration(centers=centers, radii=radii, seed=seed, lam=math.nan)
-    return config, BoxSpec(dimension=d, side=side, boundary="crossing")
+    config = BallConfiguration(centers=centers, radii=radii, seed=seed, lam=lam)
+    return config, BoxSpec(dimension=d, side=side, boundary=boundary)

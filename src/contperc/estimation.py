@@ -1,11 +1,17 @@
 """Percolation threshold estimation and the scale-free quantities built on it.
 
 The estimator bisects the intensity lambda toward crossing probability 1/2
-in a finite box.  At every probed intensity it runs independent seeded
-trials and uses a Wilson 95% interval to decide the bisection branch; the
-loop stops when the bracket is relatively narrow or when both endpoints'
-intervals straddle 1/2, i.e. the statistical resolution of the trial budget
-is exhausted.
+in a finite box and uses a Wilson 95% interval at every probed intensity to
+decide the bisection branch; the loop stops when the bracket is relatively
+narrow or when both endpoints' intervals straddle 1/2, i.e. the statistical
+resolution of the trial budget is exhausted.
+
+The trials are shared across levels (common random numbers, the
+Newman-Ziff coupling).  Each seeded trial is sampled once at the top of the
+bracket with a uniform mark on every ball and reduced to its critical mark,
+the bottleneck of a minimax path between the two faces; a level at lambda
+keeps the balls whose mark lies below lambda / lambda_max, so every level's
+indicators are read off those per-trial values without resampling.
 
 Scale handling.  Before simulating, the mixture is canonicalized: radii are
 divided by the largest radius and weights by the total mass, the box side is
@@ -27,10 +33,21 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from .boolean_model import BoxSpec, RadiusMixture, clusters, percolates, sample
+import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import breadth_first_order, minimum_spanning_tree
+
+from .boolean_model import (
+    BallConfiguration,
+    BoxSpec,
+    RadiusMixture,
+    clusters,
+    percolates,
+    sample,
+)
 from .errors import EstimationFailedError
 from .geometry import unit_ball_volume
-from .rng import derive_seed
+from .rng import derive_seed, stream
 from .util import ipow
 
 __all__ = [
@@ -129,13 +146,67 @@ def canonicalize(mixture: RadiusMixture) -> tuple[RadiusMixture, float, float]:
     return canon, scale, mass
 
 
-def _boolean_probe(mixture: RadiusMixture, box: BoxSpec, seed: int) -> ProbeFn:
-    def probe(lam: float, trials: int, level: int) -> list[bool]:
-        def one(t: int) -> bool:
-            cfg = sample(mixture, lam, box, derive_seed(seed, level, t))
-            return percolates(clusters(cfg, box), cfg, box)
+def _critical_mark(config: BallConfiguration, box: BoxSpec, marks: np.ndarray) -> float:
+    """Smallest q at which the balls with mark < q cross the box; inf if none do.
 
-        return [one(t) for t in range(trials)]
+    This is the minimax mark over the paths between the two faces.  The hit
+    graph gains two face nodes, joined to the balls touching each face, and
+    every edge weighs the larger mark rank of its ends (ranks, not marks,
+    because csgraph drops zero weights).  The minimum spanning tree holds a
+    minimax path between any two nodes, so the answer is the largest mark
+    on its one face-to-face path.
+    """
+    labeling = clusters(config, box)
+    if not percolates(labeling, config, box):
+        return math.inf
+    n = config.n
+    order = np.argsort(marks)
+    rank = np.zeros(n + 2, dtype=np.int64)
+    rank[order] = np.arange(1, n + 1)
+    low = np.flatnonzero(labeling.touches_low)
+    high = np.flatnonzero(labeling.touches_high)
+    a = np.concatenate((labeling.edges[0], np.full(low.size, n), np.full(high.size, n + 1)))
+    b = np.concatenate((labeling.edges[1], low, high))
+    weight = np.maximum(rank[a], rank[b]).astype(float)
+    tree = minimum_spanning_tree(coo_matrix((weight, (a, b)), shape=(n + 2, n + 2)))
+    _, pred = breadth_first_order(tree, n, directed=False, return_predecessors=True)
+    pred = pred.tolist()
+    path = []
+    node = pred[n + 1]
+    while node != n:
+        path.append(node)
+        node = pred[node]
+    return float(marks[order[rank[path].max() - 1]])
+
+
+def _coupled_probe(mixture: RadiusMixture, box: BoxSpec, seed: int, lam_max: float) -> ProbeFn:
+    """Answer every level from one marked sample per trial (common random numbers).
+
+    Trial t is sampled once at lam_max, each ball carrying a uniform mark
+    from the trial's own mark seed, and reduced to its critical mark; only
+    that one float per trial is kept.  A level at lam keeps the balls with
+    mark < lam / lam_max, so the trial's configuration there is
+    thin_configuration(sampled, lam / lam_max, mark seed), and it crosses
+    exactly when its critical mark is below that keep probability.  A level
+    above lam_max doubles lam_max until it is covered and resamples every
+    trial on the stream key of the doubling count.
+    """
+    doublings = 0
+    critical = None
+
+    def probe(lam: float, trials: int, level: int) -> list[bool]:
+        nonlocal lam_max, doublings, critical
+        if critical is None or lam > lam_max:
+            while lam > lam_max:
+                lam_max *= 2.0
+                doublings += 1
+            critical = np.empty(trials)
+            for t in range(trials):
+                trial_seed = derive_seed(seed, doublings, t)
+                cfg = sample(mixture, lam_max, box, trial_seed)
+                marks = stream(derive_seed(trial_seed, 1)).random(cfg.n)
+                critical[t] = _critical_mark(cfg, box, marks)
+        return (critical < lam / lam_max).tolist()
 
     return probe
 
@@ -152,13 +223,17 @@ def estimate_lambda_c(
     """Estimate the critical intensity by bisection on the crossing probability.
 
     `probe(lam, trials, level)` must return one crossing indicator per
-    trial; by default it samples the Boolean model in the canonicalized
-    box.  The initial bracket starts at the branching lower-bound heuristic
-    lambda_lo = 1 / (v_d sum w (2r)^d) with lambda_hi = 8 lambda_lo, and
-    doubles outward until the endpoints are decisively sub- and
-    supercritical.  Failure to bracket raises EstimationFailedError.  The
-    default probe needs a crossing box: no percolation criterion exists for
-    the torus, so one is rejected before any sampling.
+    trial.  By default the trials are shared across levels (common random
+    numbers): each is sampled once at the initial lambda_hi in the
+    canonicalized box with a mark on every ball, and a level keeps the
+    balls marked below lam / lambda_hi; a bracket expanding above lambda_hi
+    doubles it and resamples every trial.  The initial bracket starts at the
+    branching lower-bound heuristic lambda_lo = 1 / (v_d sum w (2r)^d) with
+    lambda_hi = 8 lambda_lo, and doubles outward until the endpoints are
+    decisively sub- and supercritical.  Failure to bracket raises
+    EstimationFailedError.  The default probe needs a crossing box: no
+    percolation criterion exists for the torus, so one is rejected before
+    any sampling.
     """
     if trials < 50:
         raise ValueError("need at least 50 trials per level")
@@ -178,10 +253,11 @@ def estimate_lambda_c(
 
     canon, scale, mass = canonicalize(mixture)
     canon_box = BoxSpec(dimension=d, side=box.side / scale, boundary=box.boundary)
-    if probe is None:
-        probe = _boolean_probe(canon, canon_box, seed)
-
     norm_factor = unit_ball_volume(d) * canon.doubled_moment(d)
+    lam_lo = 1.0 / norm_factor
+    lam_hi = 8.0 * lam_lo
+    if probe is None:
+        probe = _coupled_probe(canon, canon_box, seed, lam_hi)
     levels: list[LevelStat] = []
 
     def evaluate(lam: float) -> LevelStat:
@@ -205,8 +281,6 @@ def estimate_lambda_c(
             )
         return stat
 
-    lam_lo = 1.0 / norm_factor
-    lam_hi = 8.0 * lam_lo
     stat_lo = evaluate(lam_lo)
     stat_hi = evaluate(lam_hi)
 

@@ -111,7 +111,9 @@ def _path_terms(
     arrays of length n.
     """
     k = offsets.shape[1]
-    prod = np.prod(1.0 - offsets * offsets, axis=1)
+    # (1 - a)(1 + a) does not cancel near a = 1 as 1 - a*a does; the ufunc
+    # reduce skips np.prod's Python wrapper, once per Nelder-Mead step.
+    prod = np.multiply.reduce((1.0 - offsets) * (1.0 + offsets), axis=1)
     genealogy = (4.0 * rho / ((1.0 + rho) ** 2 * np.sqrt(prod))) ** (1.0 / (k + 1))
     dists = [np.full(offsets.shape[0], 1.0 + rho)]
     for j, r_i in enumerate([2.0] * (k - 1) + [1.0 + rho]):

@@ -267,17 +267,46 @@ def test_dump_and_load_round_trip():
     dump_configuration(cfg, box, buf)
     text = buf.getvalue()
     first = text.splitlines()[0]
-    assert first == f"#contperc v1 d=3 L=9.0 seed={cfg.seed}"
+    assert first == f"#contperc v2 d=3 L=9.0 seed={cfg.seed} boundary=crossing lam=0.05"
     loaded, loaded_box = load_configuration(io.StringIO(text))
-    assert loaded_box.dimension == 3 and loaded_box.side == 9.0
+    assert loaded_box == box
     assert np.array_equal(loaded.centers, cfg.centers)
     assert np.array_equal(loaded.radii, cfg.radii)
     assert loaded.seed == cfg.seed
+    assert loaded.lam == 0.05
+
+
+def test_dump_and_load_round_trip_on_the_torus():
+    box = BoxSpec(2, 10.0, "torus")
+    cfg = sample(RadiusMixture.dirac(0.75), 0.3, box, seed=4)
+    buf = io.StringIO()
+    dump_configuration(cfg, box, buf)
+    loaded, loaded_box = load_configuration(io.StringIO(buf.getvalue()))
+    assert loaded_box == box
+    assert loaded.lam == 0.3 and loaded.seed == cfg.seed
+    assert np.array_equal(loaded.centers, cfg.centers)
+    assert np.array_equal(loaded.radii, cfg.radii)
+    assert np.array_equal(
+        clusters(loaded, loaded_box).canonical_labels(), clusters(cfg, box).canonical_labels()
+    )
+
+
+def test_load_reads_a_v1_file_as_a_crossing_box():
+    text = "#contperc v1 d=2 L=12.5 seed=9\n1.5 2 0.5\n3 4.25 1\n"
+    loaded, box = load_configuration(io.StringIO(text))
+    assert box == BoxSpec(2, 12.5, "crossing")
+    assert loaded.seed == 9 and math.isnan(loaded.lam)
+    assert np.array_equal(loaded.centers, [[1.5, 2.0], [3.0, 4.25]])
+    assert np.array_equal(loaded.radii, [0.5, 1.0])
 
 
 def test_load_rejects_bad_header():
     with pytest.raises(ValueError):
         load_configuration(io.StringIO("#other v2 d=2 L=1 seed=0\n"))
+    with pytest.raises(ValueError):
+        load_configuration(io.StringIO("#contperc v2 d=2 L=1 seed=0\n"))
+    with pytest.raises(ValueError):
+        load_configuration(io.StringIO("#contperc v3 d=2 L=1 seed=0 boundary=torus lam=1\n"))
 
 
 def test_torus_rejects_centers_outside_the_box():

@@ -208,11 +208,18 @@ def test_multiscale_threshold_exceeds_monodisperse():
 
 
 def test_lambda_c_stays_inside_its_bracket():
-    # At this seed the last upper level has exactly half its trials crossing,
-    # so the interpolation lands on lam_hi, and lam_lo * (lam_hi / lam_lo)**1
-    # rounds one ulp above lam_hi unless it is clamped.
-    est = alpha_sweep(
-        10.0, [0.5], 2, BoxSpec(2, 12.0), trials=60, seed=1, target_rel_tol=0.07
-    )[0].estimate
+    # Half the trials cross from 0.17 up to 0.255, all of them above.  The
+    # bisection ends with that half at the upper level, so the interpolation
+    # lands on t = 1, and lam_lo * (lam_hi / lam_lo)**1 rounds one ulp above
+    # lam_hi here unless it is clamped.
+    def probe(lam, trials, level):
+        k = 0 if lam < 0.17 else trials // 2 if lam < 0.255 else trials
+        return [True] * k + [False] * (trials - k)
+
+    est = estimate_lambda_c(UNIT, BOX, trials=60, probe=probe)
+    lam_lo, lam_hi = est.ci_low, est.ci_high
+    p_at = {lv.lam: lv.p_hat for lv in est.levels}
+    assert (p_at[lam_lo], p_at[lam_hi]) == (0.0, 0.5)
+    assert lam_lo * (lam_hi / lam_lo) ** 1.0 > lam_hi
     assert est.ci_low <= est.lambda_c <= est.ci_high
     assert est.normalized_ci_low <= est.normalized <= est.normalized_ci_high

@@ -183,13 +183,8 @@ def paths(draw):
 @example(AlternationParams(20.0, 12, (0.999999,) * 12))
 def test_vector_terms_match_scalar_reference(params):
     genealogy, geometry, dists = reference_path_terms(params.rho, params.k, params.offsets)
-    # The vector genealogy term forms 1 - a*a, which loses up to 2^-53 a^2
-    # absolutely to cancellation; the reference forms (1 - a)(1 + a).
-    cancel = sum(a * a / ((1.0 - a) * (1.0 + a)) for a in params.offsets) * 2.0**-53
     got_genealogy, got_geometry = objective(params)
-    assert got_genealogy == pytest.approx(
-        genealogy, rel=1e-13 + cancel / (2 * (params.k + 1)), abs=0.0
-    )
+    assert got_genealogy == pytest.approx(genealogy, rel=1e-13, abs=0.0)
     assert got_geometry == pytest.approx(geometry, rel=1e-13, abs=0.0)
     assert distance_profile(params).distances == pytest.approx(dists, rel=1e-13, abs=0.0)
     zero = reference_path_terms(params.rho, params.k, (0.0,) * params.k)[0]
