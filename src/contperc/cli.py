@@ -129,8 +129,8 @@ def _cmd_kappa_sweep(params: dict, seed: int, quiet: bool):
     k_max = int(params.get("kmax", 3))
     if not 3 <= k_max <= thresholds.MAX_K:
         raise ValueError(f"kappa-sweep needs kmax in 3..{thresholds.MAX_K}")
-    if steps < 2 or not 1.0 < rho_min < rho_max:
-        raise ValueError("need steps >= 2 and 1 < rho_min < rho_max")
+    if steps < 2 or not 1.0 < rho_min < rho_max <= thresholds.MAX_RHO:
+        raise ValueError(f"need steps >= 2 and 1 < rho_min < rho_max <= {thresholds.MAX_RHO:g}")
     progress = _progress_printer(quiet)
     rows = []
     for i, rho in enumerate(np.linspace(rho_min, rho_max, steps)):

@@ -42,9 +42,40 @@ def test_invalid_rho_exits_2(capsys):
 
 
 def test_capacity_exits_3(capsys):
-    code, _, err = run_cli(capsys, "kappa", "--rho", "2", "--k", "13")
+    code, _, err = run_cli(
+        capsys, "paths", "--d", "6", "--rho", "5", "--kappa", "3", "--k", "4", "--trials", "10"
+    )
     assert code == 3
-    assert "exceeds" in err
+    assert "the caps are" in err
+
+
+def test_kappa_k_above_max_exits_2(monkeypatch, capsys):
+    def no_optimizing(*args, **kwargs):
+        raise AssertionError("optimized before k was checked")
+
+    monkeypatch.setattr(thresholds, "_path_terms", no_optimizing)
+    for argv in (("--k", "13"), ("--kmax", "13")):
+        code, out, err = run_cli(capsys, "kappa", "--rho", "3", *argv)
+        assert code == 2, argv
+        assert out == "" and "must lie in 1..12" in err
+
+
+def test_non_finite_or_overflowing_rho_exits_2_before_optimizing(monkeypatch, capsys):
+    def no_optimizing(*args, **kwargs):
+        raise AssertionError("optimized before rho was checked")
+
+    monkeypatch.setattr(thresholds, "_path_terms", no_optimizing)
+    for argv in (
+        ("kappa", "--rho", "inf", "--k", "1"),
+        ("kappa", "--rho", "1e308", "--k", "2"),
+        ("kappa", "--rho", "nan", "--kmax", "3"),
+        ("kappa-sweep", "--rho-max", "inf"),
+        ("kappa-sweep", "--rho-min", "nan"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert out == "", argv
+        assert "1e+150" in err, argv
 
 
 def test_unknown_arguments_exit_2(capsys):

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import contperc
-from contperc.errors import CapacityError
+from contperc import thresholds
 from contperc.thresholds import (
     AlternationParams,
     distance_profile,
@@ -33,6 +33,20 @@ def test_params_validation():
         AlternationParams(2.0, 2, (0.1,))
     with pytest.raises(ValueError):
         AlternationParams(2.0, 1, (1.0,))
+
+
+def test_rho_must_be_finite_and_below_overflow():
+    for rho in (math.inf, math.nan, 1e308, 2e150):
+        with pytest.raises(ValueError, match="rho must exceed 1 and be at most 1e\\+150"):
+            AlternationParams(rho, 1, (0.0,))
+        with pytest.raises(ValueError, match="rho must exceed 1"):
+            kappa_c_k(rho, 2)
+        with pytest.raises(ValueError, match="rho must exceed 1"):
+            kappa_c1_closed_form(rho)
+    # Near the limit the offsets barely move the distances: kappa is 1 to rounding.
+    res = kappa_c_k(thresholds.MAX_RHO, 2)
+    assert res.kappa == pytest.approx(1.0, abs=1e-9)
+    assert all(math.isfinite(a) for a in res.offsets)
 
 
 def test_distance_profile_zero_offset():
@@ -156,10 +170,53 @@ def test_large_rho_prefers_longer_paths():
 
 
 def test_capacity_limit():
-    with pytest.raises(CapacityError):
+    with pytest.raises(ValueError, match=r"k must lie in 1\.\.12"):
         kappa_c_k(2.0, 13)
     with pytest.raises(ValueError):
         kappa_c(2.0, 13)
+
+
+def test_long_paths_reach_the_better_basin():
+    # Nelder-Mead from the same three starts stopped at 0.9080610970610745
+    # and 0.9323157803200167, in a worse basin than the one SLSQP reaches.
+    assert kappa_c_k(10.0, 8).kappa <= 0.9080610970610745 - 1e-6
+    assert kappa_c_k(float(np.linspace(1.1, 10, 12)[4]), 6).kappa <= 0.9323157803200167 - 1e-6
+
+
+def test_no_slsqp_start_reaches_the_iteration_limit(monkeypatch):
+    iterations = []
+    minimize = thresholds.minimize
+
+    def counted(*args, **kwargs):
+        res = minimize(*args, **kwargs)
+        iterations.append(res.nit)
+        return res
+
+    monkeypatch.setattr(thresholds, "minimize", counted)
+    for rho in np.linspace(1.1, 10.0, 30):  # the kappa-sweep benchmark's rho
+        for k in range(1, 9):
+            kappa_c_k(float(rho), k)
+    assert iterations
+    assert max(iterations) < thresholds._SLSQP_OPTIONS["maxiter"]
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.floats(1.0, 20.0, exclude_min=True),
+    st.integers(1, 12).flatmap(lambda k: st.lists(st.floats(0.0, 0.99), min_size=k, max_size=k)),
+)
+def test_term_gradients_match_central_differences(rho, offsets):
+    a = np.array(offsets)
+    step = 1e-7
+    shifts = step * np.eye(a.size)  # row i moves offset i alone
+    up = thresholds._path_terms(rho, a + shifts)
+    down = thresholds._path_terms(rho, a - shifts)
+    numeric = (np.array(up[:2]) - np.array(down[:2])) / (2.0 * step)
+    genealogy, geometry, _ = thresholds._path_terms(rho, a[None, :])
+    analytic = thresholds._term_gradients(rho, a)
+    for row, value in enumerate((genealogy[0], geometry[0])):
+        # Rounding in the differences is about 1e-16 * value / step.
+        assert analytic[row] == pytest.approx(numeric[row], rel=1e-5, abs=1e-7 * value)
 
 
 def test_k2_crossover_location():
