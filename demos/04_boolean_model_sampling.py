@@ -1,8 +1,9 @@
 """Sampling and clustering Boolean models in a box.
 
-A configuration is reproducible from its seed alone.  Clusters come from a
-union-find over spatial-hash candidate pairs; the crossing event asks for a
-single cluster touching both faces along the first axis.
+A configuration is reproducible from its seed alone.  Clusters are the
+connected components (scipy.sparse.csgraph) of the intersecting pairs, whose
+candidates come from one k-d tree per radius class; the crossing event asks
+for a single cluster touching both faces along the first axis.
 """
 
 import io

@@ -9,15 +9,10 @@ within and across classes at each class pair's interaction range r_u + r_v
 candidates intersect, and the clusters are the connected components of the
 resulting graph (scipy.sparse.csgraph).
 
-Boundary conventions:
-
-* "crossing": centers are sampled in the enlarged window
-  [-r_max, L + r_max)^d so balls reaching into the core box from outside
-  are not under-counted; the percolation event is a single cluster touching
-  both faces x_1 <= 0 and x_1 >= L.
-* "torus": centers in [0, L)^d with wrapped distances (the k-d trees use
-  the periodic box of side L); no percolation criterion is implemented for
-  this boundary.
+The box is a crossing box: centers are sampled in the enlarged window
+[-r_max, L + r_max)^d so balls reaching into the core box [0, L)^d from
+outside are not under-counted, and the percolation event is a single
+cluster touching both faces x_1 <= 0 and x_1 >= L.
 """
 
 from __future__ import annotations
@@ -54,6 +49,9 @@ __all__ = [
 
 # Hard cap on the expected number of balls in one configuration.
 MAX_EXPECTED_COUNT = 5e7
+# Largest dimension the Monte Carlo layers (estimation, pathcount) simulate;
+# box and ball volumes explode beyond it.
+MAX_SIMULATION_DIMENSION = 6
 
 DUMP_FORMAT_VERSION = "v2"
 
@@ -138,27 +136,23 @@ class RadiusMixture:
 
 @dataclass(frozen=True)
 class BoxSpec:
-    """Simulation box: dimension, side length and boundary handling."""
+    """Crossing box: dimension and side length of the core box [0, L)^d."""
 
     dimension: int
     side: float
-    boundary: str = "crossing"
 
     def __post_init__(self) -> None:
         if not isinstance(self.dimension, int) or self.dimension < 2:
             raise ValueError("dimension must be an integer >= 2")
         if not self.side > 0.0:
             raise ValueError("side must be positive")
-        if self.boundary not in ("crossing", "torus"):
-            raise ValueError("boundary must be 'crossing' or 'torus'")
 
 
 @dataclass(frozen=True, eq=False)
 class BallConfiguration:
     """One sampled ball process: parallel center and radius arrays.
 
-    For the crossing boundary, centers may lie in the halo outside the core
-    box (see module docstring).
+    Centers may lie in the halo outside the core box (see module docstring).
     """
 
     centers: np.ndarray = field(repr=False)
@@ -178,8 +172,8 @@ class ClusterLabeling:
     Two balls share a label exactly when they are joined by a chain of
     pairwise intersecting open balls; the ids themselves carry no meaning
     beyond that.  touches_low / touches_high mark the balls overlapping the
-    two crossing faces (all False for a torus).  edges is the (2, m) index
-    array of the intersecting pairs, each unordered pair once.
+    two crossing faces.  edges is the (2, m) index array of the intersecting
+    pairs, each unordered pair once.
     """
 
     labels: np.ndarray = field(repr=False)
@@ -205,29 +199,23 @@ class CoverageEstimate(NamedTuple):
     stderr: float
 
 
-def _sampling_window(mixture: RadiusMixture, box: BoxSpec) -> tuple[float, float]:
-    """Return (origin, extent) of the center-sampling window."""
-    if box.boundary == "crossing":
-        r = mixture.r_max
-        return -r, box.side + 2.0 * r
-    return 0.0, box.side
-
-
 def sample(
     mixture: RadiusMixture, lam: float, box: BoxSpec, seed: int
 ) -> BallConfiguration:
     """Sample one Boolean model configuration, fully determined by `seed`.
 
     The number of balls is Poisson with mean lam * mass * window_volume,
-    centers are uniform in the window (drawn in [0,1)^d and then scaled),
-    and radii are i.i.d. over the atoms with probabilities w_i / mass.
+    centers are uniform in the halo window [-r_max, L + r_max)^d (drawn in
+    [0,1)^d and then scaled), and radii are i.i.d. over the atoms with
+    probabilities w_i / mass.
     """
     if lam < 0.0:
         raise ValueError("intensity must be non-negative")
     if not box.side > 4.0 * mixture.r_max:
         raise ValueError("box side must exceed four times the largest radius")
     d = box.dimension
-    origin, extent = _sampling_window(mixture, box)
+    origin = -mixture.r_max
+    extent = box.side + 2.0 * mixture.r_max
     expected = lam * (mixture.total_mass * ipow(extent, d))
     if expected > MAX_EXPECTED_COUNT:
         raise CapacityError(
@@ -246,9 +234,7 @@ def sample(
     return BallConfiguration(centers=centers, radii=radii, seed=int(seed), lam=float(lam))
 
 
-def _candidate_pairs(
-    centers: np.ndarray, radii: np.ndarray, boxsize: float | None
-) -> tuple[np.ndarray, np.ndarray]:
+def _candidate_pairs(centers: np.ndarray, radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Index pairs that may intersect: a superset of the intersecting pairs.
 
     Balls are split by radius class with one k-d tree each; a class is
@@ -258,7 +244,7 @@ def _candidate_pairs(
     """
     unique_r, class_idx = np.unique(radii, return_inverse=True)
     members = [np.flatnonzero(class_idx == c) for c in range(len(unique_r))]
-    trees = [cKDTree(centers[m], boxsize=boxsize) for m in members]
+    trees = [cKDTree(centers[m]) for m in members]
     pair_a: list[np.ndarray] = []
     pair_b: list[np.ndarray] = []
     for u, r_u in enumerate(unique_r.tolist()):
@@ -274,11 +260,7 @@ def _candidate_pairs(
 
 
 def clusters(config: BallConfiguration, box: BoxSpec) -> ClusterLabeling:
-    """Label intersecting-ball clusters: connected components of the hit graph.
-
-    On the torus every center must lie in [0, side)^d; cKDTree raises
-    ValueError for one outside the periodic box.
-    """
+    """Label intersecting-ball clusters: connected components of the hit graph."""
     n = config.n
     d = box.dimension
     if n == 0:
@@ -293,15 +275,11 @@ def clusters(config: BallConfiguration, box: BoxSpec) -> ClusterLabeling:
     centers = config.centers
     radii = config.radii
 
-    wrap = box.side if box.boundary == "torus" else None
-    ia, ib = _candidate_pairs(centers, radii, wrap)
+    ia, ib = _candidate_pairs(centers, radii)
     dist2 = np.zeros(ia.shape[0])
     for axis in range(d):
         x = centers[:, axis]
         diff = x[ia] - x[ib]
-        if wrap is not None:
-            np.abs(diff, out=diff)
-            np.minimum(diff, wrap - diff, out=diff)
         dist2 += diff * diff
     rsum = radii[ia] + radii[ib]
     hit = dist2 < rsum * rsum
@@ -310,21 +288,16 @@ def clusters(config: BallConfiguration, box: BoxSpec) -> ClusterLabeling:
     graph = coo_matrix((np.ones(edges.shape[1]), (edges[0], edges[1])), shape=(n, n))
     _, labels = connected_components(graph, directed=False)
 
-    if box.boundary == "crossing":
-        touches_low = centers[:, 0] < radii
-        touches_high = centers[:, 0] + radii > box.side
-    else:
-        touches_low = np.zeros(n, dtype=bool)
-        touches_high = np.zeros(n, dtype=bool)
     return ClusterLabeling(
-        labels=labels, touches_low=touches_low, touches_high=touches_high, edges=edges
+        labels=labels,
+        touches_low=centers[:, 0] < radii,
+        touches_high=centers[:, 0] + radii > box.side,
+        edges=edges,
     )
 
 
 def percolates(labeling: ClusterLabeling, config: BallConfiguration, box: BoxSpec) -> bool:
     """True if one cluster overlaps both the x_1 <= 0 and x_1 >= L faces."""
-    if box.boundary != "crossing":
-        raise NotImplementedError("percolation criterion is defined for the crossing boundary only")
     low = labeling.labels[labeling.touches_low]
     high = labeling.labels[labeling.touches_high]
     return bool(np.isin(high, low).any())
@@ -354,16 +327,12 @@ def covered_fraction_empirical(
     points = rng.random((probes, d)) * box.side
     if config.n == 0:
         return CoverageEstimate(0.0, 0.0)
-    wrap = box.side if box.boundary == "torus" else None
     reach = float(config.radii.max()) * _QUERY_SLACK
-    near = cKDTree(points, boxsize=wrap).sparse_distance_matrix(
-        cKDTree(config.centers, boxsize=wrap), reach, output_type="ndarray"
+    near = cKDTree(points).sparse_distance_matrix(
+        cKDTree(config.centers), reach, output_type="ndarray"
     )
     pi, bi = near["i"], near["j"]
     delta = points[pi] - config.centers[bi]
-    if wrap is not None:
-        np.abs(delta, out=delta)
-        np.minimum(delta, wrap - delta, out=delta)
     dist2 = np.einsum("ij,ij->i", delta, delta)
     covered = np.zeros(probes, dtype=bool)
     covered[pi[dist2 < config.radii[bi] ** 2]] = True
@@ -399,14 +368,15 @@ def thin_configuration(
 def dump_configuration(config: BallConfiguration, box: BoxSpec, fp) -> None:
     """Write one ball per line, 'x_1 ... x_d r', after a self-describing header.
 
-    The v2 header records the dimension, side, seed, boundary and intensity.
+    The v2 header records the dimension, side, seed, boundary (always
+    crossing) and intensity.
     """
     own = isinstance(fp, (str, bytes))
     handle = open(fp, "w") if own else fp
     try:
         handle.write(
             f"#contperc {DUMP_FORMAT_VERSION} d={box.dimension} L={box.side!r} "
-            f"seed={config.seed} boundary={box.boundary} lam={config.lam!r}\n"
+            f"seed={config.seed} boundary=crossing lam={config.lam!r}\n"
         )
         for row, r in zip(config.centers, config.radii):
             cols = " ".join(f"{x:.17g}" for x in row)
@@ -423,8 +393,8 @@ _HEADER_KEYS = {"v1": {"d", "L", "seed"}, "v2": {"d", "L", "seed", "boundary", "
 def load_configuration(fp) -> tuple[BallConfiguration, BoxSpec]:
     """Read a configuration written by dump_configuration.
 
-    v1 files carry neither the boundary nor the intensity; they load as a
-    crossing box with lam = nan.
+    v1 files carry neither the boundary nor the intensity; they load with
+    lam = nan.  A header naming any boundary but crossing raises ValueError.
     """
     own = isinstance(fp, (str, bytes))
     handle = open(fp, "r") if own else fp
@@ -438,7 +408,8 @@ def load_configuration(fp) -> tuple[BallConfiguration, BoxSpec]:
         d = int(meta["d"])
         side = float(meta["L"])
         seed = int(meta["seed"])
-        boundary = meta.get("boundary", "crossing")
+        if meta.get("boundary", "crossing") != "crossing":
+            raise ValueError(f"only the crossing boundary is supported: {header!r}")
         lam = float(meta.get("lam", "nan"))
         rows = [[float(tok) for tok in line.split()] for line in handle if line.strip()]
     finally:
@@ -453,4 +424,4 @@ def load_configuration(fp) -> tuple[BallConfiguration, BoxSpec]:
         centers = np.empty((0, d))
         radii = np.empty(0)
     config = BallConfiguration(centers=centers, radii=radii, seed=seed, lam=lam)
-    return config, BoxSpec(dimension=d, side=side, boundary=boundary)
+    return config, BoxSpec(dimension=d, side=side)

@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .util import check_rho
+
 __all__ = [
     "MeanMatrix",
     "mean_matrix",
@@ -48,8 +50,7 @@ def mean_matrix(d: int, kappa: float, rho: float) -> MeanMatrix:
         raise ValueError("dimension must be a positive integer")
     if not kappa > 0.0:
         raise ValueError("kappa must be positive")
-    if not rho > 1.0:
-        raise ValueError("rho must exceed 1")
+    check_rho(rho)
     base = d * math.log(kappa)
     up = d * math.log((1.0 + rho) / (2.0 * rho))
     down = d * math.log((1.0 + rho) / 2.0)
@@ -82,14 +83,12 @@ def gw_critical_kappa(d: int, rho: float) -> float:
     """
     if not isinstance(d, int) or d < 1:
         raise ValueError("dimension must be a positive integer")
-    if not rho > 1.0:
-        raise ValueError("rho must exceed 1")
+    check_rho(rho)
     log_beta = math.log((1.0 + rho) / (2.0 * math.sqrt(rho)))
     return math.exp(-log_beta - math.log1p(math.exp(-d * log_beta)) / d)
 
 
 def gw_critical_kappa_limit(rho: float) -> float:
     """Large-dimension limit 2 sqrt(rho) / (1 + rho) of gw_critical_kappa."""
-    if not rho > 1.0:
-        raise ValueError("rho must exceed 1")
+    check_rho(rho)
     return 2.0 * math.sqrt(rho) / (1.0 + rho)

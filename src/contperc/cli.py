@@ -153,11 +153,7 @@ def _cmd_kappa_sweep(params: dict, seed: int, quiet: bool):
 
 def _cmd_threshold(params: dict, seed: int, quiet: bool):
     mixture = parse_mixture(params["mixture"])
-    box = BoxSpec(
-        dimension=int(params["d"]),
-        side=float(params["L"]),
-        boundary=params.get("boundary", "crossing"),
-    )
+    box = BoxSpec(dimension=int(params["d"]), side=float(params["L"]))
     est = estimation.estimate_lambda_c(
         mixture,
         box,
@@ -176,7 +172,7 @@ def _cmd_alpha_sweep(params: dict, seed: int, quiet: bool):
         alphas = [float(a) for a in str(params["alphas"]).split(",")]
     else:
         alphas = np.linspace(0.0, 1.0, int(params.get("alpha_count", 9))).tolist()
-    box = BoxSpec(dimension=d, side=float(params["L"]), boundary="crossing")
+    box = BoxSpec(dimension=d, side=float(params["L"]))
     points = estimation.alpha_sweep(
         rho,
         alphas,
@@ -339,7 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--L", type=float, required=True)
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--tol", type=float, default=0.02)
-    p.add_argument("--boundary", choices=("crossing", "torus"), default="crossing")
     add_common(p)
 
     p = sub.add_parser("alpha-sweep", help="critical covered volume along a two-radius interpolation")
@@ -394,7 +389,7 @@ _DEFAULT_FORMATS = {
 _PARAM_KEYS = {
     "kappa": ("rho", "k", "kmax"),
     "kappa-sweep": ("rho_min", "rho_max", "steps", "kmax"),
-    "threshold": ("d", "mixture", "L", "trials", "tol", "boundary"),
+    "threshold": ("d", "mixture", "L", "trials", "tol"),
     "alpha-sweep": ("rho", "d", "alphas", "alpha_count", "L", "trials", "tol"),
     "gw": ("d", "rho", "kappa"),
     "paths": ("d", "rho", "kappa", "k", "trials", "domain_radius"),
@@ -436,7 +431,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (CapacityError, EstimationFailedError, NotImplementedError, OSError) as exc:
+    except (CapacityError, EstimationFailedError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

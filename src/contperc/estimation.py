@@ -38,6 +38,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import breadth_first_order, minimum_spanning_tree
 
 from .boolean_model import (
+    MAX_SIMULATION_DIMENSION,
     BallConfiguration,
     BoxSpec,
     RadiusMixture,
@@ -48,7 +49,7 @@ from .boolean_model import (
 from .errors import EstimationFailedError
 from .geometry import unit_ball_volume
 from .rng import derive_seed, stream
-from .util import ipow
+from .util import check_rho, ipow
 
 __all__ = [
     "LevelStat",
@@ -68,7 +69,6 @@ __all__ = [
 # 97.5% normal quantile for Wilson 95% intervals.
 _Z95 = 1.959963984540054
 
-MAX_SIMULATION_DIMENSION = 6
 # Bracket doublings before giving up; bisection levels before stopping anyway.
 _MAX_EXPAND = 24
 _MAX_LEVELS = 80
@@ -231,19 +231,12 @@ def estimate_lambda_c(
     branching lower-bound heuristic lambda_lo = 1 / (v_d sum w (2r)^d) with
     lambda_hi = 8 lambda_lo, and doubles outward until the endpoints are
     decisively sub- and supercritical.  Failure to bracket raises
-    EstimationFailedError.  The default probe needs a crossing box: no
-    percolation criterion exists for the torus, so one is rejected before
-    any sampling.
+    EstimationFailedError.
     """
     if trials < 50:
         raise ValueError("need at least 50 trials per level")
     if not target_rel_tol > 0.0:
         raise ValueError("target_rel_tol must be positive")
-    if probe is None and box.boundary != "crossing":
-        raise ValueError(
-            f"threshold estimation needs the crossing boundary, not {box.boundary!r}: "
-            "no percolation criterion is implemented for the torus"
-        )
     d = box.dimension
     if d > MAX_SIMULATION_DIMENSION:
         raise ValueError(
@@ -252,7 +245,7 @@ def estimate_lambda_c(
         )
 
     canon, scale, mass = canonicalize(mixture)
-    canon_box = BoxSpec(dimension=d, side=box.side / scale, boundary=box.boundary)
+    canon_box = BoxSpec(dimension=d, side=box.side / scale)
     norm_factor = unit_ball_volume(d) * canon.doubled_moment(d)
     lam_lo = 1.0 / norm_factor
     lam_hi = 8.0 * lam_lo
@@ -444,8 +437,7 @@ def mixture_for_alpha(alpha: float, rho: float, d: int) -> RadiusMixture:
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
-    if not rho > 1.0:
-        raise ValueError("rho must exceed 1")
+    check_rho(rho)
     if alpha == 0.0:
         return RadiusMixture.dirac(1.0)
     rho_weight = alpha / ipow(rho, d)
@@ -478,14 +470,15 @@ def alpha_sweep(
     the alpha = 0 and alpha = 1 endpoints reduce to the identical canonical
     problem.  All points share the one seed for the same reason (matched
     trial streams; common random numbers also smooth the curve).  Every
-    alpha is validated before the first estimate starts.
+    alpha is validated before the first estimate starts, and an empty list
+    is rejected.
     """
+    if len(alphas) == 0:
+        raise ValueError("need at least one alpha")
     mixtures = [mixture_for_alpha(float(alpha), rho, d) for alpha in alphas]
     out = []
     for alpha, mixture in zip(alphas, mixtures):
-        physical = BoxSpec(
-            dimension=d, side=box.side * mixture.r_max, boundary=box.boundary
-        )
+        physical = BoxSpec(dimension=d, side=box.side * mixture.r_max)
         if progress is not None:
             progress(f"alpha={alpha:g}")
         est = estimate_lambda_c(

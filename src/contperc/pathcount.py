@@ -34,11 +34,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .boolean_model import _QUERY_SLACK
+from .boolean_model import MAX_SIMULATION_DIMENSION, _QUERY_SLACK
 from .errors import CapacityError
 from .geometry import log_unit_ball_volume, unit_ball_volume
 from .rng import stream
-from .util import ipow
+from .util import check_rho, ipow
 
 __all__ = [
     "PathCountRun",
@@ -49,7 +49,6 @@ __all__ = [
     "count_paths",
 ]
 
-_MAX_DIMENSION = 6
 _MAX_K = 4
 # Trials per chunk, and caps on a chunk's expected sampled points and partial
 # chains (the walker's largest frontier).  Every configuration in the tests,
@@ -260,10 +259,9 @@ def count_paths(
     expected points or partial chains would pass their caps; a request whose
     single trial passes a cap raises CapacityError before any sampling.
     """
-    if not isinstance(d, int) or not 1 <= d <= _MAX_DIMENSION:
-        raise ValueError(f"dimension must lie in 1..{_MAX_DIMENSION}")
-    if not rho > 1.0:
-        raise ValueError("rho must exceed 1")
+    if not isinstance(d, int) or not 1 <= d <= MAX_SIMULATION_DIMENSION:
+        raise ValueError(f"dimension must lie in 1..{MAX_SIMULATION_DIMENSION}")
+    check_rho(rho)
     if not kappa > 0.0:
         raise ValueError("kappa must be positive")
     if not isinstance(k, int) or k < 0 or k > _MAX_K:

@@ -30,6 +30,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .rng import stream
+from .util import MAX_RHO, check_rho
 
 __all__ = [
     "AlternationParams",
@@ -48,8 +49,6 @@ __all__ = [
 # infimum is never on the excluded boundary.
 _EDGE = 1e-9
 MAX_K = 12
-MAX_RHO = 1e150  # squared distances, below (2 + 2 rho + 2 MAX_K)^2, stay finite
-_RHO_RANGE = f"rho must exceed 1 and be at most {MAX_RHO:g}"
 _GRID_STEP = 0.05
 _COARSE_POINTS = 4096
 _COARSE_SEED = 0
@@ -65,8 +64,7 @@ class AlternationParams:
     offsets: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if not 1.0 < self.rho <= MAX_RHO:
-            raise ValueError(_RHO_RANGE)
+        check_rho(self.rho)
         if not isinstance(self.k, int) or self.k < 1:
             raise ValueError("k must be a positive integer")
         if len(self.offsets) != self.k:
@@ -164,8 +162,7 @@ def kappa_c_k(rho: float, k: int) -> KappaResult:
     They converge well inside the iteration limit for every k <= MAX_K and
     agree with a 20-start search over 20 000 points to about 1e-14.
     """
-    if not 1.0 < rho <= MAX_RHO:
-        raise ValueError(_RHO_RANGE)
+    check_rho(rho)
     if not isinstance(k, int) or not 1 <= k <= MAX_K:
         raise ValueError(f"k must lie in 1..{MAX_K}")
 
@@ -249,8 +246,7 @@ def kappa_c1_closed_form(rho: float) -> float:
     sqrt(4 + rho^2)/(1+rho) for rho >= 2 (optimum on the branch crossing,
     at offset (rho^2 - 4)/(rho^2 + 4)); the two branches agree at rho = 2.
     """
-    if not 1.0 < rho <= MAX_RHO:
-        raise ValueError(_RHO_RANGE)
+    check_rho(rho)
     if rho <= 2.0:
         return 2.0 * math.sqrt(rho) / (1.0 + rho)
     return math.sqrt(4.0 + rho * rho) / (1.0 + rho)

@@ -20,9 +20,6 @@ def brute_force_labels(config, box):
     for i in range(n):
         for j in range(i + 1, n):
             delta = config.centers[i] - config.centers[j]
-            if box.boundary == "torus":
-                delta = np.abs(delta)
-                delta = np.minimum(delta, box.side - delta)
             if float(delta @ delta) < (config.radii[i] + config.radii[j]) ** 2:
                 parent[find(i)] = find(j)
     canon = {}

@@ -55,8 +55,6 @@ def test_box_validation():
         BoxSpec(1, 10.0)
     with pytest.raises(ValueError):
         BoxSpec(2, -1.0)
-    with pytest.raises(ValueError):
-        BoxSpec(2, 10.0, "wrap")
 
 
 def test_sample_determinism_and_zero_intensity():
@@ -83,20 +81,22 @@ def test_sample_halo_window_for_crossing():
     cfg = sample(UNIT, 1.0, box, seed=3)
     assert cfg.centers.min() >= -1.0
     assert cfg.centers.max() < 11.0
-    cfg_t = sample(UNIT, 1.0, BoxSpec(2, 10.0, "torus"), seed=3)
-    assert cfg_t.centers.min() >= 0.0
-    assert cfg_t.centers.max() < 10.0
+    # the halo is r_max wide on every side, also for a mixture
+    mix = RadiusMixture([(0.5, 1.0), (2.0, 0.25)])
+    cfg = sample(mix, 1.0, box, seed=3)
+    assert cfg.centers.min() >= -2.0 and cfg.centers.min() < -1.0
+    assert cfg.centers.max() < 12.0 and cfg.centers.max() > 11.0
 
 
 def test_poisson_count_statistics():
-    # torus window has volume L^d, so the mean count is lam * mass * L^d
-    box = BoxSpec(2, 10.0, "torus")
+    # the halo window has volume (L + 2 r_max)^d, so the mean count is
+    # lam * mass * (L + 2 r_max)^d
+    box = BoxSpec(2, 8.0)
     counts = np.array([sample(UNIT, 1.0, box, seed=s).n for s in range(1000)])
     z = (counts.mean() - 100.0) / math.sqrt(100.0 / 1000.0)
     assert abs(z) < 3.0
-    # crossing window is enlarged by the halo
-    boxc = BoxSpec(2, 10.0)
-    counts = np.array([sample(UNIT, 1.0, boxc, seed=s).n for s in range(500)])
+    mix = RadiusMixture([(0.5, 0.5), (1.5, 0.5)])
+    counts = np.array([sample(mix, 1.0, BoxSpec(2, 9.0), seed=s).n for s in range(500)])
     mean = 144.0
     z = (counts.mean() - mean) / math.sqrt(mean / 500.0)
     assert abs(z) < 3.0
@@ -104,7 +104,7 @@ def test_poisson_count_statistics():
 
 def test_radius_frequencies_follow_weights():
     mix = RadiusMixture([(1.0, 3.0), (2.0, 1.0)])
-    box = BoxSpec(2, 20.0, "torus")
+    box = BoxSpec(2, 16.0)
     total = small = 0
     for s in range(200):
         cfg = sample(mix, 0.25, box, seed=s)
@@ -116,7 +116,7 @@ def test_radius_frequencies_follow_weights():
 
 
 def test_thinning_matches_lower_intensity_distribution():
-    box = BoxSpec(2, 10.0, "torus")
+    box = BoxSpec(2, 8.0)
     thinned = np.array(
         [thin_configuration(sample(UNIT, 1.0, box, seed=s), 0.4, seed=5000 + s).n for s in range(400)]
     )
@@ -136,12 +136,10 @@ def test_two_ball_intersection_boundary():
     assert clusters(exact, box).cluster_count() == 2
 
 
-def test_torus_wraps_and_crossing_does_not():
-    box_t = BoxSpec(2, 20.0, "torus")
-    box_c = BoxSpec(2, 20.0)
+def test_crossing_box_does_not_wrap():
+    box = BoxSpec(2, 20.0)
     cfg = make_config([[0.5, 5.0], [19.5, 5.0]], [1.0, 1.0])
-    assert clusters(cfg, box_t).cluster_count() == 1
-    assert clusters(cfg, box_c).cluster_count() == 2
+    assert clusters(cfg, box).cluster_count() == 2
 
 
 def test_grid_matches_brute_force_including_mixed_radii():
@@ -169,14 +167,6 @@ def test_grid_matches_brute_force_including_mixed_radii():
     assert checked > 40
 
 
-def test_torus_grid_matches_brute_force():
-    box = BoxSpec(2, 12.0, "torus")
-    for s in range(20):
-        cfg = sample(UNIT, 0.05, box, seed=300 + s)
-        labeling = clusters(cfg, box)
-        assert np.array_equal(labeling.canonical_labels(), brute_force_labels(cfg, box))
-
-
 def test_percolates_basics():
     box = BoxSpec(2, 20.0)
     empty = make_config(np.empty((0, 2)), np.empty(0))
@@ -186,8 +176,6 @@ def test_percolates_basics():
     chain = make_config([[x, 10.0] for x in xs], [1.0] * len(xs))
     lab = clusters(chain, box)
     assert percolates(lab, chain, box) is True
-    with pytest.raises(NotImplementedError):
-        percolates(lab, chain, BoxSpec(2, 20.0, "torus"))
 
 
 def test_deep_supercritical_crossing():
@@ -276,25 +264,16 @@ def test_dump_and_load_round_trip():
     assert loaded.lam == 0.05
 
 
-def test_dump_and_load_round_trip_on_the_torus():
-    box = BoxSpec(2, 10.0, "torus")
-    cfg = sample(RadiusMixture.dirac(0.75), 0.3, box, seed=4)
-    buf = io.StringIO()
-    dump_configuration(cfg, box, buf)
-    loaded, loaded_box = load_configuration(io.StringIO(buf.getvalue()))
-    assert loaded_box == box
-    assert loaded.lam == 0.3 and loaded.seed == cfg.seed
-    assert np.array_equal(loaded.centers, cfg.centers)
-    assert np.array_equal(loaded.radii, cfg.radii)
-    assert np.array_equal(
-        clusters(loaded, loaded_box).canonical_labels(), clusters(cfg, box).canonical_labels()
-    )
+def test_load_rejects_a_torus_header():
+    text = "#contperc v2 d=2 L=10.0 seed=4 boundary=torus lam=0.3\n1.5 2 0.75\n"
+    with pytest.raises(ValueError, match="crossing boundary"):
+        load_configuration(io.StringIO(text))
 
 
 def test_load_reads_a_v1_file_as_a_crossing_box():
     text = "#contperc v1 d=2 L=12.5 seed=9\n1.5 2 0.5\n3 4.25 1\n"
     loaded, box = load_configuration(io.StringIO(text))
-    assert box == BoxSpec(2, 12.5, "crossing")
+    assert box == BoxSpec(2, 12.5)
     assert loaded.seed == 9 and math.isnan(loaded.lam)
     assert np.array_equal(loaded.centers, [[1.5, 2.0], [3.0, 4.25]])
     assert np.array_equal(loaded.radii, [0.5, 1.0])
@@ -308,12 +287,3 @@ def test_load_rejects_bad_header():
     with pytest.raises(ValueError):
         load_configuration(io.StringIO("#contperc v3 d=2 L=1 seed=0 boundary=torus lam=1\n"))
 
-
-def test_torus_rejects_centers_outside_the_box():
-    box = BoxSpec(2, 20.0, "torus")
-    for bad in ([[20.0, 5.0], [3.0, 3.0]], [[-0.5, 5.0], [3.0, 3.0]]):
-        cfg = make_config(bad, [1.0, 1.0])
-        with pytest.raises(ValueError, match="periodic box"):
-            clusters(cfg, box)
-        with pytest.raises(ValueError, match="periodic box"):
-            covered_fraction_empirical(cfg, box, probes=10, seed=0)

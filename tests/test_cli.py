@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from contperc import thresholds
+from contperc import estimation, pathcount, thresholds
 from contperc.cli import RunConfig, main, parse_mixture, render
 
 
@@ -61,17 +61,29 @@ def test_kappa_k_above_max_exits_2(monkeypatch, capsys):
 
 
 def test_non_finite_or_overflowing_rho_exits_2_before_optimizing(monkeypatch, capsys):
-    def no_optimizing(*args, **kwargs):
-        raise AssertionError("optimized before rho was checked")
+    def no_work(*args, **kwargs):
+        raise AssertionError("optimized or sampled before rho was checked")
 
-    monkeypatch.setattr(thresholds, "_path_terms", no_optimizing)
-    for argv in (
+    monkeypatch.setattr(thresholds, "_path_terms", no_work)
+    monkeypatch.setattr(estimation, "sample", no_work)
+    monkeypatch.setattr(pathcount, "_uniform_ball", no_work)
+    other_commands = [
+        argv
+        for rho in ("inf", "nan", "1e308")
+        for argv in (
+            ("gw", "--d", "3", "--rho", rho),
+            ("gw", "--d", "3", "--rho", rho, "--kappa", "0.9"),
+            ("paths", "--d", "2", "--rho", rho, "--kappa", "0.8", "--k", "1", "--trials", "10"),
+            ("alpha-sweep", "--rho", rho, "--d", "2", "--L", "12", "--trials", "60"),
+        )
+    ]
+    for argv in [
         ("kappa", "--rho", "inf", "--k", "1"),
         ("kappa", "--rho", "1e308", "--k", "2"),
         ("kappa", "--rho", "nan", "--kmax", "3"),
         ("kappa-sweep", "--rho-max", "inf"),
         ("kappa-sweep", "--rho-min", "nan"),
-    ):
+    ] + other_commands:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2, argv
         assert out == "", argv
@@ -201,15 +213,18 @@ def test_render_formats_are_consistent():
     assert as_csv["name"] == ""
 
 
-def test_torus_threshold_exits_2_before_sampling(capsys):
+def test_torus_threshold_exits_2_before_sampling(monkeypatch, capsys):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled although --boundary is not an option")
+
+    monkeypatch.setattr(estimation, "sample", no_sampling)
     code, out, err = run_cli(
         capsys, "threshold", "--d", "2", "--mixture", "1:1", "--L", "16",
         "--boundary", "torus",
     )
     assert code == 2
     assert out == ""
-    assert "crossing boundary" in err
-    assert "level 0" not in err  # no progress line: nothing was sampled
+    assert "unrecognized arguments: --boundary torus" in err
 
 
 def test_every_command_rejects_threads(capsys):
@@ -263,3 +278,18 @@ def test_alpha_sweep_rejects_a_bad_alpha_before_sampling(capsys):
     assert out == ""
     assert "alpha must lie in [0, 1]" in err
     assert "alpha=" not in err and "level 0" not in err  # no progress line
+
+
+def test_alpha_sweep_rejects_an_empty_alpha_list(monkeypatch, capsys):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled with no alpha to estimate")
+
+    monkeypatch.setattr(estimation, "sample", no_sampling)
+    for fmt in ("csv", "json"):
+        code, out, err = run_cli(
+            capsys, "alpha-sweep", "--rho", "10", "--d", "2", "--alpha-count", "0",
+            "--L", "12", "--trials", "60", "--format", fmt,
+        )
+        assert code == 2, fmt
+        assert out == "", fmt
+        assert "need at least one alpha" in err, fmt

@@ -35,12 +35,11 @@ def make_config(centers, radii):
 
 
 @st.composite
-def configurations(draw, boundary):
-    """A box and a configuration with 1 to 10 radius classes.
+def configurations(draw):
+    """A crossing box and a configuration with 1 to 10 radius classes.
 
-    Torus sides sit just above 4 r_max, the smallest side sample() accepts.
-    Some balls get a partner placed along one axis at r_u + r_v, or NUDGE
-    nearer or farther; on the torus the partner wraps into [0, side).
+    Centers cover the halo window [-r_max, side + r_max).  Some balls get a
+    partner placed along one axis at r_u + r_v, or NUDGE nearer or farther.
     """
     d = draw(st.integers(2, 4))
     classes = draw(st.integers(1, 10))
@@ -48,13 +47,9 @@ def configurations(draw, boundary):
         sorted(draw(st.lists(st.integers(1, 16), min_size=classes, max_size=classes, unique=True)))
     )
     r_max = float(class_radii[-1])
-    if boundary == "torus":
-        side = 4.0 * r_max + GRID * 2.0 ** -draw(st.integers(0, 7))
-        lo, hi = 0, int(np.ceil(side / GRID))
-    else:
-        side = 4.0 * r_max + GRID * draw(st.integers(1, 40))
-        lo, hi = -int(r_max / GRID), int((side + r_max) / GRID)
-    box = BoxSpec(d, side, boundary)
+    side = 4.0 * r_max + GRID * draw(st.integers(1, 40))
+    lo, hi = -int(r_max / GRID), int((side + r_max) / GRID)
+    box = BoxSpec(d, side)
 
     ball = st.tuples(
         st.integers(0, classes - 1),
@@ -75,28 +70,18 @@ def configurations(draw, boundary):
         r = float(class_radii[c])
         center = centers[i].copy()
         center[axis] += sign * (radii[i] + r + nudge)
-        if boundary == "torus":
-            center[axis] %= side
         centers.append(center)
         radii.append(r)
     return box, make_config(np.array(centers), radii)
 
 
 @settings(max_examples=150, deadline=None)
-@given(configurations("crossing"))
+@given(configurations())
 def test_crossing_clusters_match_brute_force(case):
     box, cfg = case
     labeling = clusters(cfg, box)
     assert np.array_equal(labeling.canonical_labels(), brute_force_labels(cfg, box))
     assert percolates(labeling, cfg, box) == brute_force_percolates(cfg, box)
-
-
-@settings(max_examples=150, deadline=None)
-@given(configurations("torus"))
-def test_torus_clusters_match_brute_force(case):
-    box, cfg = case
-    labeling = clusters(cfg, box)
-    assert np.array_equal(labeling.canonical_labels(), brute_force_labels(cfg, box))
 
 
 @settings(max_examples=50, deadline=None)
@@ -118,17 +103,15 @@ def test_tangent_chain_never_connects(radius_steps, axis):
     assert percolates(labeling, cfg, box) is False
 
 
-def brute_force_covered(points, cfg, box):
+def brute_force_covered(points, cfg):
     """Per-point coverage by an all-balls scan."""
-    delta = np.abs(points[:, None, :] - cfg.centers[None, :, :])
-    if box.boundary == "torus":
-        delta = np.minimum(delta, box.side - delta)
+    delta = points[:, None, :] - cfg.centers[None, :, :]
     return ((delta**2).sum(axis=2) < cfg.radii**2).any(axis=1)
 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    st.sampled_from(("crossing", "torus")).flatmap(configurations),
+    configurations(),
     st.integers(0, 2**32),
 )
 def test_covered_fraction_matches_brute_force(case, seed):
@@ -136,5 +119,5 @@ def test_covered_fraction_matches_brute_force(case, seed):
     probes = 2000
     # covered_fraction_empirical draws its probe points exactly like this
     points = stream(seed).random((probes, box.dimension)) * box.side
-    expected = brute_force_covered(points, cfg, box).mean()
+    expected = brute_force_covered(points, cfg).mean()
     assert covered_fraction_empirical(cfg, box, probes, seed).fraction == expected
