@@ -144,8 +144,8 @@ class BoxSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.dimension, int) or self.dimension < 2:
             raise ValueError("dimension must be an integer >= 2")
-        if not self.side > 0.0:
-            raise ValueError("side must be positive")
+        if not 0.0 < self.side < math.inf:
+            raise ValueError(f"box side must be positive and finite, not {self.side!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -349,9 +349,11 @@ def thin_configuration(
     Thinning a configuration sampled at intensity lam yields the sampling
     distribution at keep_prob * lam and is a subset of the original, which
     makes percolation monotone along the coupling.  The threshold estimator
-    (estimation.estimate_lambda_c) uses this coupling: its level at
-    keep_prob * lam is this thinning of the one sample per trial, read off
-    the trial's critical mark instead of being built.
+    (estimation.estimate_lambda_c) uses this coupling: a trial's first layer,
+    sampled at intensity top, carries arrival intensities uniform on
+    [0, top), so keeping the balls arriving below lam <= top is this
+    thinning with keep_prob = lam / top.  Its levels are read off each
+    trial's critical intensity instead of being built.
     """
     if not 0.0 <= keep_prob <= 1.0:
         raise ValueError("keep probability must lie in [0, 1]")

@@ -48,8 +48,8 @@ def mean_matrix(d: int, kappa: float, rho: float) -> MeanMatrix:
     """Build the offspring mean matrix M_d for dimension d."""
     if not isinstance(d, int) or d < 1:
         raise ValueError("dimension must be a positive integer")
-    if not kappa > 0.0:
-        raise ValueError("kappa must be positive")
+    if not 0.0 < kappa < math.inf:
+        raise ValueError(f"kappa must be positive and finite, not {kappa!r}")
     check_rho(rho)
     base = d * math.log(kappa)
     up = d * math.log((1.0 + rho) / (2.0 * rho))

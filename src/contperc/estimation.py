@@ -7,11 +7,13 @@ narrow or when both endpoints' intervals straddle 1/2, i.e. the statistical
 resolution of the trial budget is exhausted.
 
 The trials are shared across levels (common random numbers, the
-Newman-Ziff coupling).  Each seeded trial is sampled once at the top of the
-bracket with a uniform mark on every ball and reduced to its critical mark,
-the bottleneck of a minimax path between the two faces; a level at lambda
-keeps the balls whose mark lies below lambda / lambda_max, so every level's
-indicators are read off those per-trial values without resampling.
+Newman-Ziff coupling).  Every ball of a seeded trial carries an arrival
+intensity, and a level at lambda keeps the balls arriving below lambda, so
+each trial is reduced to its critical intensity, the latest arrival on a
+minimax path between the two faces, and every level's indicators are read
+off those per-trial values.  A trial is sampled in superposed Poisson
+layers: the first up to the largest critical intensity of the trials before
+it, and more only while it has not crossed (see _coupled_probe).
 
 Scale handling.  Before simulating, the mixture is canonicalized: radii are
 divided by the largest radius and weights by the total mass, the box side is
@@ -179,34 +181,67 @@ def _critical_mark(config: BallConfiguration, box: BoxSpec, marks: np.ndarray) -
     return float(marks[order[rank[path].max() - 1]])
 
 
-def _coupled_probe(mixture: RadiusMixture, box: BoxSpec, seed: int, lam_max: float) -> ProbeFn:
-    """Answer every level from one marked sample per trial (common random numbers).
+def _coupled_probe(mixture: RadiusMixture, box: BoxSpec, seed: int, lam_hi: float) -> ProbeFn:
+    """Answer every level from one critical intensity per trial (common random numbers).
 
-    Trial t is sampled once at lam_max, each ball carrying a uniform mark
-    from the trial's own mark seed, and reduced to its critical mark; only
-    that one float per trial is kept.  A level at lam keeps the balls with
-    mark < lam / lam_max, so the trial's configuration there is
-    thin_configuration(sampled, lam / lam_max, mark seed), and it crosses
-    exactly when its critical mark is below that keep probability.  A level
-    above lam_max doubles lam_max until it is covered and resamples every
-    trial on the stream key of the doubling count.
+    Every ball of a trial carries an arrival intensity, and the trial's
+    configuration at a level lam is its balls arriving below lam, so it
+    crosses exactly when its critical intensity is below lam.  A trial is a
+    stack of independent layers: layer j on derive_seed(seed, j, t) is a
+    sample at intensity top - bottom with arrivals uniform on [bottom, top),
+    the arrivals drawn from the layer seed's key 1.  Their union is one
+    sample at the top intensity with uniform arrivals below it.
+
+    Layer 0 of trial 0 spans [0, lam_hi); layer 0 of trial t spans [0, the
+    largest finite critical intensity of the trials before it).  That start
+    depends only on earlier, independent trials, so every trial is still an
+    exact draw.  A trial that has not crossed by then gets a layer up to
+    lam_hi; a level above the target doubles it until it is covered, and
+    every trial still censored gets one layer up to the new target.  Only
+    those trials keep their union configuration.
     """
-    doublings = 0
+    target = lam_hi
     critical = None
+    # Trial -> (union configuration, its arrivals, layer count) while censored.
+    censored: dict[int, tuple[BallConfiguration, np.ndarray, int]] = {}
+
+    def superpose(t: int, top: float) -> None:
+        """Add trial t's next layer, up to `top`, and read its critical intensity."""
+        union, arrivals, layers = censored.pop(t, (None, None, 0))
+        bottom = 0.0 if union is None else union.lam
+        layer_seed = derive_seed(seed, layers, t)
+        cfg = sample(mixture, top - bottom, box, layer_seed)
+        fresh = bottom + (top - bottom) * stream(derive_seed(layer_seed, 1)).random(cfg.n)
+        if union is not None:
+            cfg = BallConfiguration(
+                centers=np.concatenate((union.centers, cfg.centers)),
+                radii=np.concatenate((union.radii, cfg.radii)),
+                seed=union.seed,
+                lam=top,
+            )
+            fresh = np.concatenate((arrivals, fresh))
+        critical[t] = _critical_mark(cfg, box, fresh)
+        if critical[t] == math.inf:
+            censored[t] = (cfg, fresh, layers + 1)
 
     def probe(lam: float, trials: int, level: int) -> list[bool]:
-        nonlocal lam_max, doublings, critical
-        if critical is None or lam > lam_max:
-            while lam > lam_max:
-                lam_max *= 2.0
-                doublings += 1
+        nonlocal target, critical
+        if critical is None:
             critical = np.empty(trials)
+            peak = None  # the largest finite critical intensity so far
             for t in range(trials):
-                trial_seed = derive_seed(seed, doublings, t)
-                cfg = sample(mixture, lam_max, box, trial_seed)
-                marks = stream(derive_seed(trial_seed, 1)).random(cfg.n)
-                critical[t] = _critical_mark(cfg, box, marks)
-        return (critical < lam / lam_max).tolist()
+                start = lam_hi if peak is None else peak
+                superpose(t, start)
+                if t in censored and start < lam_hi:
+                    superpose(t, lam_hi)
+                if t not in censored:
+                    peak = critical[t] if peak is None else max(peak, critical[t])
+        if lam > target:
+            while lam > target:
+                target *= 2.0
+            for t in list(censored):
+                superpose(t, target)
+        return (critical < lam).tolist()
 
     return probe
 
@@ -224,10 +259,12 @@ def estimate_lambda_c(
 
     `probe(lam, trials, level)` must return one crossing indicator per
     trial.  By default the trials are shared across levels (common random
-    numbers): each is sampled once at the initial lambda_hi in the
-    canonicalized box with a mark on every ball, and a level keeps the
-    balls marked below lam / lambda_hi; a bracket expanding above lambda_hi
-    doubles it and resamples every trial.  The initial bracket starts at the
+    numbers) in the canonicalized box: every ball carries an arrival
+    intensity and a level keeps the balls arriving below lam.  Trial 0 is
+    sampled up to the initial lambda_hi, each later trial up to the largest
+    critical intensity before it, and a trial that has not crossed gets
+    superposed layers up to lambda_hi, then up to a target that doubles
+    while a bracket expands above it.  The initial bracket starts at the
     branching lower-bound heuristic lambda_lo = 1 / (v_d sum w (2r)^d) with
     lambda_hi = 8 lambda_lo, and doubles outward until the endpoints are
     decisively sub- and supercritical.  Failure to bracket raises

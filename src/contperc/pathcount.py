@@ -262,8 +262,8 @@ def count_paths(
     if not isinstance(d, int) or not 1 <= d <= MAX_SIMULATION_DIMENSION:
         raise ValueError(f"dimension must lie in 1..{MAX_SIMULATION_DIMENSION}")
     check_rho(rho)
-    if not kappa > 0.0:
-        raise ValueError("kappa must be positive")
+    if not 0.0 < kappa < math.inf:
+        raise ValueError(f"kappa must be positive and finite, not {kappa!r}")
     if not isinstance(k, int) or k < 0 or k > _MAX_K:
         raise ValueError(f"k must lie in 0..{_MAX_K}")
     if trials < 1:

@@ -45,8 +45,8 @@ __all__ = [
     "k2_crossover_rho",
 ]
 
-# Offsets live in [0, 1 - _EDGE]; the genealogy term diverges at 1 so the
-# infimum is never on the excluded boundary.
+# Offsets live in [0, 1 - _EDGE]; the genealogy term diverges at 1, and for
+# rho <= MAX_RHO the infimum is never on the excluded boundary.
 _EDGE = 1e-9
 MAX_K = 12
 _GRID_STEP = 0.05

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 __all__ = ["MAX_RHO", "check_rho", "ipow"]
 
-# Squared path distances, below (2 + 2 rho + 2 thresholds.MAX_K)^2, stay finite.
-MAX_RHO = 1e150
+# Up to this rho every kappa_c_k(rho, k <= MAX_K) stays below 1 and k = 1
+# meets kappa_c1_closed_form to 1e-12.  The optimal offsets approach 1 as rho
+# grows: SLSQP's error on k = 1 passes 1e-12 near rho = 360, and past about
+# 9e4 the offset bound 1 - thresholds._EDGE cuts off the optimum.
+MAX_RHO = 300.0
 _RHO_RANGE = f"rho must exceed 1 and be at most {MAX_RHO:g}"
 
 

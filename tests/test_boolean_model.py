@@ -53,8 +53,9 @@ def test_mixture_validation():
 def test_box_validation():
     with pytest.raises(ValueError):
         BoxSpec(1, 10.0)
-    with pytest.raises(ValueError):
-        BoxSpec(2, -1.0)
+    for side in (-1.0, 0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="box side must be positive and finite"):
+            BoxSpec(2, side)
 
 
 def test_sample_determinism_and_zero_intensity():

@@ -39,8 +39,9 @@ def test_diagonal_is_kappa_power():
 def test_validation():
     with pytest.raises(ValueError):
         mean_matrix(0, 1.0, 2.0)
-    with pytest.raises(ValueError):
-        mean_matrix(2, -1.0, 2.0)
+    for kappa in (-1.0, 0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="kappa must be positive and finite"):
+            mean_matrix(2, kappa, 2.0)
     with pytest.raises(ValueError):
         mean_matrix(2, 1.0, 1.0)
     with pytest.raises(ValueError):

@@ -87,7 +87,7 @@ def test_non_finite_or_overflowing_rho_exits_2_before_optimizing(monkeypatch, ca
         code, out, err = run_cli(capsys, *argv)
         assert code == 2, argv
         assert out == "", argv
-        assert "1e+150" in err, argv
+        assert err.rstrip().endswith(" 300"), argv
 
 
 def test_unknown_arguments_exit_2(capsys):
@@ -293,3 +293,35 @@ def test_alpha_sweep_rejects_an_empty_alpha_list(monkeypatch, capsys):
         assert code == 2, fmt
         assert out == "", fmt
         assert "need at least one alpha" in err, fmt
+
+
+def test_non_finite_box_side_exits_2_before_sampling(monkeypatch, capsys):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled with a non-finite box side")
+
+    monkeypatch.setattr(estimation, "sample", no_sampling)
+    for argv in (
+        ("threshold", "--d", "2", "--mixture", "1:1", "--L", "inf", "--trials", "50"),
+        ("threshold", "--d", "2", "--mixture", "1:1", "--L", "nan", "--trials", "50"),
+        ("alpha-sweep", "--rho", "10", "--d", "2", "--L", "inf", "--trials", "60"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert out == "", argv
+        assert "box side must be positive and finite" in err, argv
+
+
+def test_gw_and_paths_reject_a_non_finite_kappa(monkeypatch, capsys):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled with a non-finite kappa")
+
+    monkeypatch.setattr(pathcount, "_uniform_ball", no_sampling)
+    for kappa in ("inf", "nan", "0"):
+        for argv in (
+            ("gw", "--d", "3", "--rho", "2", "--kappa", kappa),
+            ("paths", "--d", "2", "--rho", "2", "--kappa", kappa, "--k", "1", "--trials", "10"),
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2, argv
+            assert out == "", argv
+            assert "kappa must be positive and finite" in err, argv

@@ -1,11 +1,14 @@
 """The coupled threshold probe against the brute-force oracles.
 
-A trial is sampled once at lam_max with a uniform mark on every ball; at a
-level lam it keeps the balls with mark < lam / lam_max.  Its indicator,
-critical mark < lam / lam_max, must equal the crossing decision of that
-thinned configuration, by clusters() and by the all-pairs oracle.  Centers,
-radii and marks are multiples of powers of two, so marks equal to a level's
-keep probability occur often and every comparison is exact.
+Every ball of a trial carries an arrival intensity, and the trial's
+configuration at a level lam is its balls arriving below lam.  Its
+indicator, critical intensity < lam, must equal the crossing decision of
+that configuration, by clusters() and by the all-pairs oracle.  In the
+property test centers, radii and arrivals (marks of a sample at LAM_MAX) are
+multiples of powers of two, so arrivals equal to a level occur often and
+every comparison is exact.  The probe tests rebuild each trial's layers from
+the layering rule (see estimation._coupled_probe) and decide every level with
+the oracle on their union.
 """
 
 import math
@@ -22,7 +25,6 @@ from contperc.boolean_model import (
     clusters,
     percolates,
     sample,
-    thin_configuration,
 )
 from contperc.estimation import _coupled_probe, _critical_mark
 from contperc.rng import derive_seed, stream
@@ -103,69 +105,161 @@ def test_no_crossing_gives_infinite_mark():
     assert _critical_mark(make_config([], []), box, np.empty(0)) == math.inf
 
 
-def test_probe_samples_once_per_epoch_and_resamples_on_doubling(monkeypatch):
+def uniform_draws(seed, n):
+    return stream(seed).random(n)
+
+
+def sixteenth_draws(seed, n):
+    return np.floor(stream(seed).random(n) / MARK_STEP) * MARK_STEP
+
+
+def superposed_layer(mix, box, seed, t, j, bottom, top, draws=uniform_draws):
+    """Layer j of trial t: a sample at top - bottom, arrivals uniform on [bottom, top)."""
+    layer_seed = derive_seed(seed, j, t)
+    cfg = sample(mix, top - bottom, box, layer_seed)
+    return cfg, bottom + (top - bottom) * draws(derive_seed(layer_seed, 1), cfg.n)
+
+
+def union(layers):
+    """One configuration and its arrivals from a trial's layers."""
+    return (
+        make_config(
+            np.concatenate([cfg.centers.ravel() for cfg, _ in layers]),
+            np.concatenate([cfg.radii for cfg, _ in layers]),
+        ),
+        np.concatenate([arrivals for _, arrivals in layers]),
+    )
+
+
+def oracle_critical(box, cfg, arrivals):
+    """Smallest arrival by which the balls arrived so far cross, by bisection on the oracle."""
+    if not brute_force_percolates(cfg, box):
+        return math.inf
+    candidates = np.unique(arrivals)
+    lo, hi = 0, candidates.size - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        by_mid = thinned(cfg, arrivals, np.nextafter(candidates[mid], math.inf))
+        if brute_force_percolates(by_mid, box):
+            hi = mid
+        else:
+            lo = mid + 1
+    return float(candidates[lo])
+
+
+def first_pass(mix, box, seed, trials, lam_hi, draws=uniform_draws):
+    """Each trial's layers up to lam_hi and its critical intensity, by the start rule.
+
+    Trial 0 starts at lam_hi and trial t at the largest finite critical
+    intensity before it; a trial that has not crossed by its start gets
+    layer 1 up to lam_hi.
+    """
+    layers, criticals, started_low = [], [], []
+    peak = None
+    for t in range(trials):
+        start = lam_hi if peak is None else peak
+        trial = [superposed_layer(mix, box, seed, t, 0, 0.0, start, draws)]
+        critical = oracle_critical(box, *union(trial))
+        if critical == math.inf and start < lam_hi:
+            started_low.append(t)
+            trial.append(superposed_layer(mix, box, seed, t, 1, start, lam_hi, draws))
+            critical = oracle_critical(box, *union(trial))
+        if critical < math.inf and (peak is None or critical > peak):
+            peak = critical
+        layers.append(trial)
+        criticals.append(critical)
+    return layers, criticals, started_low
+
+
+def oracle_levels(box, layers, lam):
+    """Per trial: do the balls of its layers arriving below lam cross (all-pairs oracle)?"""
+    out = []
+    for trial in layers:
+        cfg, arrivals = union(trial)
+        out.append(brute_force_percolates(thinned(cfg, arrivals, lam), box))
+    return out
+
+
+def test_probe_levels_match_the_oracle_on_the_union_of_layers(monkeypatch):
     mix = RadiusMixture.dirac(1.0)
     box = BoxSpec(2, 8.0)
-    seed, trials, lam_max = 3, 30, 0.4
+    seed, trials, lam_hi = 3, 30, 0.3
     calls = []
 
-    def counting_sample(*args):
+    def recording_sample(*args):
         calls.append(args)
         return sample(*args)
 
-    monkeypatch.setattr(estimation, "sample", counting_sample)
-    probe = _coupled_probe(mix, box, seed, lam_max)
+    monkeypatch.setattr(estimation, "sample", recording_sample)
+    probe = _coupled_probe(mix, box, seed, lam_hi)
+    layers, criticals, started_low = first_pass(mix, box, seed, trials, lam_hi)
 
-    def expected(lam, top, doublings):
-        out = []
-        for t in range(trials):
-            trial_seed = derive_seed(seed, doublings, t)
-            cfg = sample(mix, top, box, trial_seed)
-            sub = thin_configuration(cfg, lam / top, derive_seed(trial_seed, 1))
-            cross = percolates(clusters(sub, box), sub, box)
-            assert cross == brute_force_percolates(sub, box)
-            out.append(cross)
-        return out
+    below = (0.1, 0.2, lam_hi, 0.25)
+    first = [probe(lam, trials, level) for level, lam in enumerate(below)]
+    assert first == [oracle_levels(box, layers, lam) for lam in below]
+    # Some trials started below their critical intensity and got a layer up
+    # to lam_hi: one sample per layer, and no trial resampled.
+    assert started_low and any(criticals[t] < lam_hi for t in started_low)
+    assert len(calls) == trials + len(started_low)
 
-    for level, lam in enumerate((0.1, 0.4, 0.25)):
-        assert probe(lam, trials, level) == expected(lam, lam_max, 0)
-    assert len(calls) == trials
-    assert all(args[1] == lam_max for args in calls)
-    # a level above lam_max doubles it and resamples every trial on a new key
-    assert probe(2 * lam_max, trials, 3) == expected(2 * lam_max, 2 * lam_max, 1)
-    assert probe(0.3, trials, 4) == expected(0.3, 2 * lam_max, 1)
-    assert len(calls) == 2 * trials
-    assert probe(3 * lam_max, trials, 5) == expected(3 * lam_max, 4 * lam_max, 2)
-    assert len(calls) == 3 * trials
+    # A level above the target doubles it, and each trial still censored
+    # gets one more layer, up to the new target; a level below it samples
+    # nothing.
+    tops = [lam_hi] * trials
+    target = lam_hi
+    extended = []
+    for level, lam in enumerate((0.5, 0.45, 1.0), start=len(below)):
+        censored = []
+        if lam > target:
+            while lam > target:
+                target *= 2.0
+            censored = [
+                t for t, trial in enumerate(layers)
+                if not brute_force_percolates(union(trial)[0], box)
+            ]
+        for t in censored:
+            layers[t].append(superposed_layer(mix, box, seed, t, len(layers[t]), tops[t], target))
+            tops[t] = target
+        made = len(calls)
+        assert probe(lam, trials, level) == oracle_levels(box, layers, lam)
+        assert sorted(args[3] for args in calls[made:]) == sorted(
+            derive_seed(seed, len(layers[t]) - 1, t) for t in censored
+        )
+        extended.append(censored)
+    assert extended[0] and not extended[1]
+    assert any(oracle_levels(box, [layers[t]], 0.5)[0] for t in extended[0])
+    # The crossed trials kept their values: the lower levels read as before.
+    assert [probe(lam, trials, level) for level, lam in enumerate(below, start=7)] == first
 
 
 def test_probe_level_at_a_mark_leaves_that_ball_out(monkeypatch):
-    # Marks rounded down to sixteenths and levels at sixteenths of lam_max:
-    # every crossing trial has a level exactly at its critical mark.
+    # Uniform draws rounded down to sixteenths, so balls of a layer share
+    # arrivals, and a level at every trial's critical intensity: a trial
+    # does not cross at its own critical arrival and does just above it.
     mix = RadiusMixture.dirac(1.0)
     box = BoxSpec(2, 8.0)
-    seed, trials, lam_max = 5, 30, 0.5
+    seed, trials, lam_hi = 5, 30, 0.5
 
-    def marks_for(mark_seed, n):
-        return np.floor(stream(mark_seed).random(n) / MARK_STEP) * MARK_STEP
-
-    class SixteenthMarks:
-        def __init__(self, mark_seed):
-            self.mark_seed = mark_seed
+    class SixteenthDraws:
+        def __init__(self, seed):
+            self.seed = seed
 
         def random(self, n):
-            return marks_for(self.mark_seed, n)
+            return sixteenth_draws(self.seed, n)
 
-    monkeypatch.setattr(estimation, "stream", SixteenthMarks)
-    probe = _coupled_probe(mix, box, seed, lam_max)
-    configs = []
-    for t in range(trials):
-        trial_seed = derive_seed(seed, 0, t)
-        cfg = sample(mix, lam_max, box, trial_seed)
-        configs.append((cfg, marks_for(derive_seed(trial_seed, 1), cfg.n)))
-    for j in range(17):
-        keep = j * MARK_STEP
-        subs = [thinned(cfg, marks, keep) for cfg, marks in configs]
-        assert probe(keep * lam_max, trials, j) == [
-            percolates(clusters(sub, box), sub, box) for sub in subs
-        ]
+    monkeypatch.setattr(estimation, "stream", SixteenthDraws)
+    probe = _coupled_probe(mix, box, seed, lam_hi)
+    layers, criticals, _ = first_pass(mix, box, seed, trials, lam_hi, sixteenth_draws)
+    finite = sorted({c for c in criticals if c < math.inf})
+    assert len(finite) > 5
+    levels = [lam for c in finite for lam in (c, float(np.nextafter(c, math.inf)))]
+    for level, lam in enumerate(levels):
+        crossings = probe(lam, trials, level)
+        for t, trial in enumerate(layers):
+            cfg, arrivals = union(trial)
+            sub = thinned(cfg, arrivals, lam)
+            assert crossings[t] == percolates(clusters(sub, box), sub, box)
+            if criticals[t] == lam:
+                assert not crossings[t]
+            elif criticals[t] < lam:
+                assert crossings[t]

@@ -36,17 +36,23 @@ def test_params_validation():
 
 
 def test_rho_must_be_finite_and_below_overflow():
-    for rho in (math.inf, math.nan, 1e308, 2e150):
-        with pytest.raises(ValueError, match="rho must exceed 1 and be at most 1e\\+150"):
+    for rho in (math.inf, math.nan, 1e308, 2e150, 300.5):
+        with pytest.raises(ValueError, match="rho must exceed 1 and be at most 300$"):
             AlternationParams(rho, 1, (0.0,))
         with pytest.raises(ValueError, match="rho must exceed 1"):
             kappa_c_k(rho, 2)
         with pytest.raises(ValueError, match="rho must exceed 1"):
             kappa_c1_closed_form(rho)
-    # Near the limit the offsets barely move the distances: kappa is 1 to rounding.
-    res = kappa_c_k(thresholds.MAX_RHO, 2)
-    assert res.kappa == pytest.approx(1.0, abs=1e-9)
-    assert all(math.isfinite(a) for a in res.offsets)
+
+
+def test_kappa_below_one_and_k1_exact_up_to_max_rho():
+    # Past MAX_RHO the k = 1 optimum drifts from the closed form, and far
+    # past it the offset bound lets kappa exceed 1.
+    for rho in np.geomspace(1.01, thresholds.MAX_RHO, 400).tolist():
+        assert abs(kappa_c_k(rho, 1).kappa - kappa_c1_closed_form(rho)) <= 1e-12, rho
+    for rho in np.geomspace(1.01, thresholds.MAX_RHO, 6).tolist():
+        res = [kappa_c_k(rho, k) for k in range(1, thresholds.MAX_K + 1)]
+        assert all(r.kappa < 1.0 and all(math.isfinite(a) for a in r.offsets) for r in res), rho
 
 
 def test_distance_profile_zero_offset():
