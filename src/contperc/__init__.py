@@ -24,7 +24,7 @@ from .boolean_model import (
     thin_configuration,
 )
 from .branching import gw_critical_kappa, gw_critical_kappa_limit, mean_matrix, perron_root
-from .errors import CapacityError, EstimationFailedError
+from .errors import CapacityError
 from .estimation import (
     ThresholdEstimate,
     alpha_sweep,
@@ -63,7 +63,6 @@ __all__ = [
     "mean_matrix",
     "perron_root",
     "CapacityError",
-    "EstimationFailedError",
     "ThresholdEstimate",
     "alpha_sweep",
     "estimate_lambda_c",

@@ -349,11 +349,12 @@ def thin_configuration(
     Thinning a configuration sampled at intensity lam yields the sampling
     distribution at keep_prob * lam and is a subset of the original, which
     makes percolation monotone along the coupling.  The threshold estimator
-    (estimation.estimate_lambda_c) uses this coupling: a trial's first layer,
-    sampled at intensity top, carries arrival intensities uniform on
-    [0, top), so keeping the balls arriving below lam <= top is this
-    thinning with keep_prob = lam / top.  Its levels are read off each
-    trial's critical intensity instead of being built.
+    (estimation.estimate_lambda_c) uses this coupling without building the
+    thinned configurations: the union of a trial's layers, sampled up to
+    intensity top, carries arrival intensities uniform on [0, top), so
+    keeping the balls arriving below lam <= top is this thinning with
+    keep_prob = lam / top, and every level is read off the trial's critical
+    intensity.
     """
     if not 0.0 <= keep_prob <= 1.0:
         raise ValueError("keep probability must lie in [0, 1]")

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import branching, estimation, geometry, pathcount, thresholds
 from .boolean_model import BoxSpec, RadiusMixture
-from .errors import CapacityError, EstimationFailedError
+from .errors import CapacityError
 
 DEFAULT_SEED = 20260808
 
@@ -209,15 +209,7 @@ def _cmd_paths(params: dict, seed: int, quiet: bool):
     rho = float(params["rho"])
     kappa = float(params["kappa"])
     k = int(params["k"])
-    run = pathcount.count_paths(
-        d,
-        rho,
-        kappa,
-        k,
-        trials=int(params["trials"]),
-        seed=seed,
-        domain_radius=params.get("domain_radius"),
-    )
+    run = pathcount.count_paths(d, rho, kappa, k, trials=int(params["trials"]), seed=seed)
     row = {
         "d": d,
         "rho": rho,
@@ -308,9 +300,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    def add_common(p: argparse.ArgumentParser, fmt: str) -> None:
         p.add_argument("--seed", default=str(DEFAULT_SEED), help="integer seed, or 'random'")
-        p.add_argument("--format", choices=("json", "csv"), default=None)
+        p.add_argument("--format", choices=("json", "csv"), default=fmt)
         p.add_argument("--output", default=None, help="output path ('-' for stdout)")
         p.add_argument("--save-config", default=None, help="write the RunConfig JSON here")
         p.add_argument("--quiet", action="store_true", help="suppress progress on stderr")
@@ -320,14 +312,14 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--k", type=int)
     group.add_argument("--kmax", type=int)
-    add_common(p)
+    add_common(p, "json")
 
     p = sub.add_parser("kappa-sweep", help="threshold constants over a rho range")
     p.add_argument("--rho-min", type=float, default=1.1)
     p.add_argument("--rho-max", type=float, default=10.0)
     p.add_argument("--steps", type=int, default=90)
     p.add_argument("--kmax", type=int, default=3)
-    add_common(p)
+    add_common(p, "csv")
 
     p = sub.add_parser("threshold", help="Monte Carlo critical intensity")
     p.add_argument("--d", type=int, required=True)
@@ -335,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--L", type=float, required=True)
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--tol", type=float, default=0.02)
-    add_common(p)
+    add_common(p, "json")
 
     p = sub.add_parser("alpha-sweep", help="critical covered volume along a two-radius interpolation")
     p.add_argument("--rho", type=float, required=True)
@@ -345,13 +337,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--L", type=float, required=True, help="box side in units of the largest radius")
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--tol", type=float, default=0.02)
-    add_common(p)
+    add_common(p, "csv")
 
     p = sub.add_parser("gw", help="two-type branching means and critical kappa")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--rho", type=float, required=True)
     p.add_argument("--kappa", type=float, default=None, help="defaults to the limit critical value")
-    add_common(p)
+    add_common(p, "json")
 
     p = sub.add_parser("paths", help="alternating-path counts against exact oracles")
     p.add_argument("--d", type=int, required=True)
@@ -359,15 +351,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kappa", type=float, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--trials", type=int, default=100_000)
-    p.add_argument("--domain-radius", type=float, default=None)
-    add_common(p)
+    add_common(p, "json")
 
     p = sub.add_parser("slab", help="spherical slab volume and log rate")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--b", type=float, required=True)
-    add_common(p)
+    add_common(p, "json")
 
     p = sub.add_parser("replay", help="re-run a saved RunConfig byte for byte")
     p.add_argument("config_path")
@@ -376,39 +367,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_DEFAULT_FORMATS = {
-    "kappa": "json",
-    "kappa-sweep": "csv",
-    "threshold": "json",
-    "alpha-sweep": "csv",
-    "gw": "json",
-    "paths": "json",
-    "slab": "json",
-}
-
-_PARAM_KEYS = {
-    "kappa": ("rho", "k", "kmax"),
-    "kappa-sweep": ("rho_min", "rho_max", "steps", "kmax"),
-    "threshold": ("d", "mixture", "L", "trials", "tol"),
-    "alpha-sweep": ("rho", "d", "alphas", "alpha_count", "L", "trials", "tol"),
-    "gw": ("d", "rho", "kappa"),
-    "paths": ("d", "rho", "kappa", "k", "trials", "domain_radius"),
-    "slab": ("d", "r", "a", "b"),
-}
+# Namespace keys that are not command parameters: the subcommand and add_common's options.
+_NOT_PARAMS = {"command", "seed", "format", "output", "save_config", "quiet"}
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    params = {}
-    for key in _PARAM_KEYS[args.command]:
-        value = getattr(args, key, None)
-        if value is not None:
-            params[key] = value
+    params = {
+        key: value
+        for key, value in vars(args).items()
+        if key not in _NOT_PARAMS and value is not None
+    }
     return RunConfig(
         command=args.command,
         params=params,
         seed=_parse_seed(args.seed),
         output=args.output,
-        fmt=args.format or _DEFAULT_FORMATS[args.command],
+        fmt=args.format,
     )
 
 
@@ -431,7 +405,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (CapacityError, EstimationFailedError, OSError) as exc:
+    except (CapacityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

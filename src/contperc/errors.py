@@ -3,7 +3,3 @@
 
 class CapacityError(RuntimeError):
     """Raised when a requested computation exceeds a documented size limit."""
-
-
-class EstimationFailedError(RuntimeError):
-    """Raised when a Monte Carlo estimator cannot bracket or resolve its target."""

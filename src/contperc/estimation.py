@@ -1,19 +1,18 @@
 """Percolation threshold estimation and the scale-free quantities built on it.
 
 The estimator bisects the intensity lambda toward crossing probability 1/2
-in a finite box and uses a Wilson 95% interval at every probed intensity to
-decide the bisection branch; the loop stops when the bracket is relatively
-narrow or when both endpoints' intervals straddle 1/2, i.e. the statistical
+in a finite box and uses a Wilson 95% interval at every level to decide
+the bisection branch; the loop stops when the bracket is relatively narrow
+or when both endpoints' intervals straddle 1/2, i.e. the statistical
 resolution of the trial budget is exhausted.
 
 The trials are shared across levels (common random numbers, the
 Newman-Ziff coupling).  Every ball of a seeded trial carries an arrival
 intensity, and a level at lambda keeps the balls arriving below lambda, so
 each trial is reduced to its critical intensity, the latest arrival on a
-minimax path between the two faces, and every level's indicators are read
-off those per-trial values.  A trial is sampled in superposed Poisson
-layers: the first up to the largest critical intensity of the trials before
-it, and more only while it has not crossed (see _coupled_probe).
+minimax path between the two faces.  The trials are sampled once, before
+the first level, in superposed Poisson layers until each has crossed (see
+_critical_intensities); a level at lambda then reads critical < lambda.
 
 Scale handling.  Before simulating, the mixture is canonicalized: radii are
 divided by the largest radius and weights by the total mass, the box side is
@@ -48,7 +47,6 @@ from .boolean_model import (
     percolates,
     sample,
 )
-from .errors import EstimationFailedError
 from .geometry import unit_ball_volume
 from .rng import derive_seed, stream
 from .util import check_rho, ipow
@@ -71,16 +69,14 @@ __all__ = [
 # 97.5% normal quantile for Wilson 95% intervals.
 _Z95 = 1.959963984540054
 
-# Bracket doublings before giving up; bisection levels before stopping anyway.
-_MAX_EXPAND = 24
+# Levels before the bisection stops anyway, however small the tolerance.
 _MAX_LEVELS = 80
 
-ProbeFn = Callable[[float, int, int], Sequence[bool]]
 ProgressFn = Callable[[str], None]
 
 
-def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion.
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """Wilson score 95% interval for a binomial proportion.
 
     Unlike the Wald interval it behaves correctly for proportions near 0
     and 1, which is where bisection spends its early levels.
@@ -88,16 +84,16 @@ def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple[float
     if trials < 1:
         raise ValueError("trials must be positive")
     p = successes / trials
-    z2 = z * z
+    z2 = _Z95 * _Z95
     denom = 1.0 + z2 / trials
     center = (p + z2 / (2.0 * trials)) / denom
-    half = z * math.sqrt(p * (1.0 - p) / trials + z2 / (4.0 * trials * trials)) / denom
+    half = _Z95 * math.sqrt(p * (1.0 - p) / trials + z2 / (4.0 * trials * trials)) / denom
     return max(0.0, center - half), min(1.0, center + half)
 
 
 @dataclass(frozen=True)
 class LevelStat:
-    """One probed intensity: trial outcomes and the Wilson interval."""
+    """One bisection level: its intensity, trial outcomes and the Wilson interval."""
 
     lam: float
     trials: int
@@ -181,8 +177,10 @@ def _critical_mark(config: BallConfiguration, box: BoxSpec, marks: np.ndarray) -
     return float(marks[order[rank[path].max() - 1]])
 
 
-def _coupled_probe(mixture: RadiusMixture, box: BoxSpec, seed: int, lam_hi: float) -> ProbeFn:
-    """Answer every level from one critical intensity per trial (common random numbers).
+def _critical_intensities(
+    mixture: RadiusMixture, box: BoxSpec, seed: int, trials: int, lam_hi: float
+) -> np.ndarray:
+    """Every trial's critical intensity, sampled layer by layer until it crosses.
 
     Every ball of a trial carries an arrival intensity, and the trial's
     configuration at a level lam is its balls arriving below lam, so it
@@ -192,58 +190,39 @@ def _coupled_probe(mixture: RadiusMixture, box: BoxSpec, seed: int, lam_hi: floa
     the arrivals drawn from the layer seed's key 1.  Their union is one
     sample at the top intensity with uniform arrivals below it.
 
-    Layer 0 of trial 0 spans [0, lam_hi); layer 0 of trial t spans [0, the
-    largest finite critical intensity of the trials before it).  That start
-    depends only on earlier, independent trials, so every trial is still an
-    exact draw.  A trial that has not crossed by then gets a layer up to
-    lam_hi; a level above the target doubles it until it is covered, and
-    every trial still censored gets one layer up to the new target.  Only
-    those trials keep their union configuration.
+    Layer 0 of trial 0 ends at lam_hi; layer 0 of trial t ends at the largest
+    critical intensity below lam_hi of the trials before it (lam_hi if there
+    is none).  That start depends only on earlier, independent trials, so
+    every trial is still an exact draw.  While a trial has not crossed, its
+    next layer ends at lam_hi, then at 2 lam_hi, 4 lam_hi and so on.
     """
-    target = lam_hi
-    critical = None
-    # Trial -> (union configuration, its arrivals, layer count) while censored.
-    censored: dict[int, tuple[BallConfiguration, np.ndarray, int]] = {}
-
-    def superpose(t: int, top: float) -> None:
-        """Add trial t's next layer, up to `top`, and read its critical intensity."""
-        union, arrivals, layers = censored.pop(t, (None, None, 0))
-        bottom = 0.0 if union is None else union.lam
-        layer_seed = derive_seed(seed, layers, t)
-        cfg = sample(mixture, top - bottom, box, layer_seed)
-        fresh = bottom + (top - bottom) * stream(derive_seed(layer_seed, 1)).random(cfg.n)
-        if union is not None:
-            cfg = BallConfiguration(
-                centers=np.concatenate((union.centers, cfg.centers)),
-                radii=np.concatenate((union.radii, cfg.radii)),
-                seed=union.seed,
-                lam=top,
-            )
-            fresh = np.concatenate((arrivals, fresh))
-        critical[t] = _critical_mark(cfg, box, fresh)
-        if critical[t] == math.inf:
-            censored[t] = (cfg, fresh, layers + 1)
-
-    def probe(lam: float, trials: int, level: int) -> list[bool]:
-        nonlocal target, critical
-        if critical is None:
-            critical = np.empty(trials)
-            peak = None  # the largest finite critical intensity so far
-            for t in range(trials):
-                start = lam_hi if peak is None else peak
-                superpose(t, start)
-                if t in censored and start < lam_hi:
-                    superpose(t, lam_hi)
-                if t not in censored:
-                    peak = critical[t] if peak is None else max(peak, critical[t])
-        if lam > target:
-            while lam > target:
-                target *= 2.0
-            for t in list(censored):
-                superpose(t, target)
-        return (critical < lam).tolist()
-
-    return probe
+    critical = np.empty(trials)
+    peak = None  # the largest critical intensity below lam_hi so far
+    for t in range(trials):
+        bottom, top = 0.0, lam_hi if peak is None else peak
+        layer = 0
+        while True:
+            layer_seed = derive_seed(seed, layer, t)
+            cfg = sample(mixture, top - bottom, box, layer_seed)
+            fresh = bottom + (top - bottom) * stream(derive_seed(layer_seed, 1)).random(cfg.n)
+            if layer == 0:
+                union, arrivals = cfg, fresh
+            else:
+                union = BallConfiguration(
+                    centers=np.concatenate((union.centers, cfg.centers)),
+                    radii=np.concatenate((union.radii, cfg.radii)),
+                    seed=union.seed,
+                    lam=top,
+                )
+                arrivals = np.concatenate((arrivals, fresh))
+            critical[t] = _critical_mark(union, box, arrivals)
+            if critical[t] < math.inf:
+                break
+            bottom, top = top, lam_hi if top < lam_hi else 2.0 * top
+            layer += 1
+        if critical[t] < lam_hi and (peak is None or critical[t] > peak):
+            peak = critical[t]
+    return critical
 
 
 def estimate_lambda_c(
@@ -252,23 +231,17 @@ def estimate_lambda_c(
     trials: int,
     target_rel_tol: float = 0.02,
     seed: int = 0,
-    probe: ProbeFn | None = None,
     progress: ProgressFn | None = None,
 ) -> ThresholdEstimate:
     """Estimate the critical intensity by bisection on the crossing probability.
 
-    `probe(lam, trials, level)` must return one crossing indicator per
-    trial.  By default the trials are shared across levels (common random
-    numbers) in the canonicalized box: every ball carries an arrival
-    intensity and a level keeps the balls arriving below lam.  Trial 0 is
-    sampled up to the initial lambda_hi, each later trial up to the largest
-    critical intensity before it, and a trial that has not crossed gets
-    superposed layers up to lambda_hi, then up to a target that doubles
-    while a bracket expands above it.  The initial bracket starts at the
-    branching lower-bound heuristic lambda_lo = 1 / (v_d sum w (2r)^d) with
-    lambda_hi = 8 lambda_lo, and doubles outward until the endpoints are
-    decisively sub- and supercritical.  Failure to bracket raises
-    EstimationFailedError.
+    The trials are shared across levels (common random numbers) in the
+    canonicalized box: _critical_intensities gives each trial's critical
+    intensity, and a level at lam reads which of them lie below lam.  The
+    initial bracket starts at the branching lower-bound heuristic
+    lambda_lo = 1 / (v_d sum w (2r)^d) with lambda_hi = 8 lambda_lo, and
+    doubles outward until the endpoints are decisively sub- and
+    supercritical, which every finite set of critical intensities allows.
     """
     if trials < 50:
         raise ValueError("need at least 50 trials per level")
@@ -286,13 +259,12 @@ def estimate_lambda_c(
     norm_factor = unit_ball_volume(d) * canon.doubled_moment(d)
     lam_lo = 1.0 / norm_factor
     lam_hi = 8.0 * lam_lo
-    if probe is None:
-        probe = _coupled_probe(canon, canon_box, seed, lam_hi)
+    critical = _critical_intensities(canon, canon_box, seed, trials, lam_hi)
     levels: list[LevelStat] = []
 
     def evaluate(lam: float) -> LevelStat:
         level = len(levels)
-        indicators = tuple(bool(b) for b in probe(lam, trials, level))
+        indicators = tuple((critical < lam).tolist())
         successes = sum(indicators)
         wl, wh = wilson_interval(successes, trials)
         stat = LevelStat(
@@ -314,25 +286,13 @@ def estimate_lambda_c(
     stat_lo = evaluate(lam_lo)
     stat_hi = evaluate(lam_hi)
 
-    expansions = 0
+    # Every critical intensity is finite and non-negative, so both loops stop.
     while stat_hi.wilson_low <= 0.5:
-        if expansions >= _MAX_EXPAND:
-            raise EstimationFailedError(
-                "could not bracket the threshold from above after "
-                f"{_MAX_EXPAND} expansions (last p={stat_hi.p_hat:.3f})"
-            )
         lam_hi *= 2.0
         stat_hi = evaluate(lam_hi)
-        expansions += 1
     while stat_lo.wilson_high >= 0.5:
-        if expansions >= _MAX_EXPAND:
-            raise EstimationFailedError(
-                "could not bracket the threshold from below after "
-                f"{_MAX_EXPAND} expansions (last p={stat_lo.p_hat:.3f})"
-            )
         lam_lo *= 0.5
         stat_lo = evaluate(lam_lo)
-        expansions += 1
 
     while True:
         rel_width = (lam_hi - lam_lo) / (0.5 * (lam_hi + lam_lo))

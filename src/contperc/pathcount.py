@@ -67,7 +67,6 @@ class PathCountRun:
     kappa: float
     k: int
     trials: int
-    domain_radius: float
     mean_n: float
     se_n: float
     mean_m: float
@@ -246,10 +245,7 @@ def _uniform_ball(rng: np.random.Generator, n: int, d: int, radius: float) -> np
     return g * scale[:, None]
 
 
-def count_paths(
-    d: int, rho: float, kappa: float, k: int, trials: int, seed: int,
-    domain_radius: float | None = None,
-) -> PathCountRun:
+def count_paths(d: int, rho: float, kappa: float, k: int, trials: int, seed: int) -> PathCountRun:
     """Estimate E(N_k) and E(M_k) over independent trials.
 
     Trials are processed in chunks, one Philox substream per chunk; within
@@ -268,14 +264,10 @@ def count_paths(
         raise ValueError(f"k must lie in 0..{_MAX_K}")
     if trials < 1:
         raise ValueError("trials must be positive")
-    min_radius = 2.0 * rho + 2.0 * k
-    if domain_radius is None:
-        domain_radius = min_radius
-    if domain_radius < min_radius:
-        raise ValueError(f"domain radius must be at least 2 rho + 2 k = {min_radius:g}")
+    radius = 2.0 * rho + 2.0 * k  # every point on a chain lies in this ball
 
     lam1, lam_rho = intensities(d, rho, kappa)
-    log_ball = log_unit_ball_volume(d) + d * math.log(domain_radius)
+    log_ball = log_unit_ball_volume(d) + d * math.log(radius)
     mean1 = lam1 * math.exp(log_ball) if k >= 1 else 0.0
     mean_rho = lam_rho * math.exp(log_ball)
     # Mecke formula, as for M_k: E(#chains x_1, ..., x_j) = (kappa^j (1 + rho) / 2)^d.
@@ -295,8 +287,8 @@ def count_paths(
         rng = stream(seed, chunk_index)
         counts1 = rng.poisson(mean1, count) if k >= 1 else np.zeros(count, dtype=np.int64)
         counts_rho = rng.poisson(mean_rho, count)
-        pts1 = _uniform_ball(rng, int(counts1.sum()), d, domain_radius)
-        pts_rho = _uniform_ball(rng, int(counts_rho.sum()), d, domain_radius)
+        pts1 = _uniform_ball(rng, int(counts1.sum()), d, radius)
+        pts_rho = _uniform_ball(rng, int(counts_rho.sum()), d, radius)
         trial_ids = np.arange(count)
         unit = (pts1, np.repeat(trial_ids, counts1))
         large = (pts_rho, np.repeat(trial_ids, counts_rho))
@@ -314,4 +306,4 @@ def count_paths(
 
     mean_n, se_n = mean_se(sum_n, sumsq_n)
     mean_m, se_m = mean_se(sum_m, sumsq_m)
-    return PathCountRun(d, rho, kappa, k, trials, float(domain_radius), mean_n, se_n, mean_m, se_m)
+    return PathCountRun(d, rho, kappa, k, trials, mean_n, se_n, mean_m, se_m)

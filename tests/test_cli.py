@@ -186,22 +186,37 @@ def test_default_seed_is_fixed(capsys):
     assert out1 == out2
 
 
-def test_replay_reproduces_bytes(tmp_path, capsys):
-    out_path = tmp_path / "kappa.json"
+REPLAY_ARGV = {
+    "kappa": ("--rho", "2.5", "--k", "1"),
+    "kappa-sweep": ("--rho-min", "1.5", "--rho-max", "3", "--steps", "2"),
+    "threshold": ("--d", "2", "--mixture", "1:1,0.5:2", "--L", "8", "--trials", "50", "--tol", "0.2"),
+    "alpha-sweep": ("--rho", "2", "--L", "6", "--alpha-count", "2", "--trials", "50", "--tol", "0.3"),
+    "gw": ("--d", "2", "--rho", "2"),
+    "paths": ("--d", "2", "--rho", "2", "--kappa", "0.5", "--k", "1", "--trials", "100"),
+    "slab": ("--d", "3", "--r", "1", "--a", "0", "--b", "1", "--format", "csv"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(REPLAY_ARGV))
+def test_replay_reproduces_bytes(command, tmp_path, capsys):
+    out_path = tmp_path / "out"
     cfg_path = tmp_path / "run.json"
     code, _, _ = run_cli(
-        capsys, "kappa", "--rho", "2.5", "--k", "1",
+        capsys, command, *REPLAY_ARGV[command], "--seed", "5",
         "--output", str(out_path), "--save-config", str(cfg_path), "--quiet",
     )
     assert code == 0
     first = out_path.read_bytes()
     out_path.unlink()
-    code, _, _ = run_cli(capsys, "replay", str(cfg_path))
+    code, _, _ = run_cli(capsys, "replay", str(cfg_path), "--quiet")
     assert code == 0
     assert out_path.read_bytes() == first
     config = RunConfig.from_json(cfg_path.read_text())
-    assert config.command == "kappa"
-    assert config.params["rho"] == 2.5
+    assert config.command == command and config.seed == 5
+    # Every option given on the command line is saved, the common ones apart.
+    given = {arg[2:].replace("-", "_") for arg in REPLAY_ARGV[command][::2]}
+    assert given - {"format"} <= set(config.params)
+    assert config.fmt == ("csv" if command in ("kappa-sweep", "alpha-sweep", "slab") else "json")
 
 
 def test_render_formats_are_consistent():
@@ -256,6 +271,24 @@ def test_replay_ignores_a_saved_threads_key(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "replay", str(path), "--quiet")
     assert code == 0
     assert json.loads((tmp_path / "out.json").read_text())["trials"] == 50
+
+
+def test_replay_ignores_a_saved_domain_radius_key(tmp_path, capsys):
+    argv = ["--d", "2", "--rho", "2", "--kappa", "0.5", "--k", "1", "--trials", "100"]
+    code, fresh, _ = run_cli(capsys, "paths", *argv, "--seed", "3", "--quiet")
+    assert code == 0
+    config = RunConfig(
+        command="paths",
+        params={"d": 2, "rho": 2.0, "kappa": 0.5, "k": 1, "trials": 100, "domain_radius": 9.0},
+        seed=3,
+        output=None,
+        fmt="json",
+    )
+    path = tmp_path / "old.json"
+    path.write_text(config.to_json())
+    code, replayed, _ = run_cli(capsys, "replay", str(path), "--quiet")
+    assert code == 0
+    assert replayed == fresh
 
 
 def test_kappa_sweep_rejects_kmax_before_optimizing(monkeypatch, capsys):

@@ -1,4 +1,4 @@
-"""The coupled threshold probe against the brute-force oracles.
+"""The coupled threshold trials against the brute-force oracles.
 
 Every ball of a trial carries an arrival intensity, and the trial's
 configuration at a level lam is its balls arriving below lam.  Its
@@ -6,9 +6,9 @@ indicator, critical intensity < lam, must equal the crossing decision of
 that configuration, by clusters() and by the all-pairs oracle.  In the
 property test centers, radii and arrivals (marks of a sample at LAM_MAX) are
 multiples of powers of two, so arrivals equal to a level occur often and
-every comparison is exact.  The probe tests rebuild each trial's layers from
-the layering rule (see estimation._coupled_probe) and decide every level with
-the oracle on their union.
+every comparison is exact.  The trial tests rebuild each trial's layers from
+the layering rule (see estimation._critical_intensities) and decide every
+level with the oracle on their union.
 """
 
 import math
@@ -26,7 +26,7 @@ from contperc.boolean_model import (
     percolates,
     sample,
 )
-from contperc.estimation import _coupled_probe, _critical_mark
+from contperc.estimation import _critical_intensities, _critical_mark
 from contperc.rng import derive_seed, stream
 
 from _oracles import brute_force_percolates
@@ -147,28 +147,28 @@ def oracle_critical(box, cfg, arrivals):
     return float(candidates[lo])
 
 
-def first_pass(mix, box, seed, trials, lam_hi, draws=uniform_draws):
-    """Each trial's layers up to lam_hi and its critical intensity, by the start rule.
+def rebuild_trials(mix, box, seed, trials, lam_hi, draws=uniform_draws):
+    """Each trial's layers until it crosses and its critical intensity, by the oracle.
 
-    Trial 0 starts at lam_hi and trial t at the largest finite critical
-    intensity before it; a trial that has not crossed by its start gets
-    layer 1 up to lam_hi.
+    Trial 0 starts at lam_hi and trial t at the largest critical intensity
+    below lam_hi of the trials before it; while a trial has not crossed, its
+    next layer ends at lam_hi, then at 2 lam_hi, 4 lam_hi and so on.
     """
-    layers, criticals, started_low = [], [], []
-    peak = None
+    layers, criticals = [], []
+    start = lam_hi
     for t in range(trials):
-        start = lam_hi if peak is None else peak
-        trial = [superposed_layer(mix, box, seed, t, 0, 0.0, start, draws)]
-        critical = oracle_critical(box, *union(trial))
-        if critical == math.inf and start < lam_hi:
-            started_low.append(t)
-            trial.append(superposed_layer(mix, box, seed, t, 1, start, lam_hi, draws))
+        trial, bottom, top = [], 0.0, start
+        while True:
+            trial.append(superposed_layer(mix, box, seed, t, len(trial), bottom, top, draws))
             critical = oracle_critical(box, *union(trial))
-        if critical < math.inf and (peak is None or critical > peak):
-            peak = critical
+            if critical < math.inf:
+                break
+            bottom, top = top, lam_hi if top < lam_hi else 2.0 * top
+        if critical < lam_hi:
+            start = critical if start == lam_hi else max(start, critical)
         layers.append(trial)
         criticals.append(critical)
-    return layers, criticals, started_low
+    return layers, criticals
 
 
 def oracle_levels(box, layers, lam):
@@ -180,10 +180,10 @@ def oracle_levels(box, layers, lam):
     return out
 
 
-def test_probe_levels_match_the_oracle_on_the_union_of_layers(monkeypatch):
+def test_critical_intensities_match_the_oracle_on_the_union_of_layers(monkeypatch):
     mix = RadiusMixture.dirac(1.0)
     box = BoxSpec(2, 8.0)
-    seed, trials, lam_hi = 3, 30, 0.3
+    seed, trials, lam_hi = 4, 30, 0.25
     calls = []
 
     def recording_sample(*args):
@@ -191,45 +191,22 @@ def test_probe_levels_match_the_oracle_on_the_union_of_layers(monkeypatch):
         return sample(*args)
 
     monkeypatch.setattr(estimation, "sample", recording_sample)
-    probe = _coupled_probe(mix, box, seed, lam_hi)
-    layers, criticals, started_low = first_pass(mix, box, seed, trials, lam_hi)
-
-    below = (0.1, 0.2, lam_hi, 0.25)
-    first = [probe(lam, trials, level) for level, lam in enumerate(below)]
-    assert first == [oracle_levels(box, layers, lam) for lam in below]
-    # Some trials started below their critical intensity and got a layer up
-    # to lam_hi: one sample per layer, and no trial resampled.
-    assert started_low and any(criticals[t] < lam_hi for t in started_low)
-    assert len(calls) == trials + len(started_low)
-
-    # A level above the target doubles it, and each trial still censored
-    # gets one more layer, up to the new target; a level below it samples
-    # nothing.
-    tops = [lam_hi] * trials
-    target = lam_hi
-    extended = []
-    for level, lam in enumerate((0.5, 0.45, 1.0), start=len(below)):
-        censored = []
-        if lam > target:
-            while lam > target:
-                target *= 2.0
-            censored = [
-                t for t, trial in enumerate(layers)
-                if not brute_force_percolates(union(trial)[0], box)
-            ]
-        for t in censored:
-            layers[t].append(superposed_layer(mix, box, seed, t, len(layers[t]), tops[t], target))
-            tops[t] = target
-        made = len(calls)
-        assert probe(lam, trials, level) == oracle_levels(box, layers, lam)
-        assert sorted(args[3] for args in calls[made:]) == sorted(
-            derive_seed(seed, len(layers[t]) - 1, t) for t in censored
-        )
-        extended.append(censored)
-    assert extended[0] and not extended[1]
-    assert any(oracle_levels(box, [layers[t]], 0.5)[0] for t in extended[0])
-    # The crossed trials kept their values: the lower levels read as before.
-    assert [probe(lam, trials, level) for level, lam in enumerate(below, start=7)] == first
+    critical = _critical_intensities(mix, box, seed, trials, lam_hi)
+    layers, criticals = rebuild_trials(mix, box, seed, trials, lam_hi)
+    assert critical.tolist() == criticals
+    # One sample per layer, in order, and no layer sampled twice.
+    assert [args[3] for args in calls] == [
+        derive_seed(seed, j, t) for t, trial in enumerate(layers) for j in range(len(trial))
+    ]
+    # Some trials started below their critical intensity and were extended,
+    # some crossed only above lam_hi, and one needed a layer above 2 lam_hi.
+    starts = [trial[0][0].lam for trial in layers]
+    assert any(top < c < lam_hi for top, c in zip(starts, criticals))
+    assert any(c >= lam_hi for c in criticals)
+    assert any(c >= 2.0 * lam_hi for c in criticals)
+    # Every level reads the oracle on the union, keeping arrivals < lam.
+    for lam in (0.1, 0.2, lam_hi, 0.45, 2.0 * lam_hi, 0.6, 1.0):
+        assert (critical < lam).tolist() == oracle_levels(box, layers, lam)
 
 
 def test_probe_level_at_a_mark_leaves_that_ball_out(monkeypatch):
@@ -248,13 +225,14 @@ def test_probe_level_at_a_mark_leaves_that_ball_out(monkeypatch):
             return sixteenth_draws(self.seed, n)
 
     monkeypatch.setattr(estimation, "stream", SixteenthDraws)
-    probe = _coupled_probe(mix, box, seed, lam_hi)
-    layers, criticals, _ = first_pass(mix, box, seed, trials, lam_hi, sixteenth_draws)
-    finite = sorted({c for c in criticals if c < math.inf})
+    critical = _critical_intensities(mix, box, seed, trials, lam_hi)
+    layers, criticals = rebuild_trials(mix, box, seed, trials, lam_hi, sixteenth_draws)
+    assert critical.tolist() == criticals
+    finite = sorted(set(criticals))
     assert len(finite) > 5
     levels = [lam for c in finite for lam in (c, float(np.nextafter(c, math.inf)))]
-    for level, lam in enumerate(levels):
-        crossings = probe(lam, trials, level)
+    for lam in levels:
+        crossings = (critical < lam).tolist()
         for t, trial in enumerate(layers):
             cfg, arrivals = union(trial)
             sub = thinned(cfg, arrivals, lam)

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from contperc import boolean_model, estimation
 from contperc.boolean_model import BoxSpec, RadiusMixture, clusters, percolates, sample
-from contperc.errors import EstimationFailedError
+from contperc.errors import CapacityError
 from contperc.estimation import (
     alpha_sweep,
     canonicalize,
@@ -20,13 +21,20 @@ UNIT = RadiusMixture.dirac(1.0)
 BOX = BoxSpec(2, 16.0)
 
 
-def sigmoid_probe(midpoint, slope=6.0):
-    def probe(lam, trials, level):
-        p = 1.0 / (1.0 + math.exp(-slope * (math.log(lam) - math.log(midpoint))))
-        k = round(p * trials)
-        return [True] * k + [False] * (trials - k)
+def fake_critical_intensities(monkeypatch, values):
+    """Make the estimator read the given critical intensities instead of sampling."""
 
-    return probe
+    def fake(mixture, box, seed, trials, lam_hi):
+        assert trials == len(values)
+        return np.asarray(values, dtype=float)
+
+    monkeypatch.setattr(estimation, "_critical_intensities", fake)
+
+
+def sigmoid_quantiles(midpoint, trials, slope=6.0):
+    """Critical intensities at the (i + 1/2) / trials quantiles of a log-logistic law."""
+    q = (np.arange(trials) + 0.5) / trials
+    return midpoint * np.exp(np.log(q / (1.0 - q)) / slope)
 
 
 def test_wilson_interval_behavior():
@@ -49,23 +57,23 @@ def test_estimator_validations():
         estimate_lambda_c(UNIT, BOX, trials=60, target_rel_tol=0.0, seed=0)
 
 
-def test_synthetic_oracle_recovers_midpoint():
+def test_synthetic_oracle_recovers_midpoint(monkeypatch):
     midpoint = 0.42
-    est = estimate_lambda_c(
-        UNIT, BOX, trials=400, target_rel_tol=0.01, seed=1, probe=sigmoid_probe(midpoint)
-    )
+    fake_critical_intensities(monkeypatch, sigmoid_quantiles(midpoint, 400))
+    est = estimate_lambda_c(UNIT, BOX, trials=400, target_rel_tol=0.01, seed=1)
     assert abs(est.lambda_c - midpoint) <= 0.015 * midpoint
     assert est.ci_low <= est.lambda_c <= est.ci_high
     # covered volume is tied to the normalized threshold exactly
     assert est.covered_volume == -math.expm1(-est.normalized / 4.0)
 
 
-def test_estimation_failure_when_never_crossing():
-    def never(lam, trials, level):
-        return [False] * trials
-
-    with pytest.raises(EstimationFailedError):
-        estimate_lambda_c(UNIT, BOX, trials=60, seed=0, probe=never)
+def test_estimation_failure_when_never_crossing(monkeypatch):
+    # A trial that never crosses is extended by doubling layers until a
+    # layer passes the ball-count cap, lowered here to keep that cheap.
+    monkeypatch.setattr(estimation, "_critical_mark", lambda config, box, marks: math.inf)
+    monkeypatch.setattr(boolean_model, "MAX_EXPECTED_COUNT", 1e5)
+    with pytest.raises(CapacityError):
+        estimate_lambda_c(UNIT, BOX, trials=60, seed=0)
 
 
 def test_canonicalize():
@@ -207,19 +215,29 @@ def test_multiscale_threshold_exceeds_monodisperse():
     assert multi.normalized > mono.normalized + 2.0 * pooled
 
 
-def test_lambda_c_stays_inside_its_bracket():
+def test_lambda_c_stays_inside_its_bracket(monkeypatch):
     # Half the trials cross from 0.17 up to 0.255, all of them above.  The
     # bisection ends with that half at the upper level, so the interpolation
     # lands on t = 1, and lam_lo * (lam_hi / lam_lo)**1 rounds one ulp above
     # lam_hi here unless it is clamped.
-    def probe(lam, trials, level):
-        k = 0 if lam < 0.17 else trials // 2 if lam < 0.255 else trials
-        return [True] * k + [False] * (trials - k)
-
-    est = estimate_lambda_c(UNIT, BOX, trials=60, probe=probe)
+    values = [np.nextafter(0.17, 0.0)] * 30 + [np.nextafter(0.255, 0.0)] * 30
+    fake_critical_intensities(monkeypatch, values)
+    est = estimate_lambda_c(UNIT, BOX, trials=60)
     lam_lo, lam_hi = est.ci_low, est.ci_high
     p_at = {lv.lam: lv.p_hat for lv in est.levels}
     assert (p_at[lam_lo], p_at[lam_hi]) == (0.0, 0.5)
     assert lam_lo * (lam_hi / lam_lo) ** 1.0 > lam_hi
     assert est.ci_low <= est.lambda_c <= est.ci_high
     assert est.normalized_ci_low <= est.normalized <= est.normalized_ci_high
+
+
+def test_a_level_at_a_critical_intensity_reads_not_crossed(monkeypatch):
+    # Every trial crosses exactly at the initial lambda_hi = 8 / (v_2 2^2): a
+    # level there keeps none of the balls arriving at it, so the bracket
+    # expands once.
+    lam_hi = 8.0 / (math.pi * 4.0)
+    fake_critical_intensities(monkeypatch, [lam_hi] * 60)
+    est = estimate_lambda_c(UNIT, BOX, trials=60)
+    assert [(lv.lam, lv.successes) for lv in est.levels[:3]] == [
+        (lam_hi / 8.0, 0), (lam_hi, 0), (2.0 * lam_hi, 60)
+    ]

@@ -43,8 +43,6 @@ def test_validations():
         count_paths(7, 2.0, 0.5, 1, trials=10, seed=0)
     with pytest.raises(ValueError):
         count_paths(2, 2.0, 0.5, 5, trials=10, seed=0)
-    with pytest.raises(ValueError):
-        count_paths(2, 2.0, 0.5, 1, trials=10, seed=0, domain_radius=3.0)
     with pytest.raises(CapacityError):
         count_paths(6, 5.0, 3.0, 4, trials=10, seed=0)
 
