@@ -29,7 +29,7 @@ for lam, label in ((0.05, "subcritical"), (0.32, "supercritical")):
     for s in range(50):
         cfg = sample(mix, lam, box, seed=s)
         lab = clusters(cfg, box)
-        hits += percolates(lab, cfg, box)
+        hits += percolates(lab)
         sizes.append(cfg.n / max(lab.cluster_count(), 1))
     print(
         f"{label}: lambda={lam:.3f}, crossing rate {hits / 50:.2f}, "

@@ -87,8 +87,8 @@ class RadiusMixture:
         self.weights = weights
 
     @classmethod
-    def dirac(cls, radius: float, weight: float = 1.0) -> "RadiusMixture":
-        return cls([(radius, weight)])
+    def dirac(cls, radius: float) -> "RadiusMixture":
+        return cls([(radius, 1.0)])
 
     @property
     def atoms(self) -> tuple[tuple[float, float], ...]:
@@ -101,10 +101,6 @@ class RadiusMixture:
     @property
     def r_max(self) -> float:
         return float(self.radii[-1])
-
-    @property
-    def log_weights(self) -> np.ndarray:
-        return np.log(self.weights)
 
     def moment(self, d: int) -> float:
         """Weighted d-th radius moment, sum of w_i r_i^d."""
@@ -245,8 +241,9 @@ def _candidate_pairs(centers: np.ndarray, radii: np.ndarray) -> tuple[np.ndarray
     unique_r, class_idx = np.unique(radii, return_inverse=True)
     members = [np.flatnonzero(class_idx == c) for c in range(len(unique_r))]
     trees = [cKDTree(centers[m]) for m in members]
-    pair_a: list[np.ndarray] = []
-    pair_b: list[np.ndarray] = []
+    # One empty array each, so that zero balls concatenate to zero pairs.
+    pair_a = [np.empty(0, dtype=np.intp)]
+    pair_b = [np.empty(0, dtype=np.intp)]
     for u, r_u in enumerate(unique_r.tolist()):
         same = trees[u].query_pairs(2.0 * r_u * _QUERY_SLACK, output_type="ndarray")
         pair_a.append(members[u][same[:, 0]])
@@ -262,22 +259,12 @@ def _candidate_pairs(centers: np.ndarray, radii: np.ndarray) -> tuple[np.ndarray
 def clusters(config: BallConfiguration, box: BoxSpec) -> ClusterLabeling:
     """Label intersecting-ball clusters: connected components of the hit graph."""
     n = config.n
-    d = box.dimension
-    if n == 0:
-        empty_i = np.empty(0, dtype=np.int64)
-        empty_b = np.empty(0, dtype=bool)
-        return ClusterLabeling(
-            labels=empty_i,
-            touches_low=empty_b,
-            touches_high=empty_b,
-            edges=np.empty((2, 0), dtype=np.int64),
-        )
     centers = config.centers
     radii = config.radii
 
     ia, ib = _candidate_pairs(centers, radii)
     dist2 = np.zeros(ia.shape[0])
-    for axis in range(d):
+    for axis in range(box.dimension):
         x = centers[:, axis]
         diff = x[ia] - x[ib]
         dist2 += diff * diff
@@ -296,8 +283,8 @@ def clusters(config: BallConfiguration, box: BoxSpec) -> ClusterLabeling:
     )
 
 
-def percolates(labeling: ClusterLabeling, config: BallConfiguration, box: BoxSpec) -> bool:
-    """True if one cluster overlaps both the x_1 <= 0 and x_1 >= L faces."""
+def percolates(labeling: ClusterLabeling) -> bool:
+    """True if one cluster of the labeling touches both faces x_1 <= 0 and x_1 >= L."""
     low = labeling.labels[labeling.touches_low]
     high = labeling.labels[labeling.touches_high]
     return bool(np.isin(high, low).any())
@@ -374,19 +361,12 @@ def dump_configuration(config: BallConfiguration, box: BoxSpec, fp) -> None:
     The v2 header records the dimension, side, seed, boundary (always
     crossing) and intensity.
     """
-    own = isinstance(fp, (str, bytes))
-    handle = open(fp, "w") if own else fp
-    try:
-        handle.write(
-            f"#contperc {DUMP_FORMAT_VERSION} d={box.dimension} L={box.side!r} "
-            f"seed={config.seed} boundary=crossing lam={config.lam!r}\n"
-        )
-        for row, r in zip(config.centers, config.radii):
-            cols = " ".join(f"{x:.17g}" for x in row)
-            handle.write(f"{cols} {r:.17g}\n")
-    finally:
-        if own:
-            handle.close()
+    header = (
+        f"contperc {DUMP_FORMAT_VERSION} d={box.dimension} L={box.side!r} "
+        f"seed={config.seed} boundary=crossing lam={config.lam!r}"
+    )
+    rows = np.column_stack((config.centers, config.radii))
+    np.savetxt(fp, rows, fmt="%.17g", header=header, comments="#")
 
 
 # Header keys of each dump format version.

@@ -22,20 +22,6 @@ from .errors import CapacityError
 
 DEFAULT_SEED = 20260808
 
-SWEEP_CSV_FIELDS = [
-    "rho",
-    "alpha",
-    "d",
-    "L",
-    "trials",
-    "lambda_c",
-    "ci_low",
-    "ci_high",
-    "normalized",
-    "covered_volume",
-    "seed",
-]
-
 
 @dataclass
 class RunConfig:
@@ -57,8 +43,8 @@ class RunConfig:
             command=data["command"],
             params=data["params"],
             seed=int(data["seed"]),
-            output=data.get("output"),
-            fmt=data.get("fmt", "json"),
+            output=data["output"],
+            fmt=data["fmt"],
         )
 
 
@@ -111,7 +97,7 @@ def _cmd_kappa(params: dict, seed: int, quiet: bool):
     if params.get("k") is not None:
         res = thresholds.kappa_c_k(rho, int(params["k"]))
     else:
-        res = thresholds.kappa_c(rho, int(params.get("kmax", 6)))
+        res = thresholds.kappa_c(rho, int(params["kmax"]))
     row = {
         "rho": rho,
         "k": res.k_used,
@@ -126,7 +112,7 @@ def _cmd_kappa_sweep(params: dict, seed: int, quiet: bool):
     rho_min = float(params["rho_min"])
     rho_max = float(params["rho_max"])
     steps = int(params["steps"])
-    k_max = int(params.get("kmax", 3))
+    k_max = int(params["kmax"])
     if not 3 <= k_max <= thresholds.MAX_K:
         raise ValueError(f"kappa-sweep needs kmax in 3..{thresholds.MAX_K}")
     if steps < 2 or not 1.0 < rho_min < rho_max <= thresholds.MAX_RHO:
@@ -158,7 +144,7 @@ def _cmd_threshold(params: dict, seed: int, quiet: bool):
         mixture,
         box,
         trials=int(params["trials"]),
-        target_rel_tol=float(params.get("tol", 0.02)),
+        target_rel_tol=float(params["tol"]),
         seed=seed,
         progress=_progress_printer(quiet),
     )
@@ -171,7 +157,7 @@ def _cmd_alpha_sweep(params: dict, seed: int, quiet: bool):
     if params.get("alphas"):
         alphas = [float(a) for a in str(params["alphas"]).split(",")]
     else:
-        alphas = np.linspace(0.0, 1.0, int(params.get("alpha_count", 9))).tolist()
+        alphas = np.linspace(0.0, 1.0, int(params["alpha_count"])).tolist()
     box = BoxSpec(dimension=d, side=float(params["L"]))
     points = estimation.alpha_sweep(
         rho,
@@ -180,7 +166,7 @@ def _cmd_alpha_sweep(params: dict, seed: int, quiet: bool):
         box,
         trials=int(params["trials"]),
         seed=seed,
-        target_rel_tol=float(params.get("tol", 0.02)),
+        target_rel_tol=float(params["tol"]),
         progress=_progress_printer(quiet),
     )
     rows = [_estimate_row(p.estimate, rho=p.rho, alpha=p.alpha) for p in points]
@@ -404,6 +390,11 @@ def main(argv=None) -> int:
         rows, single = dispatch(config, quiet=getattr(args, "quiet", False))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except KeyError as exc:
+        if args.command != "replay":
+            raise
+        print(f"error: the saved config has no parameter {exc.args[0]!r}", file=sys.stderr)
         return 2
     except (CapacityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

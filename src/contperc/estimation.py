@@ -155,7 +155,7 @@ def _critical_mark(config: BallConfiguration, box: BoxSpec, marks: np.ndarray) -
     on its one face-to-face path.
     """
     labeling = clusters(config, box)
-    if not percolates(labeling, config, box):
+    if not percolates(labeling):
         return math.inf
     n = config.n
     order = np.argsort(marks)
@@ -357,12 +357,12 @@ def size_ladder(
     sides: Sequence[float],
     trials: int,
     seed: int = 0,
-    target_rel_tol: float = 0.02,
     progress: ProgressFn | None = None,
 ) -> LadderResult:
     """Estimate at increasing box sides and flag unresolved finite-size drift.
 
-    The headline number is the largest-box estimate; the systematic flag is
+    Every side runs estimate_lambda_c at its default tolerance.  The
+    headline number is the largest-box estimate; the systematic flag is
     raised when the drift of the last step exceeds that estimate's CI width.
     """
     sides = list(sides)
@@ -379,7 +379,6 @@ def size_ladder(
                 mixture,
                 BoxSpec(dimension=d, side=float(side)),
                 trials,
-                target_rel_tol=target_rel_tol,
                 seed=derive_seed(seed, 101, i),
                 progress=progress,
             )

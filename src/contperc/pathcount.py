@@ -220,8 +220,6 @@ def chain_counts_sliced(
         raise ValueError("slicing needs k >= 1")
     chains, end_ptr, end_idx = _walk(_one_trial(points_unit), _one_trial(points_large), rho, k)
     row, ends = _gather(end_ptr, end_idx, chains[:, -1])
-    if row.size == 0:
-        return {}, 0
     norms = np.sqrt(_norm2(points_unit))
     path = chains[row]
     targets = [points_unit[path[:, i]] for i in range(1, k)] + [points_large[ends]]
@@ -236,8 +234,6 @@ def chain_counts_sliced(
 
 def _uniform_ball(rng: np.random.Generator, n: int, d: int, radius: float) -> np.ndarray:
     """n points uniform in the ball of the given radius around the origin."""
-    if n == 0:
-        return np.empty((0, d))
     g = rng.standard_normal((n, d))
     norms = np.sqrt(_norm2(g))
     norms[norms == 0.0] = 1.0
@@ -285,7 +281,7 @@ def count_paths(d: int, rho: float, kappa: float, k: int, trials: int, seed: int
     for chunk_index, first in enumerate(range(0, trials, chunk)):
         count = min(chunk, trials - first)
         rng = stream(seed, chunk_index)
-        counts1 = rng.poisson(mean1, count) if k >= 1 else np.zeros(count, dtype=np.int64)
+        counts1 = rng.poisson(mean1, count)
         counts_rho = rng.poisson(mean_rho, count)
         pts1 = _uniform_ball(rng, int(counts1.sum()), d, radius)
         pts_rho = _uniform_ball(rng, int(counts_rho.sum()), d, radius)

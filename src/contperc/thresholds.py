@@ -252,22 +252,19 @@ def kappa_c1_closed_form(rho: float) -> float:
     return math.sqrt(4.0 + rho * rho) / (1.0 + rho)
 
 
-def k2_crossover_rho(rho_lo: float = 2.0, rho_hi: float = 12.0, tol: float = 1e-3) -> float:
+def k2_crossover_rho(tol: float = 1e-3) -> float:
     """Numerically locate where kappa_c(rho, 2) first drops below kappa_c(rho, 1).
 
-    Bisection on the sign of kappa_c_k(rho, 2) - kappa_c_k(rho, 1).  This is
-    an empirical crossover estimate only; no claim is made that the k = 1
+    Bisection on the sign of kappa_c_k(rho, 2) - kappa_c_k(rho, 1) over
+    rho in [2, 12], where the gap is positive at 2 and negative at 12.  This
+    is an empirical crossover estimate only; no claim is made that the k = 1
     optimum stays global all the way up to this point.
     """
 
     def gap(rho: float) -> float:
         return kappa_c_k(rho, 2).kappa - kappa_c_k(rho, 1).kappa
 
-    lo, hi = rho_lo, rho_hi
-    if gap(lo) <= 0.0:
-        return lo
-    if gap(hi) > 0.0:
-        raise ValueError("no crossover inside the given interval")
+    lo, hi = 2.0, 12.0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if gap(mid) > 0.0:

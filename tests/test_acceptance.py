@@ -169,7 +169,7 @@ def test_criterion_6_monodisperse_ladder(ladder_result):
     box = BoxSpec(2, 64.0)
     lam = 0.5 * est64.lambda_c
     crossings = sum(
-        percolates(clusters(cfg, box), cfg, box)
+        percolates(clusters(cfg, box))
         for cfg in (sample(UNIT, lam, box, seed=SEED + 500 + s) for s in range(200))
     )
     sub_rate = crossings / 200.0
@@ -200,9 +200,9 @@ def test_criterion_7_invariance_suite():
     for s in range(40):
         cfg = sample(UNIT, 0.35, BoxSpec(2, 16.0), seed=SEED + s)
         cfg2 = sample(UNIT.scaled(2.0), 0.35 / 4.0, BoxSpec(2, 32.0), seed=SEED + s)
-        ok_scale &= percolates(
-            clusters(cfg, BoxSpec(2, 16.0)), cfg, BoxSpec(2, 16.0)
-        ) == percolates(clusters(cfg2, BoxSpec(2, 32.0)), cfg2, BoxSpec(2, 32.0))
+        ok_scale &= percolates(clusters(cfg, BoxSpec(2, 16.0))) == percolates(
+            clusters(cfg2, BoxSpec(2, 32.0))
+        )
 
     doubled = estimate_lambda_c(mix.mass_scaled(2.0), box, trials=60, seed=SEED)
     ok_mass = (
@@ -325,9 +325,7 @@ def test_criterion_9_brute_force_equivalence():
             same_labels = np.array_equal(
                 labeling.canonical_labels(), brute_force_labels(cfg, box)
             )
-            same_cross = percolates(labeling, cfg, box) == brute_force_percolates(
-                cfg, box
-            )
+            same_cross = percolates(labeling) == brute_force_percolates(cfg, box)
             ok = ok and same_labels and same_cross
             done += 1
             checked += 1

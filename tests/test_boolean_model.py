@@ -163,7 +163,7 @@ def test_grid_matches_brute_force_including_mixed_radii():
                 assert np.array_equal(
                     labeling.canonical_labels(), brute_force_labels(cfg, box)
                 )
-                assert percolates(labeling, cfg, box) == brute_force_percolates(cfg, box)
+                assert percolates(labeling) == brute_force_percolates(cfg, box)
                 checked += 1
     assert checked > 40
 
@@ -171,19 +171,19 @@ def test_grid_matches_brute_force_including_mixed_radii():
 def test_percolates_basics():
     box = BoxSpec(2, 20.0)
     empty = make_config(np.empty((0, 2)), np.empty(0))
-    assert percolates(clusters(empty, box), empty, box) is False
+    assert percolates(clusters(empty, box)) is False
     # hand-built crossing chain along axis 1
     xs = np.arange(-0.5, 21.0, 1.5)
     chain = make_config([[x, 10.0] for x in xs], [1.0] * len(xs))
     lab = clusters(chain, box)
-    assert percolates(lab, chain, box) is True
+    assert percolates(lab) is True
 
 
 def test_deep_supercritical_crossing():
     lam = 3.0 / math.pi  # normalized intensity well above threshold
     box = BoxSpec(2, 32.0)
     hits = sum(
-        percolates(clusters(cfg, box), cfg, box)
+        percolates(clusters(cfg, box))
         for cfg in (sample(UNIT, lam, box, seed=s) for s in range(100))
     )
     assert hits >= 99
@@ -197,10 +197,10 @@ def test_monotone_thinning_coupling():
     for s in range(60):
         master = sample(UNIT, lam, box, seed=s)
         thinned = thin_configuration(master, 0.85, seed=777 + s)
-        t_cross = percolates(clusters(thinned, box), thinned, box)
+        t_cross = percolates(clusters(thinned, box))
         if t_cross:
             seen_thinned_crossing += 1
-            assert percolates(clusters(master, box), master, box)
+            assert percolates(clusters(master, box))
     assert seen_thinned_crossing > 0
 
 
@@ -263,6 +263,30 @@ def test_dump_and_load_round_trip():
     assert np.array_equal(loaded.radii, cfg.radii)
     assert loaded.seed == cfg.seed
     assert loaded.lam == 0.05
+
+
+def test_dump_bytes_are_pinned(tmp_path):
+    box = BoxSpec(2, 6.5)
+    cfg = BallConfiguration(
+        centers=np.array([[0.1, -0.25], [1.0 / 3.0, 5.0]]),
+        radii=np.array([0.5, 1.0]),
+        seed=7,
+        lam=0.3,
+    )
+    expected = (
+        "#contperc v2 d=2 L=6.5 seed=7 boundary=crossing lam=0.3\n"
+        "0.10000000000000001 -0.25 0.5\n"
+        "0.33333333333333331 5 1\n"
+    )
+    empty = make_config(np.empty((0, 2)), np.empty(0))
+    expected_empty = "#contperc v2 d=2 L=6.5 seed=0 boundary=crossing lam=0.0\n"
+    for config, text in ((cfg, expected), (empty, expected_empty)):
+        buf = io.StringIO()
+        dump_configuration(config, box, buf)
+        assert buf.getvalue() == text
+        path = tmp_path / "dump.txt"
+        dump_configuration(config, box, str(path))
+        assert path.read_bytes() == text.encode()
 
 
 def test_load_rejects_a_torus_header():

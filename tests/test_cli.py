@@ -273,6 +273,26 @@ def test_replay_ignores_a_saved_threads_key(tmp_path, capsys):
     assert json.loads((tmp_path / "out.json").read_text())["trials"] == 50
 
 
+def test_replay_of_an_incomplete_config_exits_2(tmp_path, capsys):
+    full = {
+        "command": "threshold",
+        "params": {"d": 2, "mixture": "1:1", "L": 8.0, "trials": 50, "tol": 0.5},
+        "seed": 3,
+        "output": None,
+        "fmt": "json",
+    }
+    no_trials = dict(full, params={k: v for k, v in full["params"].items() if k != "trials"})
+    no_fmt = {k: v for k, v in full.items() if k != "fmt"}
+    no_command = {k: v for k, v in full.items() if k != "command"}
+    for data, missing in ((no_trials, "trials"), (no_fmt, "fmt"), (no_command, "command")):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "replay", str(path), "--quiet")
+        assert code == 2, missing
+        assert out == ""
+        assert err == f"error: the saved config has no parameter {missing!r}\n"
+
+
 def test_replay_ignores_a_saved_domain_radius_key(tmp_path, capsys):
     argv = ["--d", "2", "--rho", "2", "--kappa", "0.5", "--k", "1", "--trials", "100"]
     code, fresh, _ = run_cli(capsys, "paths", *argv, "--seed", "3", "--quiet")

@@ -81,7 +81,7 @@ def test_crossing_clusters_match_brute_force(case):
     box, cfg = case
     labeling = clusters(cfg, box)
     assert np.array_equal(labeling.canonical_labels(), brute_force_labels(cfg, box))
-    assert percolates(labeling, cfg, box) == brute_force_percolates(cfg, box)
+    assert percolates(labeling) == brute_force_percolates(cfg, box)
 
 
 @settings(max_examples=50, deadline=None)
@@ -100,7 +100,7 @@ def test_tangent_chain_never_connects(radius_steps, axis):
     box = BoxSpec(d, float(offsets[-1]) + 1.0)
     labeling = clusters(cfg, box)
     assert labeling.cluster_count() == cfg.n
-    assert percolates(labeling, cfg, box) is False
+    assert percolates(labeling) is False
 
 
 def brute_force_covered(points, cfg):

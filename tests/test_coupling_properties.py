@@ -94,7 +94,7 @@ def test_coupled_indicator_matches_thinned_oracles(case):
         keep = lam / LAM_MAX
         sub = thinned(cfg, marks, keep)
         coupled = bool(critical < keep)
-        assert coupled == percolates(clusters(sub, box), sub, box)
+        assert coupled == percolates(clusters(sub, box))
         assert coupled == brute_force_percolates(sub, box)
 
 
@@ -236,7 +236,7 @@ def test_probe_level_at_a_mark_leaves_that_ball_out(monkeypatch):
         for t, trial in enumerate(layers):
             cfg, arrivals = union(trial)
             sub = thinned(cfg, arrivals, lam)
-            assert crossings[t] == percolates(clusters(sub, box), sub, box)
+            assert crossings[t] == percolates(clusters(sub, box))
             if criticals[t] == lam:
                 assert not crossings[t]
             elif criticals[t] < lam:

@@ -146,9 +146,7 @@ def test_sample_level_scaling_indicators_match():
         cfg = sample(mix, lam, box, seed=s)
         cfg2 = sample(mix.scaled(2.0), lam / 4.0, box2, seed=s)
         assert cfg.n == cfg2.n
-        assert percolates(clusters(cfg, box), cfg, box) == percolates(
-            clusters(cfg2, box2), cfg2, box2
-        )
+        assert percolates(clusters(cfg, box)) == percolates(clusters(cfg2, box2))
 
 
 def test_mass_invariance_halves_lambda_exactly():
@@ -192,7 +190,7 @@ def test_subcritical_half_intensity_rarely_crosses():
     est = estimate_lambda_c(UNIT, box, trials=100, seed=5)
     lam = 0.5 * est.lambda_c
     hits = sum(
-        percolates(clusters(cfg, box), cfg, box)
+        percolates(clusters(cfg, box))
         for cfg in (sample(UNIT, lam, box, seed=40_000 + s) for s in range(100))
     )
     assert hits / 100.0 < 0.1

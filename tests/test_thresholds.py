@@ -232,6 +232,14 @@ def test_k2_crossover_location():
     assert kappa_c_k(rho_star + 0.5, 2).kappa < kappa_c_k(rho_star + 0.5, 1).kappa
 
 
+def test_k2_crossover_bracket_changes_sign():
+    # k2_crossover_rho bisects over [2, 12] without checking its ends.
+    def gap(rho):
+        return kappa_c_k(rho, 2).kappa - kappa_c_k(rho, 1).kappa
+
+    assert gap(2.0) > 0.0 > gap(12.0)
+
+
 @st.composite
 def paths(draw):
     rho = draw(st.floats(1.0, 20.0, exclude_min=True))
