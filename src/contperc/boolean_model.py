@@ -18,6 +18,7 @@ cluster touching both faces x_1 <= 0 and x_1 >= L.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -379,7 +380,7 @@ def load_configuration(fp) -> tuple[BallConfiguration, BoxSpec]:
     v1 files carry neither the boundary nor the intensity; they load with
     lam = nan.  A header naming any boundary but crossing raises ValueError.
     """
-    own = isinstance(fp, (str, bytes))
+    own = isinstance(fp, (str, bytes, os.PathLike))
     handle = open(fp, "r") if own else fp
     try:
         header = handle.readline().strip()

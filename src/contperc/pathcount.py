@@ -14,16 +14,18 @@ Counted per trial:
 * M_k, the number of ordered chains (x_1, ..., x_k, endpoint), endpoints
   with multiplicity.
 
-Every point that can contribute lies within 2 rho + 2 k of the origin, so a
-sampling ball of that radius reproduces the infinite-volume counts and the
+Every unit center on a chain lies within 1 + rho + 2 (k - 1) of the origin
+and every endpoint within 2 rho + 2 k, so sampling each process in its own
+ball of that radius reproduces the infinite-volume counts, and the
 ordered-tuple expectation has the exact closed form
 E(M_k) = (kappa^(k+1) (1+rho)^2 / (4 rho))^d for k >= 1, E(M_0) = kappa^d.
 
 One chain walker serves every count.  k-d trees give the unit-unit and
 unit-large neighbour lists in CSR form, and the chains grow one center at a
 time as integer index arrays, dropping steps back onto a center already in
-the chain.  count_paths walks all trials of a chunk at once; chunks are
-sized so that their expected points and partial chains stay under caps.
+the chain.  count_paths walks all trials of a chunk at once, side by side
+along the first axis; chunks are sized so that their expected points and
+partial chains stay under caps.
 """
 
 from __future__ import annotations
@@ -51,8 +53,8 @@ __all__ = [
 
 _MAX_K = 4
 # Trials per chunk, and caps on a chunk's expected sampled points and partial
-# chains (the walker's largest frontier).  Every configuration in the tests,
-# demos and benchmark keeps 4096 trials, so its Philox streams do not move.
+# chains (the walker's largest frontier).  Each chunk draws from its own
+# Philox substream, so a change of chunk size moves the draws of every trial.
 _CHUNK_TRIALS = 4096
 _MAX_CHUNK_POINTS = 1.5e6
 _MAX_CHUNK_CHAINS = 1e6
@@ -133,27 +135,26 @@ def _walk(unit, large, rho, k):
     unit and large are (points, trial ids) pairs.  Returns (chains, end_ptr,
     end_idx): a row of chains holds the unit indices of one chain, and
     end_idx[end_ptr[u] : end_ptr[u + 1]] lists the large centers within
-    1 + rho of unit center u.  Trials share the k-d trees but sit 2 (1 + rho)
-    apart along an extra coordinate, beyond both query radii; the strict
-    test in _hits, which also compares trial ids, alone decides every edge.
+    1 + rho of unit center u.  Trials share d-dimensional k-d trees, trial t
+    shifted by t * spacing along axis 0, beyond both query radii of the
+    others.  The shift rounds a first coordinate by at most half an ulp of the
+    largest, so both query radii grow by two such ulps; the strict test in
+    _hits, on the unshifted points and trial ids, alone decides every edge.
     """
     reach = 1.0 + rho
+    spacing = 2.0 * (2.0 * rho + 2.0 * k + reach)
+    shifted = [np.column_stack([p[:, 0] + t * spacing, p[:, 1:]]) for p, t in (unit, large)]
+    slack = 2.0 * np.spacing(max(np.abs(p[:, 0]).max(initial=0.0) for p in shifted))
+    tree_u, tree_l = map(cKDTree, shifted)
+    near = tree_u.sparse_distance_matrix(tree_l, reach * _QUERY_SLACK + slack, output_type="ndarray")
+    u, l = _hits(unit, large, near["i"], near["j"], reach)
     norms2 = _norm2(unit[0])
-    # The i-th point of a chain lies within 1 + rho + 2 (i - 1) of the origin.
-    keep_u = np.flatnonzero(norms2 < ((reach + 2.0 * (k - 1)) * _QUERY_SLACK) ** 2)
-    keep_l = np.flatnonzero(_norm2(large[0]) < ((2.0 * rho + 2.0 * k) * _QUERY_SLACK) ** 2)
-    tree_u, tree_l = (
-        cKDTree(np.column_stack([points[keep], trial[keep] * (2.0 * reach)]))
-        for (points, trial), keep in ((unit, keep_u), (large, keep_l))
-    )
-    near = tree_u.sparse_distance_matrix(tree_l, reach * _QUERY_SLACK, output_type="ndarray")
-    u, l = _hits(unit, large, keep_u[near["i"]], keep_l[near["j"]], reach)
     end_ptr, end_idx = _csr(u, l, norms2.size)
 
     chains = np.flatnonzero(norms2 < reach * reach)[:, None]
     if k >= 2:
-        near = tree_u.query_pairs(2.0 * _QUERY_SLACK, output_type="ndarray")
-        a, b = _hits(unit, unit, keep_u[near[:, 0]], keep_u[near[:, 1]], 2.0)
+        near = tree_u.query_pairs(2.0 * _QUERY_SLACK + slack, output_type="ndarray")
+        a, b = _hits(unit, unit, near[:, 0], near[:, 1], 2.0)
         ptr, idx = _csr(np.concatenate([a, b]), np.concatenate([b, a]), norms2.size)
     for _ in range(k - 1):
         owner, nxt = _gather(ptr, idx, chains[:, -1])
@@ -247,9 +248,12 @@ def count_paths(d: int, rho: float, kappa: float, k: int, trials: int, seed: int
     Trials are processed in chunks, one Philox substream per chunk; within
     a chunk the counts for both processes are drawn first, then all points
     of the chunk in one batch, and the chain walker counts every trial of
-    the chunk at once.  A chunk holds _CHUNK_TRIALS trials unless its
-    expected points or partial chains would pass their caps; a request whose
-    single trial passes a cap raises CapacityError before any sampling.
+    the chunk at once.  Unit centers are drawn only in the ball of radius
+    1 + rho + 2 (k - 1), where a chain can reach them (none for k = 0), and
+    large centers in the ball of radius 2 rho + 2 k.  A chunk holds
+    _CHUNK_TRIALS trials unless its expected points or partial chains would
+    pass their caps; a request whose single trial passes a cap raises
+    CapacityError before any sampling.
     """
     if not isinstance(d, int) or not 1 <= d <= MAX_SIMULATION_DIMENSION:
         raise ValueError(f"dimension must lie in 1..{MAX_SIMULATION_DIMENSION}")
@@ -260,12 +264,13 @@ def count_paths(d: int, rho: float, kappa: float, k: int, trials: int, seed: int
         raise ValueError(f"k must lie in 0..{_MAX_K}")
     if trials < 1:
         raise ValueError("trials must be positive")
-    radius = 2.0 * rho + 2.0 * k  # every point on a chain lies in this ball
+    radius1 = 1.0 + rho + 2.0 * (k - 1)  # x_i lies within 1 + rho + 2 (i - 1)
+    radius_rho = 2.0 * rho + 2.0 * k
 
     lam1, lam_rho = intensities(d, rho, kappa)
-    log_ball = log_unit_ball_volume(d) + d * math.log(radius)
-    mean1 = lam1 * math.exp(log_ball) if k >= 1 else 0.0
-    mean_rho = lam_rho * math.exp(log_ball)
+    log_vd = log_unit_ball_volume(d)
+    mean1 = lam1 * math.exp(log_vd + d * math.log(radius1)) if k >= 1 else 0.0
+    mean_rho = lam_rho * math.exp(log_vd + d * math.log(radius_rho))
     # Mecke formula, as for M_k: E(#chains x_1, ..., x_j) = (kappa^j (1 + rho) / 2)^d.
     steps = range(1, k + 1)
     chains = max((ipow(ipow(kappa, j) * (1.0 + rho) / 2.0, d) for j in steps), default=0.0)
@@ -283,8 +288,8 @@ def count_paths(d: int, rho: float, kappa: float, k: int, trials: int, seed: int
         rng = stream(seed, chunk_index)
         counts1 = rng.poisson(mean1, count)
         counts_rho = rng.poisson(mean_rho, count)
-        pts1 = _uniform_ball(rng, int(counts1.sum()), d, radius)
-        pts_rho = _uniform_ball(rng, int(counts_rho.sum()), d, radius)
+        pts1 = _uniform_ball(rng, int(counts1.sum()), d, radius1)
+        pts_rho = _uniform_ball(rng, int(counts_rho.sum()), d, radius_rho)
         trial_ids = np.arange(count)
         unit = (pts1, np.repeat(trial_ids, counts1))
         large = (pts_rho, np.repeat(trial_ids, counts_rho))

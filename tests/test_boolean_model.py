@@ -289,6 +289,18 @@ def test_dump_bytes_are_pinned(tmp_path):
         assert path.read_bytes() == text.encode()
 
 
+def test_dump_and_load_through_a_path(tmp_path):
+    box = BoxSpec(2, 7.0)
+    cfg = sample(RadiusMixture([(0.5, 1.0)]), 0.2, box, seed=5)
+    path = tmp_path / "config.txt"
+    dump_configuration(cfg, box, path)
+    loaded, loaded_box = load_configuration(path)
+    assert loaded_box == box
+    assert np.array_equal(loaded.centers, cfg.centers)
+    assert np.array_equal(loaded.radii, cfg.radii)
+    assert (loaded.seed, loaded.lam) == (cfg.seed, cfg.lam)
+
+
 def test_load_rejects_a_torus_header():
     text = "#contperc v2 d=2 L=10.0 seed=4 boundary=torus lam=0.3\n1.5 2 0.75\n"
     with pytest.raises(ValueError, match="crossing boundary"):

@@ -91,6 +91,35 @@ def test_batched_trials_match_one_trial_at_a_time(data, d, rho, k):
     assert list(zip(n.tolist(), m.tolist())) == [chain_counts(u, q, rho, k) for u, q in trials]
 
 
+def test_batched_trials_link_exactly_at_the_largest_shift():
+    """Rounded shifts at rho = 300 neither drop nor add an edge.
+
+    A full chunk of 4096 trials shifts the last one by about 7.4e6 along
+    axis 0, where an ulp is 2^-30, and the offset 5 * 2^-33 makes the
+    shifted first coordinates of a and b round.  In that trial the unit
+    pair a, 2 - 2^-30 apart, and the unit-large pair a_2, L_a, 1 + rho -
+    2^-30 apart, must link.  The pair b, exactly 2 apart, and L_b, exactly
+    1 + rho from a_1, must not.  The pair c lies strictly within 2, but the
+    shift rounds it 4.1e-10 past 2, so only a query radius above 2 keeps
+    it.  The chains are (a_1, a_2) ending at L_a or L_c, and (a_2, a_1),
+    (c_1, c_2) and (c_2, c_1) ending at L_c: N = 2 and M = 5.
+    """
+    rho, k, n_trials = 300.0, 2, 4096
+    ulp, offset = 2.0**-30, 5.0 * 2.0**-33
+    a1 = 0.5 + offset
+    a2 = a1 + 2.0 - ulp
+    c2 = (1.9754350786598884, 20.3125)
+    unit = np.array([[a1, 0.0], [a2, 0.0], [a1, 10.0], [a1 + 2.0, 10.0], [0.0, 20.0], c2])
+    large = np.array([[a2 + 1.0 + rho - ulp, 0.0], [a1 - 1.0 - rho, 0.0], [0.0, 10.0]])
+    assert chain_counts(unit, large, rho, k) == (2, 5)
+    trials = [(unit, large) if t in (0, n_trials - 1) else (unit[:0], large[:0]) for t in range(n_trials)]
+    ids = np.arange(n_trials)
+    batch_unit = (np.concatenate([u for u, _ in trials]), np.repeat(ids, [len(u) for u, _ in trials]))
+    batch_large = (np.concatenate([q for _, q in trials]), np.repeat(ids, [len(q) for _, q in trials]))
+    n, m = pathcount._trial_counts(batch_unit, batch_large, rho, k, n_trials)
+    assert list(zip(n.tolist(), m.tolist())) == [chain_counts(u, q, rho, k) for u, q in trials]
+
+
 def test_slab_tallies_on_exact_slab_boundaries():
     # Steps straight out along the axis of their center land on fractions
     # 1/8, 4/8 and 1 exactly; (3, 3) is at exactly 1 + rho from (3, 0).

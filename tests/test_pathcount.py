@@ -61,6 +61,29 @@ def test_chain_capacity_fails_before_sampling(monkeypatch, capsys):
     assert "partial chains" in capsys.readouterr().err
 
 
+def test_unit_centres_are_sampled_only_where_a_chain_can_reach(monkeypatch):
+    draws = []
+    uniform_ball = pathcount._uniform_ball
+
+    def recording(rng, n, d, radius):
+        draws.append((n, radius))
+        return uniform_ball(rng, n, d, radius)
+
+    monkeypatch.setattr(pathcount, "_uniform_ball", recording)
+    rho = 2.5
+    for k in (0, 1, 3):
+        draws.clear()
+        count_paths(3, rho, 0.8, k, trials=50, seed=4)
+        unit, large = draws[0::2], draws[1::2]
+        assert len(unit) == len(large) >= 1
+        assert all(radius == 2.0 * rho + 2.0 * k for _, radius in large)
+        if k == 0:
+            assert all(n == 0 for n, _ in unit)
+        else:
+            assert all(radius == 1.0 + rho + 2.0 * (k - 1) for _, radius in unit)
+            assert sum(n for n, _ in unit) > 0
+
+
 def test_chain_counts_manual_config():
     rho = 2.0
     # x1 near the origin ball, x2 a step away, endpoint close to x2
