@@ -6,8 +6,8 @@ Connectivity uses open balls (strict inequality on center distances).
 Candidate pairs come from one scipy k-d tree per radius class, queried
 within and across classes at each class pair's interaction range r_u + r_v
 (see _candidate_pairs); an exact per-axis distance test then decides which
-candidates intersect, and the clusters are the connected components of the
-resulting graph (scipy.sparse.csgraph).
+candidates intersect.  clusters returns that hit graph, whose cluster labels
+(connected components, scipy.sparse.csgraph) are computed when first read.
 
 The box is a crossing box: centers are sampled in the enlarged window
 [-r_max, L + r_max)^d so balls reaching into the core box [0, L)^d from
@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -164,23 +165,27 @@ class BallConfiguration:
 
 @dataclass(frozen=True, eq=False)
 class ClusterLabeling:
-    """Connected-component result: labels[i] is the cluster id of ball i.
+    """The hit graph of a configuration; its cluster labels are computed when first read.
 
-    Two balls share a label exactly when they are joined by a chain of
-    pairwise intersecting open balls; the ids themselves carry no meaning
-    beyond that.  touches_low / touches_high mark the balls overlapping the
-    two crossing faces.  edges is the (2, m) index array of the intersecting
-    pairs, each unordered pair once.
+    edges is the (2, m) index array of the intersecting pairs, each unordered
+    pair once, and touches_low / touches_high mark the balls overlapping the
+    two crossing faces.  labels[i] is the cluster id of ball i: two balls
+    share a label exactly when they are joined by a chain of pairwise
+    intersecting open balls, and the ids carry no meaning beyond that.
     """
 
-    labels: np.ndarray = field(repr=False)
     touches_low: np.ndarray = field(repr=False)
     touches_high: np.ndarray = field(repr=False)
     edges: np.ndarray = field(repr=False)
 
     @property
     def n(self) -> int:
-        return self.labels.shape[0]
+        return self.touches_low.shape[0]
+
+    @cached_property
+    def labels(self) -> np.ndarray:
+        graph = coo_matrix((np.ones(self.edges.shape[1]), tuple(self.edges)), shape=(self.n,) * 2)
+        return connected_components(graph, directed=False)[1]
 
     def canonical_labels(self) -> np.ndarray:
         """Cluster labels renumbered by first appearance, for comparisons."""
@@ -241,7 +246,8 @@ def _candidate_pairs(centers: np.ndarray, radii: np.ndarray) -> tuple[np.ndarray
     """
     unique_r, class_idx = np.unique(radii, return_inverse=True)
     members = [np.flatnonzero(class_idx == c) for c in range(len(unique_r))]
-    trees = [cKDTree(centers[m]) for m in members]
+    # Unbalanced, uncompacted trees build faster and find the same pairs.
+    trees = [cKDTree(centers[m], balanced_tree=False, compact_nodes=False) for m in members]
     # One empty array each, so that zero balls concatenate to zero pairs.
     pair_a = [np.empty(0, dtype=np.intp)]
     pair_b = [np.empty(0, dtype=np.intp)]
@@ -258,8 +264,7 @@ def _candidate_pairs(centers: np.ndarray, radii: np.ndarray) -> tuple[np.ndarray
 
 
 def clusters(config: BallConfiguration, box: BoxSpec) -> ClusterLabeling:
-    """Label intersecting-ball clusters: connected components of the hit graph."""
-    n = config.n
+    """The hit graph of the configuration; cluster labels follow on first read."""
     centers = config.centers
     radii = config.radii
 
@@ -272,15 +277,10 @@ def clusters(config: BallConfiguration, box: BoxSpec) -> ClusterLabeling:
     rsum = radii[ia] + radii[ib]
     hit = dist2 < rsum * rsum
 
-    edges = np.stack((ia[hit], ib[hit]))
-    graph = coo_matrix((np.ones(edges.shape[1]), (edges[0], edges[1])), shape=(n, n))
-    _, labels = connected_components(graph, directed=False)
-
     return ClusterLabeling(
-        labels=labels,
         touches_low=centers[:, 0] < radii,
         touches_high=centers[:, 0] + radii > box.side,
-        edges=edges,
+        edges=np.stack((ia[hit], ib[hit])),
     )
 
 

@@ -44,7 +44,6 @@ from .boolean_model import (
     BoxSpec,
     RadiusMixture,
     clusters,
-    percolates,
     sample,
 )
 from .geometry import unit_ball_volume
@@ -148,33 +147,32 @@ def _critical_mark(config: BallConfiguration, box: BoxSpec, marks: np.ndarray) -
     """Smallest q at which the balls with mark < q cross the box; inf if none do.
 
     This is the minimax mark over the paths between the two faces.  The hit
-    graph gains two face nodes, joined to the balls touching each face, and
-    every edge weighs the larger mark rank of its ends (ranks, not marks,
-    because csgraph drops zero weights).  The minimum spanning tree holds a
-    minimax path between any two nodes, so the answer is the largest mark
-    on its one face-to-face path.
+    graph gains two face nodes, weighing 0, joined to the balls touching each
+    face, and every edge weighs the larger of its ends' marks, floored at the
+    smallest positive float because csgraph drops zero weights.  The minimum
+    spanning tree holds a minimax path between any two nodes, so the search
+    from the low face node decides crossing, and the answer is the largest
+    mark on its path to the high one.
     """
     labeling = clusters(config, box)
-    if not percolates(labeling):
-        return math.inf
     n = config.n
-    order = np.argsort(marks)
-    rank = np.zeros(n + 2, dtype=np.int64)
-    rank[order] = np.arange(1, n + 1)
     low = np.flatnonzero(labeling.touches_low)
     high = np.flatnonzero(labeling.touches_high)
     a = np.concatenate((labeling.edges[0], np.full(low.size, n), np.full(high.size, n + 1)))
     b = np.concatenate((labeling.edges[1], low, high))
-    weight = np.maximum(rank[a], rank[b]).astype(float)
+    node_weight = np.concatenate((np.maximum(marks, 5e-324), [0.0, 0.0]))
+    weight = np.maximum(node_weight[a], node_weight[b])
     tree = minimum_spanning_tree(coo_matrix((weight, (a, b)), shape=(n + 2, n + 2)))
     _, pred = breadth_first_order(tree, n, directed=False, return_predecessors=True)
+    if pred[n + 1] < 0:
+        return math.inf
     pred = pred.tolist()
     path = []
     node = pred[n + 1]
     while node != n:
         path.append(node)
         node = pred[node]
-    return float(marks[order[rank[path].max() - 1]])
+    return float(marks[path].max())
 
 
 def _critical_intensities(

@@ -6,6 +6,18 @@ import math
 import numpy as np
 
 
+def brute_force_edges(config):
+    """Every intersecting unordered pair (i, j), i < j, by an all-pairs scan."""
+    n = config.n
+    edges = set()
+    for i in range(n):
+        for j in range(i + 1, n):
+            delta = config.centers[i] - config.centers[j]
+            if float(delta @ delta) < (config.radii[i] + config.radii[j]) ** 2:
+                edges.add((i, j))
+    return edges
+
+
 def brute_force_labels(config, box):
     """All-pairs O(n^2) cluster labels, canonicalized by first appearance."""
     n = config.n
@@ -17,11 +29,8 @@ def brute_force_labels(config, box):
             i = parent[i]
         return i
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            delta = config.centers[i] - config.centers[j]
-            if float(delta @ delta) < (config.radii[i] + config.radii[j]) ** 2:
-                parent[find(i)] = find(j)
+    for i, j in brute_force_edges(config):
+        parent[find(i)] = find(j)
     canon = {}
     return np.array([canon.setdefault(find(i), len(canon)) for i in range(n)])
 

@@ -19,7 +19,7 @@ from contperc.boolean_model import (
 )
 from contperc.rng import stream
 
-from _oracles import brute_force_labels, brute_force_percolates
+from _oracles import brute_force_edges, brute_force_labels, brute_force_percolates
 
 GRID = 0.125
 NUDGE = 2.0**-20
@@ -82,6 +82,17 @@ def test_crossing_clusters_match_brute_force(case):
     labeling = clusters(cfg, box)
     assert np.array_equal(labeling.canonical_labels(), brute_force_labels(cfg, box))
     assert percolates(labeling) == brute_force_percolates(cfg, box)
+
+
+@settings(max_examples=150, deadline=None)
+@given(configurations())
+def test_hit_edges_match_brute_force(case):
+    """The hit graph holds each intersecting unordered pair exactly once, and nothing else."""
+    box, cfg = case
+    edges = clusters(cfg, box).edges
+    pairs = [(min(i, j), max(i, j)) for i, j in edges.T.tolist()]
+    assert len(set(pairs)) == len(pairs)
+    assert set(pairs) == brute_force_edges(cfg)
 
 
 @settings(max_examples=50, deadline=None)

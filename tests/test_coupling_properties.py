@@ -84,6 +84,7 @@ CHAIN = (BoxSpec(2, 4.0), make_config([[0.5, 0.0], [2.0, 0.0], [3.5, 0.0]], [1.0
 @example((BoxSpec(2, 4.0), make_config([[2.0, 0.0]], [1.0]), np.array([0.25])))
 @example((*CHAIN, np.array([0.25, 0.5, 0.125])))
 @example((*CHAIN, np.array([0.5, 0.5, 0.5])))
+@example((*CHAIN, np.array([0.0, 0.0, 0.0])))
 def test_coupled_indicator_matches_thinned_oracles(case):
     box, cfg, marks = case
     critical = _critical_mark(cfg, box, marks)

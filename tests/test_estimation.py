@@ -76,6 +76,21 @@ def test_estimation_failure_when_never_crossing(monkeypatch):
         estimate_lambda_c(UNIT, BOX, trials=60, seed=0)
 
 
+def test_the_estimator_never_labels_clusters(monkeypatch):
+    """The spanning-tree search alone decides crossing; no trial computes labels."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the estimator labelled clusters")
+
+    monkeypatch.setattr(boolean_model, "connected_components", refuse)
+    box = BoxSpec(2, 8.0)
+    lam_hi = 8.0 / (4.0 * math.pi)  # estimate_lambda_c's lambda_hi for unit balls, d = 2
+    critical = estimation._critical_intensities(UNIT, box, 3, 50, lam_hi)
+    assert np.isfinite(critical).all()
+    est = estimate_lambda_c(UNIT, box, trials=50, seed=3)
+    assert est.ci_low <= est.lambda_c <= est.ci_high
+
+
 def test_canonicalize():
     mix = RadiusMixture([(2.0, 3.0), (4.0, 1.0)])
     canon, scale, mass = canonicalize(mix)
