@@ -25,7 +25,10 @@ DEFAULT_SEED = 20260808
 
 @dataclass
 class RunConfig:
-    """Everything needed to reproduce one run byte for byte."""
+    """Everything needed to reproduce one run byte for byte.
+
+    `params` holds the parsed option values, typed as the parser gives them.
+    """
 
     command: str
     params: dict
@@ -38,14 +41,16 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
+        """Read a saved config; `main` checks its params, fmt and output by parsing them."""
         data = json.loads(text)
-        return cls(
-            command=data["command"],
-            params=data["params"],
-            seed=int(data["seed"]),
-            output=data["output"],
-            fmt=data["fmt"],
-        )
+        for name in cls.__dataclass_fields__:
+            if name not in data:
+                raise ValueError(f"the saved config has no parameter {name!r}")
+        if not isinstance(data["params"], dict):
+            raise ValueError(f"the saved params must be a JSON object, not {data['params']!r}")
+        if type(data["seed"]) is not int:
+            raise ValueError(f"the saved seed must be an integer, not {data['seed']!r}")
+        return cls(**{name: data[name] for name in cls.__dataclass_fields__})
 
 
 def parse_mixture(text: str) -> RadiusMixture:
@@ -93,11 +98,11 @@ def _estimate_row(est: estimation.ThresholdEstimate, rho=None, alpha=None) -> di
 
 
 def _cmd_kappa(params: dict, seed: int, quiet: bool):
-    rho = float(params["rho"])
-    if params.get("k") is not None:
-        res = thresholds.kappa_c_k(rho, int(params["k"]))
+    rho = params["rho"]
+    if "k" in params:
+        res = thresholds.kappa_c_k(rho, params["k"])
     else:
-        res = thresholds.kappa_c(rho, int(params["kmax"]))
+        res = thresholds.kappa_c(rho, params["kmax"])
     row = {
         "rho": rho,
         "k": res.k_used,
@@ -109,10 +114,10 @@ def _cmd_kappa(params: dict, seed: int, quiet: bool):
 
 
 def _cmd_kappa_sweep(params: dict, seed: int, quiet: bool):
-    rho_min = float(params["rho_min"])
-    rho_max = float(params["rho_max"])
-    steps = int(params["steps"])
-    k_max = int(params["kmax"])
+    rho_min = params["rho_min"]
+    rho_max = params["rho_max"]
+    steps = params["steps"]
+    k_max = params["kmax"]
     if not 3 <= k_max <= thresholds.MAX_K:
         raise ValueError(f"kappa-sweep needs kmax in 3..{thresholds.MAX_K}")
     if steps < 2 or not 1.0 < rho_min < rho_max <= thresholds.MAX_RHO:
@@ -139,12 +144,12 @@ def _cmd_kappa_sweep(params: dict, seed: int, quiet: bool):
 
 def _cmd_threshold(params: dict, seed: int, quiet: bool):
     mixture = parse_mixture(params["mixture"])
-    box = BoxSpec(dimension=int(params["d"]), side=float(params["L"]))
+    box = BoxSpec(dimension=params["d"], side=params["L"])
     est = estimation.estimate_lambda_c(
         mixture,
         box,
-        trials=int(params["trials"]),
-        target_rel_tol=float(params["tol"]),
+        trials=params["trials"],
+        target_rel_tol=params["tol"],
         seed=seed,
         progress=_progress_printer(quiet),
     )
@@ -152,21 +157,22 @@ def _cmd_threshold(params: dict, seed: int, quiet: bool):
 
 
 def _cmd_alpha_sweep(params: dict, seed: int, quiet: bool):
-    rho = float(params["rho"])
-    d = int(params["d"])
-    if params.get("alphas"):
-        alphas = [float(a) for a in str(params["alphas"]).split(",")]
+    rho = params["rho"]
+    d = params["d"]
+    if "alphas" in params:
+        text = params["alphas"]
+        alphas = [float(a) for a in text.split(",")] if text else []
     else:
-        alphas = np.linspace(0.0, 1.0, int(params["alpha_count"])).tolist()
-    box = BoxSpec(dimension=d, side=float(params["L"]))
+        alphas = np.linspace(0.0, 1.0, params["alpha_count"]).tolist()
+    box = BoxSpec(dimension=d, side=params["L"])
     points = estimation.alpha_sweep(
         rho,
         alphas,
         d,
         box,
-        trials=int(params["trials"]),
+        trials=params["trials"],
         seed=seed,
-        target_rel_tol=float(params["tol"]),
+        target_rel_tol=params["tol"],
         progress=_progress_printer(quiet),
     )
     rows = [_estimate_row(p.estimate, rho=p.rho, alpha=p.alpha) for p in points]
@@ -174,10 +180,10 @@ def _cmd_alpha_sweep(params: dict, seed: int, quiet: bool):
 
 
 def _cmd_gw(params: dict, seed: int, quiet: bool):
-    d = int(params["d"])
-    rho = float(params["rho"])
+    d = params["d"]
+    rho = params["rho"]
     limit = branching.gw_critical_kappa_limit(rho)
-    kappa = float(params["kappa"]) if params.get("kappa") is not None else limit
+    kappa = params.get("kappa", limit)
     matrix = branching.mean_matrix(d, kappa, rho)
     row = {
         "d": d,
@@ -191,11 +197,11 @@ def _cmd_gw(params: dict, seed: int, quiet: bool):
 
 
 def _cmd_paths(params: dict, seed: int, quiet: bool):
-    d = int(params["d"])
-    rho = float(params["rho"])
-    kappa = float(params["kappa"])
-    k = int(params["k"])
-    run = pathcount.count_paths(d, rho, kappa, k, trials=int(params["trials"]), seed=seed)
+    d = params["d"]
+    rho = params["rho"]
+    kappa = params["kappa"]
+    k = params["k"]
+    run = pathcount.count_paths(d, rho, kappa, k, trials=params["trials"], seed=seed)
     row = {
         "d": d,
         "rho": rho,
@@ -212,10 +218,10 @@ def _cmd_paths(params: dict, seed: int, quiet: bool):
 
 def _cmd_slab(params: dict, seed: int, quiet: bool):
     spec = geometry.SlabSpec(
-        dimension=int(params["d"]),
-        radius=float(params["r"]),
-        lower=float(params["a"]),
-        upper=float(params["b"]),
+        dimension=params["d"],
+        radius=params["r"],
+        lower=params["a"],
+        upper=params["b"],
     )
     row = {
         "d": spec.dimension,
@@ -242,8 +248,6 @@ _COMMANDS = {
 
 def dispatch(config: RunConfig, quiet: bool = True):
     """Run the command in a RunConfig; returns (rows, single_record)."""
-    if config.command not in _COMMANDS:
-        raise ValueError(f"unknown command {config.command!r}")
     return _COMMANDS[config.command](config.params, config.seed, quiet)
 
 
@@ -372,29 +376,43 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     )
 
 
+def _replay_config(parser: argparse.ArgumentParser, path: str) -> RunConfig:
+    """Parse a saved config as `[command, --key=value ...]`, as a fresh run is parsed."""
+    with open(path) as fh:
+        saved = RunConfig.from_json(fh.read())
+    if str(saved.command).startswith("-"):  # argparse would read it as an option, such as --help
+        raise ValueError(f"unknown command {saved.command!r}")
+    argv = [saved.command, f"--seed={saved.seed}", f"--format={saved.fmt}"]
+    if saved.output is not None:
+        argv.append(f"--output={saved.output}")
+    # --key=value, so that a value starting with '-' is not read as an option.
+    options = {key: f"--{key.replace('_', '-')}={value}" for key, value in saved.params.items()}
+    args, unread = parser.parse_known_args(argv + list(options.values()))
+    config = _config_from_args(args)
+    for key in config.params:
+        if key not in saved.params:
+            raise ValueError(f"the saved config has no parameter {key!r}")
+    # argparse reads a key that abbreviates an option, or names a common one, as that option.
+    for key, option in options.items():
+        if key not in config.params and option not in unread:
+            raise ValueError(f"the saved parameter {key!r} is read as another option")
+    return config
+
+
 def main(argv=None) -> int:
+    """Run one command, or replay a saved config through the same parser; returns the exit code."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "replay":
+            config, save_config = _replay_config(parser, args.config_path), None
+        else:
+            config, save_config = _config_from_args(args), args.save_config
+        rows, single = dispatch(config, quiet=args.quiet)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-
-    try:
-        if args.command == "replay":
-            with open(args.config_path) as fh:
-                config = RunConfig.from_json(fh.read())
-            save_config = None
-        else:
-            config = _config_from_args(args)
-            save_config = args.save_config
-        rows, single = dispatch(config, quiet=getattr(args, "quiet", False))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except KeyError as exc:
-        if args.command != "replay":
-            raise
-        print(f"error: the saved config has no parameter {exc.args[0]!r}", file=sys.stderr)
         return 2
     except (CapacityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -262,8 +262,8 @@ def count_paths(d: int, rho: float, kappa: float, k: int, trials: int, seed: int
         raise ValueError(f"kappa must be positive and finite, not {kappa!r}")
     if not isinstance(k, int) or k < 0 or k > _MAX_K:
         raise ValueError(f"k must lie in 0..{_MAX_K}")
-    if trials < 1:
-        raise ValueError("trials must be positive")
+    if trials < 2:
+        raise ValueError("trials must be at least 2, so that the standard errors are finite")
     radius1 = 1.0 + rho + 2.0 * (k - 1)  # x_i lies within 1 + rho + 2 (i - 1)
     radius_rho = 2.0 * rho + 2.0 * k
 
@@ -300,8 +300,6 @@ def count_paths(d: int, rho: float, kappa: float, k: int, trials: int, seed: int
 
     def mean_se(total: float, total_sq: float) -> tuple[float, float]:
         mean = total / trials
-        if trials < 2:
-            return mean, math.inf
         var = max(0.0, (total_sq - trials * mean * mean) / (trials - 1))
         return mean, math.sqrt(var / trials)
 

@@ -2,10 +2,12 @@ import csv
 import io
 import json
 import math
+import runpy
+from pathlib import Path
 
 import pytest
 
-from contperc import estimation, pathcount, thresholds
+from contperc import cli, estimation, pathcount, thresholds
 from contperc.cli import RunConfig, main, parse_mixture, render
 
 
@@ -346,6 +348,14 @@ def test_alpha_sweep_rejects_an_empty_alpha_list(monkeypatch, capsys):
         assert code == 2, fmt
         assert out == "", fmt
         assert "need at least one alpha" in err, fmt
+    # An empty --alphas is an empty list, not a request for the default sweep.
+    code, out, err = run_cli(
+        capsys, "alpha-sweep", "--rho", "2", "--L", "6", "--alphas", "", "--trials", "50",
+        "--tol", "0.3",
+    )
+    assert code == 2
+    assert out == ""
+    assert "need at least one alpha" in err
 
 
 def test_non_finite_box_side_exits_2_before_sampling(monkeypatch, capsys):
@@ -378,3 +388,76 @@ def test_gw_and_paths_reject_a_non_finite_kappa(monkeypatch, capsys):
             assert code == 2, argv
             assert out == "", argv
             assert "kappa must be positive and finite" in err, argv
+
+
+def test_paths_needs_two_trials_before_sampling(monkeypatch, capsys):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled with too few trials for a standard error")
+
+    monkeypatch.setattr(pathcount, "_uniform_ball", no_sampling)
+    for trials in ("1", "0"):
+        code, out, err = run_cli(
+            capsys, "paths", "--d", "2", "--rho", "2", "--kappa", "0.5", "--k", "1",
+            "--trials", trials,
+        )
+        assert code == 2, trials
+        assert out == "", trials
+        assert "trials must be at least 2" in err, trials
+
+
+_THRESHOLD_CONFIG = {
+    "command": "threshold",
+    "params": {"d": 2, "mixture": "1:1", "L": 8.0, "trials": 50, "tol": 0.5},
+    "seed": 3,
+    "output": None,
+    "fmt": "json",
+}
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"params": dict(_THRESHOLD_CONFIG["params"], d=2.7, trials=50.9)},
+         "argument --d: invalid int value: '2.7'"),
+        ({"command": "kappa", "params": {"rho": 3.0, "k": 1, "kmax": 4}},
+         "argument --kmax: not allowed with argument --k"),
+        ({"fmt": "xml"}, "argument --format: invalid choice: 'xml'"),
+        ({"seed": 3.9}, "the saved seed must be an integer, not 3.9"),
+        ({"seed": "random"}, "the saved seed must be an integer, not 'random'"),
+        ({"params": ["x"]}, "the saved params must be a JSON object"),
+        ({"command": "replay"}, "the following arguments are required: config_path"),
+        ({"command": "--help"}, "unknown command '--help'"),
+        ({"command": "kappa-sweep",
+          "params": {"rho_min": 1.5, "rho_max": 3.0, "steps": 2, "kmax": 3, "k": 1}},
+         "the saved parameter 'k' is read as another option"),
+        ({"params": dict(_THRESHOLD_CONFIG["params"], format="csv")},
+         "the saved parameter 'format' is read as another option"),
+    ],
+    ids=["non-integral-d", "k-and-kmax", "xml", "float-seed", "random-seed", "params-list",
+         "replay-of-replay", "help-command", "abbreviated-key", "common-option-key"],
+)
+def test_replay_is_checked_by_the_commands_parser(changes, message, monkeypatch, tmp_path, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("sampled or optimized from an invalid config")
+
+    monkeypatch.setattr(estimation, "sample", no_work)
+    monkeypatch.setattr(thresholds, "_path_terms", no_work)
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(dict(_THRESHOLD_CONFIG, **changes)))
+    code, out, err = run_cli(capsys, "replay", str(path), "--quiet")
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+def test_benchmark_workloads_parse():
+    # The benchmark runs each workload's argv through the parser as below; an
+    # option it passes that the parser drops should fail here, not in the benchmark.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    workloads = runpy.run_path(str(path))["WORKLOADS"]
+    assert workloads
+    for name, workload in workloads.items():
+        argv = list(workload.argv) + ["--seed", "1", "--quiet"]
+        config = cli._config_from_args(cli.build_parser().parse_args(argv))
+        assert config.command == workload.argv[0], name
+        assert config.fmt in ("json", "csv"), name
