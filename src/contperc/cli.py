@@ -19,6 +19,7 @@ import numpy as np
 from . import branching, estimation, geometry, pathcount, thresholds
 from .boolean_model import BoxSpec, RadiusMixture
 from .errors import CapacityError
+from .util import check_rho
 
 DEFAULT_SEED = 20260808
 
@@ -43,6 +44,8 @@ class RunConfig:
     def from_json(cls, text: str) -> "RunConfig":
         """Read a saved config; `main` checks its params, fmt and output by parsing them."""
         data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ValueError(f"the saved config must be a JSON object, not {data!r}")
         for name in cls.__dataclass_fields__:
             if name not in data:
                 raise ValueError(f"the saved config has no parameter {name!r}")
@@ -120,8 +123,10 @@ def _cmd_kappa_sweep(params: dict, seed: int, quiet: bool):
     k_max = params["kmax"]
     if not 3 <= k_max <= thresholds.MAX_K:
         raise ValueError(f"kappa-sweep needs kmax in 3..{thresholds.MAX_K}")
-    if steps < 2 or not 1.0 < rho_min < rho_max <= thresholds.MAX_RHO:
-        raise ValueError(f"need steps >= 2 and 1 < rho_min < rho_max <= {thresholds.MAX_RHO:g}")
+    check_rho(rho_min)
+    check_rho(rho_max)
+    if steps < 2 or not rho_min < rho_max:
+        raise ValueError("need steps >= 2 and rho_min < rho_max")
     progress = _progress_printer(quiet)
     rows = []
     for i, rho in enumerate(np.linspace(rho_min, rho_max, steps)):

@@ -38,7 +38,7 @@ from scipy.spatial import cKDTree
 
 from .boolean_model import MAX_SIMULATION_DIMENSION, _QUERY_SLACK
 from .errors import CapacityError
-from .geometry import log_unit_ball_volume, unit_ball_volume
+from .geometry import unit_ball_volume
 from .rng import stream
 from .util import check_rho, ipow
 
@@ -242,6 +242,13 @@ def _uniform_ball(rng: np.random.Generator, n: int, d: int, radius: float) -> np
     return g * scale[:, None]
 
 
+def _count_text(log_count: float) -> str:
+    """A count given by its log, as a power of ten where exp would overflow."""
+    if log_count < 700.0:
+        return f"{math.exp(log_count):.3g}"
+    return f"10^{log_count / math.log(10.0):.4g}"
+
+
 def count_paths(d: int, rho: float, kappa: float, k: int, trials: int, seed: int) -> PathCountRun:
     """Estimate E(N_k) and E(M_k) over independent trials.
 
@@ -267,19 +274,24 @@ def count_paths(d: int, rho: float, kappa: float, k: int, trials: int, seed: int
     radius1 = 1.0 + rho + 2.0 * (k - 1)  # x_i lies within 1 + rho + 2 (i - 1)
     radius_rho = 2.0 * rho + 2.0 * k
 
-    lam1, lam_rho = intensities(d, rho, kappa)
-    log_vd = log_unit_ball_volume(d)
-    mean1 = lam1 * math.exp(log_vd + d * math.log(radius1)) if k >= 1 else 0.0
-    mean_rho = lam_rho * math.exp(log_vd + d * math.log(radius_rho))
-    # Mecke formula, as for M_k: E(#chains x_1, ..., x_j) = (kappa^j (1 + rho) / 2)^d.
-    steps = range(1, k + 1)
-    chains = max((ipow(ipow(kappa, j) * (1.0 + rho) / 2.0, d) for j in steps), default=0.0)
-    share = max((mean1 + mean_rho) / _MAX_CHUNK_POINTS, chains / _MAX_CHUNK_CHAINS)
-    if share > 1.0:
+    # Logs, so that nothing overflows.  A ball of radius R holds (kappa R / 2)^d unit centers
+    # and (kappa R / (2 rho))^d large ones; by Mecke, E(#chains x_1..x_j) = (kappa^j (1+rho) / 2)^d.
+    log_kappa = math.log(kappa)
+    log_mean1 = d * (log_kappa + math.log(radius1 / 2.0)) if k >= 1 else -math.inf
+    log_mean_rho = d * (log_kappa + math.log(radius_rho / (2.0 * rho)))
+    log_points = np.logaddexp(log_mean1, log_mean_rho)
+    log_step = math.log1p(rho) - math.log(2.0)
+    log_chains = max((d * (j * log_kappa + log_step) for j in range(1, k + 1)), default=-math.inf)
+    log_share = max(
+        log_points - math.log(_MAX_CHUNK_POINTS), log_chains - math.log(_MAX_CHUNK_CHAINS)
+    )
+    if log_share > 0.0:
         raise CapacityError(
-            f"one trial expects {mean1 + mean_rho:.3g} points and {chains:.3g} partial chains; "
+            f"one trial expects {_count_text(log_points)} points and "
+            f"{_count_text(log_chains)} partial chains; "
             f"the caps are {_MAX_CHUNK_POINTS:.3g} and {_MAX_CHUNK_CHAINS:.3g}"
         )
+    mean1, mean_rho, share = math.exp(log_mean1), math.exp(log_mean_rho), math.exp(log_share)
     chunk = _CHUNK_TRIALS if share * _CHUNK_TRIALS <= 1.0 else math.floor(1.0 / share)
 
     totals = np.zeros(4, dtype=np.int64)  # sums of N, N^2, M, M^2 over trials

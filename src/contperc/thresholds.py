@@ -12,25 +12,26 @@ kappa_c(rho, k) is the infimum over radial offsets (a_2, ..., a_{k+1}) in
 The genealogy term increases and the geometry term decreases in every
 offset, so the objective is a max of two monotone surfaces and the optimum
 sits either at the zero-offset boundary or on the crossing set.  The
-optimizer is a coarse stage (a full grid for k <= 3, a fixed uniform sample
-beyond) followed by SLSQP on the epigraph form, minimize t subject to
-t >= genealogy(a) and t >= geometry(a): two smooth constraints with analytic
-gradients replace the max, which is not differentiable on the crossing.
-Every value, from the coarse stage to the reported kappa, comes from one
-vectorised evaluation of both terms, and the coarse sample is fixed, so
-results depend on (rho, k) alone.
+optimizer works in u = atanh(a), where 1 - a^2 = sech^2 u does not cancel as
+the optimal offsets crowd toward 1: a coarse stage (a full grid for k <= 3,
+a fixed uniform sample beyond) followed by SLSQP on the epigraph form,
+minimize t subject to t >= genealogy(u) and t >= geometry(u): two smooth
+constraints with analytic gradients replace the max, which is not
+differentiable on the crossing.  Every value, from the coarse stage to the
+reported kappa, comes from one vectorised evaluation of both terms, and the
+coarse sample is fixed, so results depend on (rho, k) alone.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import brentq, minimize
 
 from .rng import stream
-from .util import MAX_RHO, check_rho
+from .util import check_rho
 
 __all__ = [
     "AlternationParams",
@@ -45,10 +46,10 @@ __all__ = [
     "k2_crossover_rho",
 ]
 
-# Offsets live in [0, 1 - _EDGE]; the genealogy term diverges at 1, and for
-# rho <= MAX_RHO the infimum is never on the excluded boundary.
-_EDGE = 1e-9
 MAX_K = 12
+# u = atanh(a) <= 400 keeps cosh(u) and the genealogy term finite; it passes
+# ln(rho / 2), the k = 1 optimum, for every rho up to util's 1e150.
+_U_MAX = 400.0
 _GRID_STEP = 0.05
 _COARSE_POINTS = 4096
 _COARSE_SEED = 0
@@ -100,37 +101,38 @@ class KappaResult:
 
 
 def _path_terms(
-    rho: float, offsets: np.ndarray
+    rho: float, u: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-    """Genealogy term, geometry term and distances for each row of (n, k) offsets.
+    """Genealogy term, geometry term and distances for each row of (n, k) u = atanh(a).
 
+    log genealogy = (log 4 rho - 2 log1p(rho) + sum log cosh u_i) / (k + 1).
     d_1 = 1 + rho and d_i^2 = d_{i-1}^2 + 2 r_i a_i d_{i-1} + r_i^2, the
     law of cosines for a step of length r_i leaving at radial offset a_i.
     Interior steps link unit balls (r_i = 2), the last one reaches a ball of
     the large radius (r_{k+1} = 1 + rho).  The distances come back as k + 1
     arrays of length n.
     """
-    k = offsets.shape[1]
-    # (1 - a)(1 + a) does not cancel near a = 1 as 1 - a*a does; the ufunc
-    # reduce skips np.prod's Python wrapper, once per SLSQP evaluation.
-    prod = np.multiply.reduce((1.0 - offsets) * (1.0 + offsets), axis=1)
-    genealogy = (4.0 * rho / ((1.0 + rho) ** 2 * np.sqrt(prod))) ** (1.0 / (k + 1))
-    dists = [np.full(offsets.shape[0], 1.0 + rho)]
+    k = u.shape[1]
+    # The ufunc reduce skips np.sum's Python wrapper, once per SLSQP evaluation.
+    log_cosh = np.add.reduce(np.log(np.cosh(u)), axis=1)
+    genealogy = np.exp((math.log(4.0 * rho) - 2.0 * math.log1p(rho) + log_cosh) / (k + 1))
+    a = np.tanh(u)
+    dists = [np.full(u.shape[0], 1.0 + rho)]
     for j, r_i in enumerate([2.0] * (k - 1) + [1.0 + rho]):
         prev = dists[-1]
-        dists.append(np.sqrt(prev * prev + 2.0 * r_i * offsets[:, j] * prev + r_i * r_i))
+        dists.append(np.sqrt(prev * prev + 2.0 * r_i * a[:, j] * prev + r_i * r_i))
     return genealogy, 2.0 * rho / dists[-1], dists
 
 
 def distance_profile(params: AlternationParams) -> DistanceProfile:
     """Build the distance sequence d_1, ..., d_{k+1} for the given offsets."""
-    _, _, dists = _path_terms(params.rho, np.array([params.offsets], dtype=float))
+    _, _, dists = _path_terms(params.rho, np.arctanh([params.offsets]))
     return DistanceProfile(tuple(float(d[0]) for d in dists))
 
 
 def objective(params: AlternationParams) -> tuple[float, float]:
     """Return (genealogy_term, geometry_term); the caller takes the max."""
-    genealogy, geometry, _ = _path_terms(params.rho, np.array([params.offsets], dtype=float))
+    genealogy, geometry, _ = _path_terms(params.rho, np.arctanh([params.offsets]))
     return float(genealogy[0]), float(geometry[0])
 
 
@@ -139,75 +141,79 @@ def genealogy_envelope(rho: float, k: int) -> float:
     return float(_path_terms(rho, np.zeros((1, k)))[0][0])
 
 
-def _term_gradients(rho: float, a: np.ndarray) -> np.ndarray:
-    """Rows d(genealogy)/da, d(geometry)/da at offsets a; distances differentiate
-    forward, dd_j = (d_{j-1} + r_j a_j) / d_j dd_{j-1} + r_j d_{j-1} / d_j e_j."""
-    k = a.size
-    genealogy, geometry, dists = _path_terms(rho, a[None, :])
+def _term_gradients(rho: float, u: np.ndarray) -> np.ndarray:
+    """Rows d(genealogy)/du, d(geometry)/du at u = atanh(a), with da_i/du_i = sech^2 u_i;
+    distances differentiate forward,
+    dd_j = (d_{j-1} + r_j a_j) / d_j dd_{j-1} + r_j d_{j-1} / d_j e_j."""
+    k = u.size
+    genealogy, geometry, dists = _path_terms(rho, u[None, :])
+    a = np.tanh(u)
     d_dist = np.zeros(k)
     for j, r_j in enumerate([2.0] * (k - 1) + [1.0 + rho]):
         d_dist *= (dists[j][0] + r_j * a[j]) / dists[j + 1][0]
         d_dist[j] = r_j * dists[j][0] / dists[j + 1][0]
-    d_genealogy = genealogy[0] * a / ((k + 1) * (1.0 - a) * (1.0 + a))
-    return np.array([d_genealogy, -geometry[0] / dists[-1][0] * d_dist])
+    sech = 1.0 / np.cosh(u)
+    d_geometry = -geometry[0] / dists[-1][0] * d_dist * sech * sech
+    return np.array([genealogy[0] * a / (k + 1), d_geometry])
 
 
 def kappa_c_k(rho: float, k: int) -> KappaResult:
     """Minimize the alternating-path objective over offsets in [0, 1)^k.
 
-    Coarse stage: a full grid with step 0.05 per coordinate for k <= 3,
-    4096 uniform points from a fixed stream plus the zero offsets beyond
-    that.  The three best candidates start SLSQP solves of the epigraph form
-    over (a, t); each solution is clipped to the bounds and re-evaluated.
-    They converge well inside the iteration limit for every k <= MAX_K and
-    agree with a 20-start search over 20 000 points to about 1e-14.
+    Coarse stage, in a: a full grid with step 0.05 per coordinate for
+    k <= 3, 4096 uniform points from a fixed stream plus the zero offsets
+    beyond that; for rho > 2 one more point has every u_i = ln(rho / 2).
+    The three best candidates start SLSQP solves of the epigraph form over
+    (u, t); the solutions, clipped to the bounds, are evaluated with the
+    coarse optimum in one batch, and the first smallest wins.  They converge
+    well inside the iteration limit for every k <= MAX_K.  k = 1 meets
+    kappa_c1_closed_form to 1e-14 for every rho up to 1e150.
     """
     check_rho(rho)
     if not isinstance(k, int) or not 1 <= k <= MAX_K:
         raise ValueError(f"k must lie in 1..{MAX_K}")
 
     if k <= 3:
-        axis = np.arange(0.0, 1.0, _GRID_STEP)
-        grids = np.meshgrid(*([axis] * k), indexing="ij")
-        candidates = np.stack([g.ravel() for g in grids], axis=1)
+        axis = np.arctanh(np.arange(0.0, 1.0, _GRID_STEP))
+        candidates = np.stack(np.meshgrid(*([axis] * k), indexing="ij"), axis=-1).reshape(-1, k)
     else:
-        candidates = stream(_COARSE_SEED, k).random((_COARSE_POINTS, k)) * (1.0 - _EDGE)
-        candidates = np.vstack([candidates, np.zeros((1, k))])
+        sample = np.arctanh(stream(_COARSE_SEED, k).random((_COARSE_POINTS, k)))
+        candidates = np.vstack([sample, np.zeros((1, k))])
+    if rho > 2.0:
+        candidates = np.vstack([candidates, np.full((1, k), math.log(rho / 2.0))])
 
     genealogy, geometry, _ = _path_terms(rho, candidates)
     values = np.maximum(genealogy, geometry)
     order = np.argsort(values)
 
-    # x = (a, t): minimize t subject to t - genealogy(a) >= 0 and t - geometry(a) >= 0.
+    # x = (u, t): minimize t subject to t - genealogy(u) >= 0 and t - geometry(u) >= 0.
     def gaps(x: np.ndarray) -> np.ndarray:
         return x[-1] - np.concatenate(_path_terms(rho, x[None, :-1])[:2])
 
     def gaps_jac(x: np.ndarray) -> np.ndarray:
         return np.hstack([-_term_gradients(rho, x[:-1]), np.ones((2, 1))])
 
-    best_x, best_f = candidates[order[0]], float(values[order[0]])
+    finalists = [candidates[order[0]]]
     # No offset lowers the genealogy term, so a coarse optimum at its
     # zero-offset value is exact and needs no refinement.
-    for idx in order[:3] if best_f > genealogy_envelope(rho, k) else ():
+    for idx in order[:3] if values[order[0]] > genealogy_envelope(rho, k) else ():
         res = minimize(
             lambda x: x[-1],
             np.append(candidates[idx], values[idx]),
             jac=lambda x: np.eye(k + 1)[-1],
             method="SLSQP",
-            bounds=[(0.0, 1.0 - _EDGE)] * k + [(None, None)],
+            bounds=[(0.0, _U_MAX)] * k + [(None, None)],
             constraints={"type": "ineq", "fun": gaps, "jac": gaps_jac},
             options=_SLSQP_OPTIONS,
         )
-        x = np.clip(res.x[:-1], 0.0, 1.0 - _EDGE)
-        f = float(np.maximum(*_path_terms(rho, x[None, :])[:2])[0])
-        if f < best_f:
-            best_x, best_f = x, f
+        finalists.append(np.clip(res.x[:-1], 0.0, _U_MAX))
 
-    genealogy, geometry, _ = _path_terms(rho, best_x[None, :])
-    branches = (float(genealogy[0]), float(geometry[0]))
+    genealogy, geometry, _ = _path_terms(rho, np.array(finalists))
+    best = int(np.argmin(np.maximum(genealogy, geometry)))
+    branches = (float(genealogy[best]), float(geometry[best]))
     return KappaResult(
         kappa=max(branches),
-        offsets=tuple(float(a) for a in best_x),
+        offsets=tuple(float(a) for a in np.tanh(finalists[best])),
         branch_values=branches,
         k_used=k,
     )
@@ -223,20 +229,8 @@ def kappa_c(rho: float, k_max: int = 6) -> KappaResult:
     """
     if not isinstance(k_max, int) or not 1 <= k_max <= MAX_K:
         raise ValueError(f"k_max must lie in 1..{MAX_K}")
-    best: KappaResult | None = None
-    for k in range(1, k_max + 1):
-        result = kappa_c_k(rho, k)
-        if best is None or result.kappa < best.kappa:
-            best = result
-    assert best is not None
-    certified = genealogy_envelope(rho, k_max + 1) >= best.kappa
-    return KappaResult(
-        kappa=best.kappa,
-        offsets=best.offsets,
-        branch_values=best.branch_values,
-        k_used=best.k_used,
-        certified=certified,
-    )
+    best = min((kappa_c_k(rho, k) for k in range(1, k_max + 1)), key=lambda r: r.kappa)
+    return replace(best, certified=genealogy_envelope(rho, k_max + 1) >= best.kappa)
 
 
 def kappa_c1_closed_form(rho: float) -> float:
@@ -255,20 +249,13 @@ def kappa_c1_closed_form(rho: float) -> float:
 def k2_crossover_rho(tol: float = 1e-3) -> float:
     """Numerically locate where kappa_c(rho, 2) first drops below kappa_c(rho, 1).
 
-    Bisection on the sign of kappa_c_k(rho, 2) - kappa_c_k(rho, 1) over
-    rho in [2, 12], where the gap is positive at 2 and negative at 12.  This
-    is an empirical crossover estimate only; no claim is made that the k = 1
-    optimum stays global all the way up to this point.
+    Brent's method on kappa_c_k(rho, 2) - kappa_c_k(rho, 1) over rho in
+    [2, 12]; brentq raises ValueError unless the gap changes sign between
+    the two ends.  This is an empirical crossover estimate only; no claim is
+    made that the k = 1 optimum stays global all the way up to this point.
     """
 
     def gap(rho: float) -> float:
         return kappa_c_k(rho, 2).kappa - kappa_c_k(rho, 1).kappa
 
-    lo, hi = 2.0, 12.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if gap(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return brentq(gap, 2.0, 12.0, xtol=tol)

@@ -89,7 +89,36 @@ def test_non_finite_or_overflowing_rho_exits_2_before_optimizing(monkeypatch, ca
         code, out, err = run_cli(capsys, *argv)
         assert code == 2, argv
         assert out == "", argv
-        assert err.rstrip().endswith(" 300"), argv
+        assert err.rstrip().endswith(" 1e+150"), argv
+
+
+@pytest.mark.parametrize("rho", ["301", "1e4", "1e150", "2e150"])
+def test_every_rho_command_exits_cleanly_at_large_rho(rho, capsys):
+    # Up to 1e150 the analytic commands run, and the Monte Carlo ones run or
+    # stop at a cap (exit 3); above it every command exits 2.  An overflow
+    # would raise out of main.
+    for analytic, argv in (
+        (True, ("kappa", "--rho", rho, "--k", "1")),
+        (True, ("kappa", "--rho", rho, "--kmax", "3")),
+        (True, ("kappa-sweep", "--rho-min", "2", "--rho-max", rho, "--steps", "2")),
+        (True, ("gw", "--d", "3", "--rho", rho)),
+        (True, ("gw", "--d", "3", "--rho", rho, "--kappa", "0.9")),
+        (False, ("paths", "--d", "2", "--rho", rho, "--kappa", "0.8", "--k", "1", "--trials", "10")),
+        (False, ("paths", "--d", "6", "--rho", rho, "--kappa", "0.8", "--k", "1", "--trials", "10")),
+        # The sweep's endpoints are monodisperse; a mixture at rho 301 samples
+        # millions of balls per trial and runs for minutes.
+        (False, ("alpha-sweep", "--rho", rho, "--d", "2", "--L", "6", "--trials", "50",
+                 "--tol", "0.3", "--alphas", "0,1")),
+    ):
+        code, out, err = run_cli(capsys, *argv, "--quiet")
+        if rho == "2e150":
+            assert code == 2, argv
+        else:
+            assert code in ((0,) if analytic else (0, 3)), argv
+        if code == 0:
+            assert "Infinity" not in out and "NaN" not in out, argv
+        else:
+            assert out == "" and err.startswith("error: "), argv
 
 
 def test_unknown_arguments_exit_2(capsys):
@@ -448,6 +477,16 @@ def test_replay_is_checked_by_the_commands_parser(changes, message, monkeypatch,
     assert code == 2
     assert out == ""
     assert message in err
+
+
+@pytest.mark.parametrize("text", ["5", "null", "[1, 2]", '"threshold"'])
+def test_replay_of_a_non_object_config_exits_2(text, tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "replay", str(path), "--quiet")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: the saved config must be a JSON object, not {json.loads(text)!r}\n"
 
 
 def test_benchmark_workloads_parse():

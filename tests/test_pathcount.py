@@ -49,16 +49,28 @@ def test_validations():
 
 def test_chain_capacity_fails_before_sampling(monkeypatch, capsys):
     # About 1.6e3 points but 2.6e6 expected 4-chains per trial: only the
-    # chain cap is exceeded, and no random stream may be opened.
+    # chain cap is exceeded, and no random stream may be opened.  At rho =
+    # 1e150 both expectations pass 1e300, so they are compared in logs.
     def no_sampling(*args):
         raise AssertionError("sampled before the capacity check")
 
     monkeypatch.setattr(pathcount, "stream", no_sampling)
-    with pytest.raises(CapacityError, match="partial chains"):
-        count_paths(2, 1.5, 6.0, 4, trials=10, seed=0)
-    argv = ["paths", "--d", "2", "--rho", "1.5", "--kappa", "6", "--k", "4", "--quiet"]
-    assert main(argv) == 3
-    assert "partial chains" in capsys.readouterr().err
+    for d, rho, kappa, k in ((2, 1.5, 6.0, 4), (6, 1e150, 0.8, 1)):
+        with pytest.raises(CapacityError, match="partial chains"):
+            count_paths(d, rho, kappa, k, trials=10, seed=0)
+        argv = ["--d", str(d), "--rho", str(rho), "--kappa", str(kappa), "--k", str(k)]
+        assert main(["paths", *argv, "--quiet"]) == 3
+        assert "partial chains" in capsys.readouterr().err
+
+
+def test_large_rho_counts_match_the_exact_expectation():
+    exact = tuple_expectation_exact(2, 1000.0, 0.06, 1)
+    for seed in range(1, 6):
+        run = count_paths(2, 1000.0, 0.06, 1, trials=4000, seed=seed)
+        assert run.mean_m == pytest.approx(exact, abs=4.0 * run.se_m), seed
+    # A tiny kappa keeps every count small, although v_d (1 + rho)^d overflows.
+    run = count_paths(6, 1e150, 1e-200, 1, trials=10, seed=0)
+    assert (run.mean_n, run.mean_m) == (0.0, 0.0)
 
 
 def test_unit_centres_are_sampled_only_where_a_chain_can_reach(monkeypatch):

@@ -36,8 +36,8 @@ def test_params_validation():
 
 
 def test_rho_must_be_finite_and_below_overflow():
-    for rho in (math.inf, math.nan, 1e308, 2e150, 300.5):
-        with pytest.raises(ValueError, match="rho must exceed 1 and be at most 300$"):
+    for rho in (math.inf, math.nan, 1e308, 2e150, 1.0):
+        with pytest.raises(ValueError, match=r"rho must exceed 1 and be at most 1e\+150$"):
             AlternationParams(rho, 1, (0.0,))
         with pytest.raises(ValueError, match="rho must exceed 1"):
             kappa_c_k(rho, 2)
@@ -46,13 +46,17 @@ def test_rho_must_be_finite_and_below_overflow():
 
 
 def test_kappa_below_one_and_k1_exact_up_to_max_rho():
-    # Past MAX_RHO the k = 1 optimum drifts from the closed form, and far
-    # past it the offset bound lets kappa exceed 1.
-    for rho in np.geomspace(1.01, thresholds.MAX_RHO, 400).tolist():
+    # The k = 1 optimum u = ln(rho / 2) lies inside [0, 400] up to rho = 1e150.
+    for rho in np.geomspace(1.01, 1e150, 400).tolist():
         assert abs(kappa_c_k(rho, 1).kappa - kappa_c1_closed_form(rho)) <= 1e-12, rho
-    for rho in np.geomspace(1.01, thresholds.MAX_RHO, 6).tolist():
+    assert kappa_c_k(1e10, 1).kappa < 1.0
+    for rho in np.geomspace(1.01, 300.0, 6).tolist():
         res = [kappa_c_k(rho, k) for k in range(1, thresholds.MAX_K + 1)]
         assert all(r.kappa < 1.0 and all(math.isfinite(a) for a in r.offsets) for r in res), rho
+    # Far above, the true values round to 1.
+    for rho in np.geomspace(1e3, 1e150, 6).tolist():
+        res = [kappa_c_k(rho, k) for k in range(1, thresholds.MAX_K + 1)]
+        assert all(math.isfinite(r.kappa) and r.kappa <= 1.0 + 1e-13 for r in res), rho
 
 
 def test_distance_profile_zero_offset():
@@ -212,14 +216,14 @@ def test_no_slsqp_start_reaches_the_iteration_limit(monkeypatch):
     st.integers(1, 12).flatmap(lambda k: st.lists(st.floats(0.0, 0.99), min_size=k, max_size=k)),
 )
 def test_term_gradients_match_central_differences(rho, offsets):
-    a = np.array(offsets)
+    u = np.arctanh(np.array(offsets))
     step = 1e-7
-    shifts = step * np.eye(a.size)  # row i moves offset i alone
-    up = thresholds._path_terms(rho, a + shifts)
-    down = thresholds._path_terms(rho, a - shifts)
+    shifts = step * np.eye(u.size)  # row i moves coordinate i alone
+    up = thresholds._path_terms(rho, u + shifts)
+    down = thresholds._path_terms(rho, u - shifts)
     numeric = (np.array(up[:2]) - np.array(down[:2])) / (2.0 * step)
-    genealogy, geometry, _ = thresholds._path_terms(rho, a[None, :])
-    analytic = thresholds._term_gradients(rho, a)
+    genealogy, geometry, _ = thresholds._path_terms(rho, u[None, :])
+    analytic = thresholds._term_gradients(rho, u)
     for row, value in enumerate((genealogy[0], geometry[0])):
         # Rounding in the differences is about 1e-16 * value / step.
         assert analytic[row] == pytest.approx(numeric[row], rel=1e-5, abs=1e-7 * value)
@@ -233,7 +237,7 @@ def test_k2_crossover_location():
 
 
 def test_k2_crossover_bracket_changes_sign():
-    # k2_crossover_rho bisects over [2, 12] without checking its ends.
+    # brentq checks this too: it raises ValueError unless the gap changes sign.
     def gap(rho):
         return kappa_c_k(rho, 2).kappa - kappa_c_k(rho, 1).kappa
 
