@@ -17,9 +17,11 @@ the optimal offsets crowd toward 1: a coarse stage (a full grid for k <= 3,
 a fixed uniform sample beyond) followed by SLSQP on the epigraph form,
 minimize t subject to t >= genealogy(u) and t >= geometry(u): two smooth
 constraints with analytic gradients replace the max, which is not
-differentiable on the crossing.  Every value, from the coarse stage to the
-reported kappa, comes from one vectorised evaluation of both terms, and the
-coarse sample is fixed, so results depend on (rho, k) alone.
+differentiable on the crossing.  The three best coarse points are refined
+together, as three blocks of one SLSQP problem that share no variable.
+Every value, from the coarse stage to the reported kappa, comes from one
+vectorised evaluation of both terms, and the coarse sample is fixed, so
+results depend on (rho, k) alone.
 """
 
 from __future__ import annotations
@@ -141,20 +143,23 @@ def genealogy_envelope(rho: float, k: int) -> float:
     return float(_path_terms(rho, np.zeros((1, k)))[0][0])
 
 
-def _term_gradients(rho: float, u: np.ndarray) -> np.ndarray:
-    """Rows d(genealogy)/du, d(geometry)/du at u = atanh(a), with da_i/du_i = sech^2 u_i;
-    distances differentiate forward,
+def _term_gradients(
+    rho: float, u: np.ndarray, terms: tuple[np.ndarray, np.ndarray, list[np.ndarray]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """d(genealogy)/du and d(geometry)/du, each (n, k), at each row of u = atanh(a),
+    from the terms `_path_terms(rho, u)` returned there.  da_i/du_i = sech^2 u_i,
+    and distances differentiate forward,
     dd_j = (d_{j-1} + r_j a_j) / d_j dd_{j-1} + r_j d_{j-1} / d_j e_j."""
-    k = u.size
-    genealogy, geometry, dists = _path_terms(rho, u[None, :])
+    genealogy, geometry, dists = terms
+    k = u.shape[1]
     a = np.tanh(u)
-    d_dist = np.zeros(k)
+    d_dist = np.zeros(u.shape)
     for j, r_j in enumerate([2.0] * (k - 1) + [1.0 + rho]):
-        d_dist *= (dists[j][0] + r_j * a[j]) / dists[j + 1][0]
-        d_dist[j] = r_j * dists[j][0] / dists[j + 1][0]
+        d_dist *= ((dists[j] + r_j * a[:, j]) / dists[j + 1])[:, None]
+        d_dist[:, j] = r_j * dists[j] / dists[j + 1]
     sech = 1.0 / np.cosh(u)
-    d_geometry = -geometry[0] / dists[-1][0] * d_dist * sech * sech
-    return np.array([genealogy[0] * a / (k + 1), d_geometry])
+    d_geometry = -(geometry / dists[-1])[:, None] * d_dist * sech * sech
+    return genealogy[:, None] * a / (k + 1), d_geometry
 
 
 def kappa_c_k(rho: float, k: int) -> KappaResult:
@@ -163,11 +168,14 @@ def kappa_c_k(rho: float, k: int) -> KappaResult:
     Coarse stage, in a: a full grid with step 0.05 per coordinate for
     k <= 3, 4096 uniform points from a fixed stream plus the zero offsets
     beyond that; for rho > 2 one more point has every u_i = ln(rho / 2).
-    The three best candidates start SLSQP solves of the epigraph form over
-    (u, t); the solutions, clipped to the bounds, are evaluated with the
-    coarse optimum in one batch, and the first smallest wins.  They converge
-    well inside the iteration limit for every k <= MAX_K.  k = 1 meets
-    kappa_c1_closed_form to 1e-14 for every rho up to 1e150.
+    The three best candidates start one SLSQP solve of the epigraph form
+    over three independent blocks (u_b, t_b), with the objective sum t_b and
+    a block-diagonal constraint Jacobian; each point's terms are evaluated
+    once for both the constraints and their Jacobian.  The solutions,
+    clipped to the bounds, are evaluated with the coarse optimum in one
+    batch, and the first smallest wins.  The solve converges well inside the
+    iteration limit for every k <= MAX_K.  k = 1 meets kappa_c1_closed_form
+    to 1e-14 for every rho up to 1e150.
     """
     check_rho(rho)
     if not isinstance(k, int) or not 1 <= k <= MAX_K:
@@ -186,29 +194,51 @@ def kappa_c_k(rho: float, k: int) -> KappaResult:
     values = np.maximum(genealogy, geometry)
     order = np.argsort(values)
 
-    # x = (u, t): minimize t subject to t - genealogy(u) >= 0 and t - geometry(u) >= 0.
-    def gaps(x: np.ndarray) -> np.ndarray:
-        return x[-1] - np.concatenate(_path_terms(rho, x[None, :-1])[:2])
-
-    def gaps_jac(x: np.ndarray) -> np.ndarray:
-        return np.hstack([-_term_gradients(rho, x[:-1]), np.ones((2, 1))])
-
-    finalists = [candidates[order[0]]]
+    finalists = candidates[order[:1]]
     # No offset lowers the genealogy term, so a coarse optimum at its
     # zero-offset value is exact and needs no refinement.
-    for idx in order[:3] if values[order[0]] > genealogy_envelope(rho, k) else ():
+    starts = order[:3] if values[order[0]] > genealogy_envelope(rho, k) else order[:0]
+    if starts.size:
+        # One block (u_b, t_b) per start: minimize sum t_b subject to
+        # t_b - genealogy(u_b) >= 0 and t_b - geometry(u_b) >= 0.  The blocks
+        # share no variable, so each reaches the optimum of its own solve.
+        m = starts.size
+        blocks = np.arange(m)
+        last = {}
+
+        def terms(x: np.ndarray) -> tuple:
+            # SLSQP asks for the gaps and their Jacobian at the same point and
+            # overwrites x in place, so the memo keeps a copy.
+            if "x" not in last or not np.array_equal(last["x"], x):
+                last["x"] = x.copy()
+                last["terms"] = _path_terms(rho, x.reshape(m, k + 1)[:, :k])
+            return last["terms"]
+
+        def gaps(x: np.ndarray) -> np.ndarray:
+            genealogy, geometry, _ = terms(x)
+            return (x[k :: k + 1, None] - np.column_stack([genealogy, geometry])).ravel()
+
+        def gaps_jac(x: np.ndarray) -> np.ndarray:
+            d_terms = _term_gradients(rho, x.reshape(m, k + 1)[:, :k], terms(x))
+            jac = np.zeros((m, 2, m, k + 1))
+            jac[blocks, :, blocks, :k] = -np.stack(d_terms, axis=1)
+            jac[blocks, :, blocks, k] = 1.0
+            return jac.reshape(2 * m, m * (k + 1))
+
+        t_grad = np.tile(np.eye(k + 1)[-1], m)
         res = minimize(
-            lambda x: x[-1],
-            np.append(candidates[idx], values[idx]),
-            jac=lambda x: np.eye(k + 1)[-1],
+            lambda x: x[k :: k + 1].sum(),
+            np.column_stack([candidates[starts], values[starts]]).ravel(),
+            jac=lambda x: t_grad,
             method="SLSQP",
-            bounds=[(0.0, _U_MAX)] * k + [(None, None)],
+            bounds=([(0.0, _U_MAX)] * k + [(None, None)]) * m,
             constraints={"type": "ineq", "fun": gaps, "jac": gaps_jac},
             options=_SLSQP_OPTIONS,
         )
-        finalists.append(np.clip(res.x[:-1], 0.0, _U_MAX))
+        refined = np.clip(res.x.reshape(m, k + 1)[:, :k], 0.0, _U_MAX)
+        finalists = np.vstack([finalists, refined])
 
-    genealogy, geometry, _ = _path_terms(rho, np.array(finalists))
+    genealogy, geometry, _ = _path_terms(rho, finalists)
     best = int(np.argmin(np.maximum(genealogy, geometry)))
     branches = (float(genealogy[best]), float(geometry[best]))
     return KappaResult(
@@ -250,10 +280,13 @@ def k2_crossover_rho(tol: float = 1e-3) -> float:
     """Numerically locate where kappa_c(rho, 2) first drops below kappa_c(rho, 1).
 
     Brent's method on kappa_c_k(rho, 2) - kappa_c_k(rho, 1) over rho in
-    [2, 12]; brentq raises ValueError unless the gap changes sign between
-    the two ends.  This is an empirical crossover estimate only; no claim is
-    made that the k = 1 optimum stays global all the way up to this point.
+    [2, 12] to absolute tolerance tol, which must be positive and finite;
+    brentq raises ValueError unless the gap changes sign between the two
+    ends.  This is an empirical crossover estimate only; no claim is made
+    that the k = 1 optimum stays global all the way up to this point.
     """
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
 
     def gap(rho: float) -> float:
         return kappa_c_k(rho, 2).kappa - kappa_c_k(rho, 1).kappa

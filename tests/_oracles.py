@@ -4,6 +4,10 @@ import itertools
 import math
 
 import numpy as np
+from scipy.optimize import minimize
+
+from contperc import thresholds
+from contperc.rng import stream
 
 
 def brute_force_edges(config):
@@ -161,3 +165,50 @@ def reference_path_terms(rho, k, offsets):
         prod *= (1.0 - a) * (1.0 + a)
     genealogy = (4.0 * rho / ((1.0 + rho) ** 2 * math.sqrt(prod))) ** (1.0 / (k + 1))
     return genealogy, 2.0 * rho / dists[-1], dists
+
+
+def reference_kappa_c_k(rho, k):
+    """kappa_c(rho, k) with the coarse stage of `thresholds.kappa_c_k` and one
+    separate SLSQP solve of the epigraph form per start, as three solves.
+
+    Each solve minimizes t over x = (u, t) subject to t - genealogy(u) >= 0
+    and t - geometry(u) >= 0, from one of the three best coarse points; the
+    coarse optimum and the clipped solutions are evaluated together and the
+    first smallest wins.
+    """
+    if k <= 3:
+        axis = np.arctanh(np.arange(0.0, 1.0, thresholds._GRID_STEP))
+        candidates = np.stack(np.meshgrid(*([axis] * k), indexing="ij"), axis=-1).reshape(-1, k)
+    else:
+        shape = (thresholds._COARSE_POINTS, k)
+        sample = np.arctanh(stream(thresholds._COARSE_SEED, k).random(shape))
+        candidates = np.vstack([sample, np.zeros((1, k))])
+    if rho > 2.0:
+        candidates = np.vstack([candidates, np.full((1, k), math.log(rho / 2.0))])
+    genealogy, geometry, _ = thresholds._path_terms(rho, candidates)
+    values = np.maximum(genealogy, geometry)
+    order = np.argsort(values)
+
+    def gaps(x):
+        return x[-1] - np.concatenate(thresholds._path_terms(rho, x[None, :-1])[:2])
+
+    def gaps_jac(x):
+        u = x[None, :-1]
+        d_terms = thresholds._term_gradients(rho, u, thresholds._path_terms(rho, u))
+        return np.hstack([-np.vstack(d_terms), np.ones((2, 1))])
+
+    finalists = [candidates[order[0]]]
+    if values[order[0]] > thresholds.genealogy_envelope(rho, k):
+        for idx in order[:3]:
+            res = minimize(
+                lambda x: x[-1],
+                np.append(candidates[idx], values[idx]),
+                jac=lambda x: np.eye(k + 1)[-1],
+                method="SLSQP",
+                bounds=[(0.0, thresholds._U_MAX)] * k + [(None, None)],
+                constraints={"type": "ineq", "fun": gaps, "jac": gaps_jac},
+                options=thresholds._SLSQP_OPTIONS,
+            )
+            finalists.append(np.clip(res.x[:-1], 0.0, thresholds._U_MAX))
+    genealogy, geometry, _ = thresholds._path_terms(rho, np.array(finalists))
+    return float(np.maximum(genealogy, geometry).min())

@@ -21,7 +21,7 @@ from contperc.thresholds import (
     objective,
 )
 
-from _oracles import reference_path_terms
+from _oracles import reference_kappa_c_k, reference_path_terms
 
 
 def test_params_validation():
@@ -204,29 +204,85 @@ def test_no_slsqp_start_reaches_the_iteration_limit(monkeypatch):
 
     monkeypatch.setattr(thresholds, "minimize", counted)
     for rho in np.linspace(1.1, 10.0, 30):  # the kappa-sweep benchmark's rho
-        for k in range(1, 9):
+        for k in range(1, thresholds.MAX_K + 1):
+            solves = len(iterations)
             kappa_c_k(float(rho), k)
+            assert len(iterations) - solves <= 1, (rho, k)  # all starts in one solve
     assert iterations
     assert max(iterations) < thresholds._SLSQP_OPTIONS["maxiter"]
+
+
+def test_slsqp_evaluates_the_path_terms_once_per_point(monkeypatch):
+    points, inside, path_terms_calls = set(), [], []
+    minimize, path_terms = thresholds.minimize, thresholds._path_terms
+
+    def recorded(fn):
+        def wrapper(x):
+            points.add(x.tobytes())
+            return fn(x)
+
+        return wrapper
+
+    def watched(*args, constraints, **kwargs):
+        constraints = {**constraints, "fun": recorded(constraints["fun"])}
+        constraints["jac"] = recorded(constraints["jac"])
+        inside.append(True)
+        try:
+            return minimize(*args, constraints=constraints, **kwargs)
+        finally:
+            inside.pop()
+
+    def counted(*args):
+        if inside:
+            path_terms_calls.append(args)
+        return path_terms(*args)
+
+    monkeypatch.setattr(thresholds, "minimize", watched)
+    monkeypatch.setattr(thresholds, "_path_terms", counted)
+    for rho in (9.0, 40.0, 1e6):  # every k below refines at these rho
+        for k in (1, 2, 3, 5, 12):
+            points.clear()
+            path_terms_calls.clear()
+            kappa_c_k(rho, k)
+            assert points and len(path_terms_calls) == len(points), (rho, k)
+
+
+def test_one_block_solve_matches_three_separate_solves():
+    # The benchmark's kappa-sweep rows, which also report the best k.
+    for rho in np.linspace(1.1, 10.0, 30).tolist():
+        got = [kappa_c_k(rho, k).kappa for k in (1, 2, 3)]
+        want = [reference_kappa_c_k(rho, k) for k in (1, 2, 3)]
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0), rho
+        assert np.argmin(got) == np.argmin(want), rho
+    for rho in np.geomspace(1.05, 300.0, 12).tolist():
+        for k in range(4, thresholds.MAX_K + 1):
+            got = kappa_c_k(rho, k).kappa
+            assert got == pytest.approx(reference_kappa_c_k(rho, k), rel=1e-13, abs=0.0), (rho, k)
 
 
 @settings(deadline=None, max_examples=300)
 @given(
     st.floats(1.0, 20.0, exclude_min=True),
-    st.integers(1, 12).flatmap(lambda k: st.lists(st.floats(0.0, 0.99), min_size=k, max_size=k)),
+    st.integers(1, 12).flatmap(
+        lambda k: st.lists(
+            st.lists(st.floats(0.0, 0.99), min_size=k, max_size=k), min_size=1, max_size=3
+        )
+    ),
 )
-def test_term_gradients_match_central_differences(rho, offsets):
-    u = np.arctanh(np.array(offsets))
+def test_term_gradients_match_central_differences(rho, rows):
+    u = np.arctanh(np.array(rows))
     step = 1e-7
-    shifts = step * np.eye(u.size)  # row i moves coordinate i alone
-    up = thresholds._path_terms(rho, u + shifts)
-    down = thresholds._path_terms(rho, u - shifts)
-    numeric = (np.array(up[:2]) - np.array(down[:2])) / (2.0 * step)
-    genealogy, geometry, _ = thresholds._path_terms(rho, u[None, :])
-    analytic = thresholds._term_gradients(rho, u)
-    for row, value in enumerate((genealogy[0], geometry[0])):
-        # Rounding in the differences is about 1e-16 * value / step.
-        assert analytic[row] == pytest.approx(numeric[row], rel=1e-5, abs=1e-7 * value)
+    shifts = step * np.eye(u.shape[1])  # row i moves coordinate i alone
+    terms = thresholds._path_terms(rho, u)
+    analytic = thresholds._term_gradients(rho, u, terms)
+    for n, point in enumerate(u):
+        up = thresholds._path_terms(rho, point + shifts)
+        down = thresholds._path_terms(rho, point - shifts)
+        numeric = (np.array(up[:2]) - np.array(down[:2])) / (2.0 * step)
+        for term in range(2):
+            # Rounding in the differences is about 1e-16 * value / step.
+            value = terms[term][n]
+            assert analytic[term][n] == pytest.approx(numeric[term], rel=1e-5, abs=1e-7 * value)
 
 
 def test_k2_crossover_location():
@@ -234,6 +290,13 @@ def test_k2_crossover_location():
     rho_star = k2_crossover_rho(tol=0.05)
     assert 2.0 < rho_star < 12.0
     assert kappa_c_k(rho_star + 0.5, 2).kappa < kappa_c_k(rho_star + 0.5, 1).kappa
+
+
+def test_k2_crossover_tol_must_be_positive_and_finite(monkeypatch):
+    monkeypatch.setattr(thresholds, "kappa_c_k", None)  # fails before optimizing
+    for tol in (math.nan, 0.0, -1.0, math.inf):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            k2_crossover_rho(tol)
 
 
 def test_k2_crossover_bracket_changes_sign():
