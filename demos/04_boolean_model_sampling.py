@@ -6,16 +6,12 @@ candidates come from one k-d tree per radius class; the crossing event asks
 for a single cluster touching both faces along the first axis.
 """
 
-import io
-import math
-
 from contperc.boolean_model import (
     BoxSpec,
     RadiusMixture,
     clusters,
     covered_fraction_empirical,
     covered_fraction_exact,
-    dump_configuration,
     percolates,
     sample,
 )
@@ -41,10 +37,3 @@ cfg = sample(mix, lam, box, seed=7)
 exact = covered_fraction_exact(mix, lam, 2)
 emp = covered_fraction_empirical(cfg, box, probes=20_000, seed=8)
 print(f"\ncovered fraction: exact {exact:.4f}, one-sample empirical {emp.fraction:.4f} (+- {emp.stderr:.4f})")
-
-buf = io.StringIO()
-dump_configuration(cfg, box, buf)
-lines = buf.getvalue().splitlines()
-print(f"\ndump format ({cfg.n} balls), first lines:")
-for line in lines[:3]:
-    print("  " + line)

@@ -21,7 +21,6 @@ from .boolean_model import (
     covered_fraction_exact,
     percolates,
     sample,
-    thin_configuration,
 )
 from .branching import gw_critical_kappa, gw_critical_kappa_limit, mean_matrix, perron_root
 from .errors import CapacityError
@@ -38,7 +37,6 @@ from .pathcount import count_paths, tuple_expectation_exact
 from .thresholds import (
     AlternationParams,
     KappaResult,
-    distance_profile,
     kappa_c,
     kappa_c1_closed_form,
     kappa_c_k,
@@ -57,7 +55,6 @@ __all__ = [
     "covered_fraction_exact",
     "percolates",
     "sample",
-    "thin_configuration",
     "gw_critical_kappa",
     "gw_critical_kappa_limit",
     "mean_matrix",
@@ -77,7 +74,6 @@ __all__ = [
     "tuple_expectation_exact",
     "AlternationParams",
     "KappaResult",
-    "distance_profile",
     "kappa_c",
     "kappa_c1_closed_form",
     "kappa_c_k",

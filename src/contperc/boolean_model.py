@@ -18,7 +18,6 @@ cluster touching both faces x_1 <= 0 and x_1 >= L.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -44,18 +43,14 @@ __all__ = [
     "percolates",
     "covered_fraction_exact",
     "covered_fraction_empirical",
-    "thin_configuration",
-    "dump_configuration",
-    "load_configuration",
 ]
 
-# Hard cap on the expected number of balls in one configuration.
+# Hard cap on the expected number of balls in one configuration, and in one
+# threshold run summed over its trials (estimation).
 MAX_EXPECTED_COUNT = 5e7
 # Largest dimension the Monte Carlo layers (estimation, pathcount) simulate;
 # box and ball volumes explode beyond it.
 MAX_SIMULATION_DIMENSION = 6
-
-DUMP_FORMAT_VERSION = "v2"
 
 # Relative margin on k-d tree query radii, so that the tree's own rounding
 # of distances cannot drop a pair the exact hit test would accept.  The
@@ -327,85 +322,3 @@ def covered_fraction_empirical(
     p_hat = float(covered.mean())
     stderr = math.sqrt(p_hat * (1.0 - p_hat) / probes)
     return CoverageEstimate(p_hat, stderr)
-
-
-def thin_configuration(
-    config: BallConfiguration, keep_prob: float, seed: int
-) -> BallConfiguration:
-    """Keep each ball independently with probability keep_prob.
-
-    Thinning a configuration sampled at intensity lam yields the sampling
-    distribution at keep_prob * lam and is a subset of the original, which
-    makes percolation monotone along the coupling.  The threshold estimator
-    (estimation.estimate_lambda_c) uses this coupling without building the
-    thinned configurations: the union of a trial's layers, sampled up to
-    intensity top, carries arrival intensities uniform on [0, top), so
-    keeping the balls arriving below lam <= top is this thinning with
-    keep_prob = lam / top, and every level is read off the trial's critical
-    intensity.
-    """
-    if not 0.0 <= keep_prob <= 1.0:
-        raise ValueError("keep probability must lie in [0, 1]")
-    rng = stream(seed)
-    keep = rng.random(config.n) < keep_prob
-    return BallConfiguration(
-        centers=config.centers[keep],
-        radii=config.radii[keep],
-        seed=config.seed,
-        lam=config.lam * keep_prob,
-    )
-
-
-def dump_configuration(config: BallConfiguration, box: BoxSpec, fp) -> None:
-    """Write one ball per line, 'x_1 ... x_d r', after a self-describing header.
-
-    The v2 header records the dimension, side, seed, boundary (always
-    crossing) and intensity.
-    """
-    header = (
-        f"contperc {DUMP_FORMAT_VERSION} d={box.dimension} L={box.side!r} "
-        f"seed={config.seed} boundary=crossing lam={config.lam!r}"
-    )
-    rows = np.column_stack((config.centers, config.radii))
-    np.savetxt(fp, rows, fmt="%.17g", header=header, comments="#")
-
-
-# Header keys of each dump format version.
-_HEADER_KEYS = {"v1": {"d", "L", "seed"}, "v2": {"d", "L", "seed", "boundary", "lam"}}
-
-
-def load_configuration(fp) -> tuple[BallConfiguration, BoxSpec]:
-    """Read a configuration written by dump_configuration.
-
-    v1 files carry neither the boundary nor the intensity; they load with
-    lam = nan.  A header naming any boundary but crossing raises ValueError.
-    """
-    own = isinstance(fp, (str, bytes, os.PathLike))
-    handle = open(fp, "r") if own else fp
-    try:
-        header = handle.readline().strip()
-        parts = header.split()
-        version = parts[1] if len(parts) > 1 and parts[0] == "#contperc" else None
-        meta = dict(p.split("=", 1) for p in parts[2:] if "=" in p)
-        if len(meta) != len(parts) - 2 or set(meta) != _HEADER_KEYS.get(version):
-            raise ValueError(f"unrecognized configuration header: {header!r}")
-        d = int(meta["d"])
-        side = float(meta["L"])
-        seed = int(meta["seed"])
-        if meta.get("boundary", "crossing") != "crossing":
-            raise ValueError(f"only the crossing boundary is supported: {header!r}")
-        lam = float(meta.get("lam", "nan"))
-        rows = [[float(tok) for tok in line.split()] for line in handle if line.strip()]
-    finally:
-        if own:
-            handle.close()
-    if rows:
-        data = np.asarray(rows)
-        if data.shape[1] != d + 1:
-            raise ValueError("configuration rows do not match the header dimension")
-        centers, radii = data[:, :d], data[:, d]
-    else:
-        centers = np.empty((0, d))
-        radii = np.empty(0)
-    config = BallConfiguration(centers=centers, radii=radii, seed=seed, lam=lam)
-    return config, BoxSpec(dimension=d, side=side)

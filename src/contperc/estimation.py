@@ -39,6 +39,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import breadth_first_order, minimum_spanning_tree
 
 from .boolean_model import (
+    MAX_EXPECTED_COUNT,
     MAX_SIMULATION_DIMENSION,
     BallConfiguration,
     BoxSpec,
@@ -46,6 +47,7 @@ from .boolean_model import (
     clusters,
     sample,
 )
+from .errors import CapacityError
 from .geometry import unit_ball_volume
 from .rng import derive_seed, stream
 from .util import check_rho, ipow
@@ -141,6 +143,37 @@ def canonicalize(mixture: RadiusMixture) -> tuple[RadiusMixture, float, float]:
         zip((mixture.radii / scale).tolist(), (mixture.weights / mass).tolist())
     )
     return canon, scale, mass
+
+
+def _check_run(runs, trials: int, target_rel_tol: float) -> None:
+    """Reject a threshold run over (mixture, box) pairs before any sampling.
+
+    Invalid arguments raise ValueError.  A run whose trials expect more than
+    MAX_EXPECTED_COUNT balls in all, at the first bracket top lam_hi of each
+    canonical box, raises CapacityError: the cap on one sample does not
+    bound a run of many.
+    """
+    if trials < 50:
+        raise ValueError("need at least 50 trials per level")
+    if not target_rel_tol > 0.0:
+        raise ValueError("target_rel_tol must be positive")
+    balls = 0.0
+    for mixture, box in runs:
+        d = box.dimension
+        if d > MAX_SIMULATION_DIMENSION:
+            raise ValueError(
+                f"simulation is supported for dimension <= {MAX_SIMULATION_DIMENSION}; "
+                "box volumes explode beyond that"
+            )
+        canon, scale, _ = canonicalize(mixture)
+        lam_hi = 8.0 / (unit_ball_volume(d) * canon.doubled_moment(d))
+        extent = box.side / scale + 2.0 * canon.r_max  # sample's halo window
+        balls += trials * lam_hi * canon.total_mass * ipow(extent, d)
+    if balls > MAX_EXPECTED_COUNT:
+        raise CapacityError(
+            f"the run's trials expect {balls:.3g} balls at the bracket top, "
+            f"over the cap {MAX_EXPECTED_COUNT:.0e}"
+        )
 
 
 def _critical_mark(config: BallConfiguration, box: BoxSpec, marks: np.ndarray) -> float:
@@ -240,18 +273,11 @@ def estimate_lambda_c(
     lambda_lo = 1 / (v_d sum w (2r)^d) with lambda_hi = 8 lambda_lo, and
     doubles outward until the endpoints are decisively sub- and
     supercritical, which every finite set of critical intensities allows.
+    A run expecting more than MAX_EXPECTED_COUNT balls over its trials at
+    lambda_hi raises CapacityError before any sampling.
     """
-    if trials < 50:
-        raise ValueError("need at least 50 trials per level")
-    if not target_rel_tol > 0.0:
-        raise ValueError("target_rel_tol must be positive")
+    _check_run([(mixture, box)], trials, target_rel_tol)
     d = box.dimension
-    if d > MAX_SIMULATION_DIMENSION:
-        raise ValueError(
-            f"simulation is supported for dimension <= {MAX_SIMULATION_DIMENSION}; "
-            "box volumes explode beyond that"
-        )
-
     canon, scale, mass = canonicalize(mixture)
     canon_box = BoxSpec(dimension=d, side=box.side / scale)
     norm_factor = unit_ball_volume(d) * canon.doubled_moment(d)
@@ -464,15 +490,16 @@ def alpha_sweep(
     the alpha = 0 and alpha = 1 endpoints reduce to the identical canonical
     problem.  All points share the one seed for the same reason (matched
     trial streams; common random numbers also smooth the curve).  Every
-    alpha is validated before the first estimate starts, and an empty list
-    is rejected.
+    alpha is validated before the first estimate starts, an empty list is
+    rejected, and the run size is checked summed over the alphas.
     """
     if len(alphas) == 0:
         raise ValueError("need at least one alpha")
     mixtures = [mixture_for_alpha(float(alpha), rho, d) for alpha in alphas]
+    boxes = [BoxSpec(dimension=d, side=box.side * mixture.r_max) for mixture in mixtures]
+    _check_run(zip(mixtures, boxes), trials, target_rel_tol)
     out = []
-    for alpha, mixture in zip(alphas, mixtures):
-        physical = BoxSpec(dimension=d, side=box.side * mixture.r_max)
+    for alpha, mixture, physical in zip(alphas, mixtures, boxes):
         if progress is not None:
             progress(f"alpha={alpha:g}")
         est = estimate_lambda_c(

@@ -46,8 +46,6 @@ __all__ = [
     "PathCountRun",
     "intensities",
     "tuple_expectation_exact",
-    "chain_counts",
-    "chain_counts_sliced",
     "count_paths",
 ]
 
@@ -173,64 +171,16 @@ def _trial_counts(unit, large, rho, k, n_trials):
     chains, end_ptr, end_idx = _walk(unit, large, rho, k)
     last = chains[:, -1]
     m = np.bincount(unit[1][last], weights=np.diff(end_ptr)[last], minlength=n_trials)
-    _, ends = _gather(end_ptr, end_idx, np.unique(last))
-    n = np.bincount(large[1][np.unique(ends)], minlength=n_trials)
+    _, ends = _gather(end_ptr, end_idx, _distinct(last, end_ptr.size - 1))
+    n = np.bincount(large[1][_distinct(ends, large[0].shape[0])], minlength=n_trials)
     return n, m.astype(np.int64)
 
 
-def _one_trial(points):
-    return points, np.zeros(points.shape[0], dtype=np.intp)
-
-
-def chain_counts(
-    points_unit: np.ndarray, points_large: np.ndarray, rho: float, k: int
-) -> tuple[int, int]:
-    """Count (N_k, M_k) for one realization of the two point sets.
-
-    For k = 0 both counts equal the number of large centers within 2 rho of
-    the origin.  For k >= 1 the chain walker lists every ordered chain of k
-    distinct unit centers; M_k adds up the large centers within 1 + rho of
-    each chain's last center and N_k counts those centers once each.
-    """
-    n, m = _trial_counts(_one_trial(points_unit), _one_trial(points_large), rho, k, 1)
-    return int(n[0]), int(m[0])
-
-
-def _slab_index(centers, norms, targets, step_radius, n_slices):
-    """Slab index of each step target against the direction of its center."""
-    dot = np.einsum("ij,ij->i", targets - centers, centers)
-    frac = np.divide(dot, norms * step_radius, out=np.zeros_like(dot), where=norms != 0.0)
-    index = np.minimum(n_slices - 1, np.ceil(frac * n_slices).astype(np.int64) - 1)
-    return np.where(frac <= 1.0 / n_slices, 0, index)
-
-
-def chain_counts_sliced(
-    points_unit: np.ndarray, points_large: np.ndarray, rho: float, k: int, n_slices: int
-) -> tuple[dict[tuple[int, ...], int], int]:
-    """Tally ordered chains by the slab index of each step.
-
-    Step i lands in the slab of its step ball indexed against the direction
-    of the previous center seen from the origin; index 0 is the slab
-    absorbing everything below fraction 1/n_slices (the a = 0 convention),
-    and a center at the origin puts its step in slab 0.  The chains are
-    those of chain_counts, each once per endpoint.  Returns (per-slice
-    counts, total M_k); the slice counts partition the chains, so they sum
-    to M_k exactly.
-    """
-    if k < 1:
-        raise ValueError("slicing needs k >= 1")
-    chains, end_ptr, end_idx = _walk(_one_trial(points_unit), _one_trial(points_large), rho, k)
-    row, ends = _gather(end_ptr, end_idx, chains[:, -1])
-    norms = np.sqrt(_norm2(points_unit))
-    path = chains[row]
-    targets = [points_unit[path[:, i]] for i in range(1, k)] + [points_large[ends]]
-    radii = [2.0] * (k - 1) + [1.0 + rho]
-    steps = [
-        _slab_index(points_unit[path[:, i]], norms[path[:, i]], targets[i], radii[i], n_slices)
-        for i in range(k)
-    ]
-    keys, counts = np.unique(np.column_stack(steps), axis=0, return_counts=True)
-    return dict(zip(map(tuple, keys.tolist()), counts.tolist())), int(row.size)
+def _distinct(idx, size):
+    """Sorted distinct values of indices into range(size), by a mask: np.unique hashes them."""
+    seen = np.zeros(size, dtype=bool)
+    seen[idx] = True
+    return np.flatnonzero(seen)
 
 
 def _uniform_ball(rng: np.random.Generator, n: int, d: int, radius: float) -> np.ndarray:

@@ -37,9 +37,7 @@ from .util import check_rho
 
 __all__ = [
     "AlternationParams",
-    "DistanceProfile",
     "KappaResult",
-    "distance_profile",
     "objective",
     "kappa_c_k",
     "kappa_c",
@@ -77,21 +75,6 @@ class AlternationParams:
 
 
 @dataclass(frozen=True)
-class DistanceProfile:
-    """Increasing distances (d_1, ..., d_{k+1}) reached along a path."""
-
-    distances: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if any(b <= a for a, b in zip(self.distances, self.distances[1:])):
-            raise ValueError("distances must be strictly increasing")
-
-    @property
-    def final(self) -> float:
-        return self.distances[-1]
-
-
-@dataclass(frozen=True)
 class KappaResult:
     """Optimized threshold constant with the offsets achieving it."""
 
@@ -124,12 +107,6 @@ def _path_terms(
         prev = dists[-1]
         dists.append(np.sqrt(prev * prev + 2.0 * r_i * a[:, j] * prev + r_i * r_i))
     return genealogy, 2.0 * rho / dists[-1], dists
-
-
-def distance_profile(params: AlternationParams) -> DistanceProfile:
-    """Build the distance sequence d_1, ..., d_{k+1} for the given offsets."""
-    _, _, dists = _path_terms(params.rho, np.arctanh([params.offsets]))
-    return DistanceProfile(tuple(float(d[0]) for d in dists))
 
 
 def objective(params: AlternationParams) -> tuple[float, float]:
@@ -252,14 +229,21 @@ def kappa_c_k(rho: float, k: int) -> KappaResult:
 def kappa_c(rho: float, k_max: int = 6) -> KappaResult:
     """Minimum of kappa_c_k over k = 1 .. k_max, with a truncation certificate.
 
-    The zero-offset envelope (4 rho/(1+rho)^2)^(1/(k+1)) increases with k,
-    so the result is certified complete if the envelope at k_max + 1
-    already exceeds the minimum found: every k > k_max then costs at least
-    that much.  Otherwise the result is flagged uncertified.
+    kappa_c_k(rho, k) is at least the zero-offset envelope
+    (4 rho/(1+rho)^2)^(1/(k+1)), which increases with k, so the search stops
+    at the first k whose envelope reaches the minimum so far; the first k
+    attaining the minimum wins ties.  The result is certified complete if
+    the envelope at k_max + 1 already reaches the minimum found: every
+    k > k_max then costs at least that much.  Otherwise the result is
+    flagged uncertified.
     """
     if not isinstance(k_max, int) or not 1 <= k_max <= MAX_K:
         raise ValueError(f"k_max must lie in 1..{MAX_K}")
-    best = min((kappa_c_k(rho, k) for k in range(1, k_max + 1)), key=lambda r: r.kappa)
+    best = kappa_c_k(rho, 1)
+    for k in range(2, k_max + 1):
+        if genealogy_envelope(rho, k) >= best.kappa:
+            break
+        best = min(best, kappa_c_k(rho, k), key=lambda r: r.kappa)
     return replace(best, certified=genealogy_envelope(rho, k_max + 1) >= best.kappa)
 
 

@@ -127,28 +127,6 @@ def brute_force_chains(points_unit, points_large, rho, k):
     return chains
 
 
-def brute_force_slab_tally(points_unit, points_large, rho, k, n_slices):
-    """Slab-index tally of the brute-force chains, one scalar step at a time."""
-
-    def slab(center, target, step):
-        norm = math.sqrt(_norm2(center))
-        if norm == 0.0:
-            return 0
-        dot = sum((float(t) - float(c)) * float(c) for t, c in zip(target, center))
-        frac = dot / (norm * step)
-        if frac <= 1.0 / n_slices:
-            return 0
-        return min(n_slices - 1, math.ceil(frac * n_slices) - 1)
-
-    tally = {}
-    for perm, j in brute_force_chains(points_unit, points_large, rho, k):
-        x = [points_unit[i] for i in perm]
-        key = tuple(slab(a, b, 2.0) for a, b in zip(x, x[1:]))
-        key += (slab(x[-1], points_large[j], 1.0 + rho),)
-        tally[key] = tally.get(key, 0) + 1
-    return tally
-
-
 def reference_path_terms(rho, k, offsets):
     """Scalar (genealogy, geometry, distances) of one alternating path, one step at a time.
 

@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -11,11 +10,8 @@ from contperc.boolean_model import (
     clusters,
     covered_fraction_empirical,
     covered_fraction_exact,
-    dump_configuration,
-    load_configuration,
     percolates,
     sample,
-    thin_configuration,
 )
 from contperc.errors import CapacityError
 
@@ -116,18 +112,6 @@ def test_radius_frequencies_follow_weights():
     assert abs(p - 0.75) < 4.0 * se
 
 
-def test_thinning_matches_lower_intensity_distribution():
-    box = BoxSpec(2, 8.0)
-    thinned = np.array(
-        [thin_configuration(sample(UNIT, 1.0, box, seed=s), 0.4, seed=5000 + s).n for s in range(400)]
-    )
-    direct = np.array([sample(UNIT, 0.4, box, seed=9000 + s).n for s in range(400)])
-    z = (thinned.mean() - direct.mean()) / math.sqrt(
-        thinned.var(ddof=1) / 400 + direct.var(ddof=1) / 400
-    )
-    assert abs(z) < 4.0
-
-
 def test_two_ball_intersection_boundary():
     box = BoxSpec(2, 20.0)
     touching = make_config([[5.0, 5.0], [6.9, 5.0]], [1.0, 1.0])
@@ -189,21 +173,6 @@ def test_deep_supercritical_crossing():
     assert hits >= 99
 
 
-def test_monotone_thinning_coupling():
-    # if the thinned configuration crosses, the master must cross
-    lam = 1.3 / math.pi
-    box = BoxSpec(2, 24.0)
-    seen_thinned_crossing = 0
-    for s in range(60):
-        master = sample(UNIT, lam, box, seed=s)
-        thinned = thin_configuration(master, 0.85, seed=777 + s)
-        t_cross = percolates(clusters(thinned, box))
-        if t_cross:
-            seen_thinned_crossing += 1
-            assert percolates(clusters(master, box))
-    assert seen_thinned_crossing > 0
-
-
 def test_covered_fraction_exact_values():
     assert covered_fraction_exact(UNIT, 0.0, 2) == 0.0
     assert covered_fraction_exact(UNIT, 1.0 / math.pi, 2) == pytest.approx(
@@ -247,80 +216,3 @@ def test_single_ball_coverage_ratio():
     est = covered_fraction_empirical(cfg, box, probes=200_000, seed=1)
     expected = math.pi / 30.0**2
     assert abs(est.fraction - expected) <= 4.0 * max(est.stderr, 1e-6)
-
-
-def test_dump_and_load_round_trip():
-    box = BoxSpec(3, 9.0)
-    cfg = sample(RadiusMixture([(0.5, 1.0), (1.0, 0.5)]), 0.05, box, seed=21)
-    buf = io.StringIO()
-    dump_configuration(cfg, box, buf)
-    text = buf.getvalue()
-    first = text.splitlines()[0]
-    assert first == f"#contperc v2 d=3 L=9.0 seed={cfg.seed} boundary=crossing lam=0.05"
-    loaded, loaded_box = load_configuration(io.StringIO(text))
-    assert loaded_box == box
-    assert np.array_equal(loaded.centers, cfg.centers)
-    assert np.array_equal(loaded.radii, cfg.radii)
-    assert loaded.seed == cfg.seed
-    assert loaded.lam == 0.05
-
-
-def test_dump_bytes_are_pinned(tmp_path):
-    box = BoxSpec(2, 6.5)
-    cfg = BallConfiguration(
-        centers=np.array([[0.1, -0.25], [1.0 / 3.0, 5.0]]),
-        radii=np.array([0.5, 1.0]),
-        seed=7,
-        lam=0.3,
-    )
-    expected = (
-        "#contperc v2 d=2 L=6.5 seed=7 boundary=crossing lam=0.3\n"
-        "0.10000000000000001 -0.25 0.5\n"
-        "0.33333333333333331 5 1\n"
-    )
-    empty = make_config(np.empty((0, 2)), np.empty(0))
-    expected_empty = "#contperc v2 d=2 L=6.5 seed=0 boundary=crossing lam=0.0\n"
-    for config, text in ((cfg, expected), (empty, expected_empty)):
-        buf = io.StringIO()
-        dump_configuration(config, box, buf)
-        assert buf.getvalue() == text
-        path = tmp_path / "dump.txt"
-        dump_configuration(config, box, str(path))
-        assert path.read_bytes() == text.encode()
-
-
-def test_dump_and_load_through_a_path(tmp_path):
-    box = BoxSpec(2, 7.0)
-    cfg = sample(RadiusMixture([(0.5, 1.0)]), 0.2, box, seed=5)
-    path = tmp_path / "config.txt"
-    dump_configuration(cfg, box, path)
-    loaded, loaded_box = load_configuration(path)
-    assert loaded_box == box
-    assert np.array_equal(loaded.centers, cfg.centers)
-    assert np.array_equal(loaded.radii, cfg.radii)
-    assert (loaded.seed, loaded.lam) == (cfg.seed, cfg.lam)
-
-
-def test_load_rejects_a_torus_header():
-    text = "#contperc v2 d=2 L=10.0 seed=4 boundary=torus lam=0.3\n1.5 2 0.75\n"
-    with pytest.raises(ValueError, match="crossing boundary"):
-        load_configuration(io.StringIO(text))
-
-
-def test_load_reads_a_v1_file_as_a_crossing_box():
-    text = "#contperc v1 d=2 L=12.5 seed=9\n1.5 2 0.5\n3 4.25 1\n"
-    loaded, box = load_configuration(io.StringIO(text))
-    assert box == BoxSpec(2, 12.5)
-    assert loaded.seed == 9 and math.isnan(loaded.lam)
-    assert np.array_equal(loaded.centers, [[1.5, 2.0], [3.0, 4.25]])
-    assert np.array_equal(loaded.radii, [0.5, 1.0])
-
-
-def test_load_rejects_bad_header():
-    with pytest.raises(ValueError):
-        load_configuration(io.StringIO("#other v2 d=2 L=1 seed=0\n"))
-    with pytest.raises(ValueError):
-        load_configuration(io.StringIO("#contperc v2 d=2 L=1 seed=0\n"))
-    with pytest.raises(ValueError):
-        load_configuration(io.StringIO("#contperc v3 d=2 L=1 seed=0 boundary=torus lam=1\n"))
-

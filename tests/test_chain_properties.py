@@ -12,9 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contperc import pathcount
-from contperc.pathcount import chain_counts, chain_counts_sliced
 
-from _oracles import brute_force_chains, brute_force_slab_tally
+from _oracles import brute_force_chains
 
 GRID = 0.125
 NUDGE = 2.0**-20
@@ -27,8 +26,7 @@ def point_sets(draw, d, rho):
     Unit points start near the origin.  Partners sit along one axis from an
     earlier unit point or from the origin, at distance 1/4 or 1 or at the
     unit step 2, the reach 1 + rho or the k = 0 reach 2 rho, each exactly or
-    NUDGE nearer or farther.  A step of 1/4 straight out from a center 2 from
-    the origin lands exactly on the slab boundary at fraction 1/8.
+    NUDGE nearer or farther.
     """
     near = int((1.0 + rho) / (2.0 * GRID))
     far = int((1.0 + rho + 4.0) / GRID)
@@ -50,6 +48,13 @@ def point_sets(draw, d, rho):
     return np.array(unit).reshape(-1, d), np.array(large).reshape(-1, d)
 
 
+def chain_counts(unit, large, rho, k):
+    """(N_k, M_k) of one realization, walked as a batch of one trial."""
+    one = lambda points: (points, np.zeros(len(points), dtype=np.intp))
+    n, m = pathcount._trial_counts(one(unit), one(large), rho, k, 1)
+    return int(n[0]), int(m[0])
+
+
 dimensions = st.integers(2, 4)
 rhos = st.integers(5, 12).map(lambda quarters: 0.25 * quarters)
 
@@ -61,16 +66,6 @@ def test_chain_counts_match_brute_force(data, d, rho, k):
     chains = brute_force_chains(unit, large, rho, k)
     expected = (len({j for _, j in chains}), len(chains))
     assert chain_counts(unit, large, rho, k) == expected
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.data(), dimensions, rhos, st.integers(1, 4), st.sampled_from((1, 3, 8)))
-def test_slab_tallies_partition_chains_and_match_brute_force(data, d, rho, k, n_slices):
-    unit, large = data.draw(point_sets(d, rho))
-    tally, m_total = chain_counts_sliced(unit, large, rho, k, n_slices)
-    assert m_total == chain_counts(unit, large, rho, k)[1]
-    assert sum(tally.values()) == m_total
-    assert tally == brute_force_slab_tally(unit, large, rho, k, n_slices)
 
 
 @settings(max_examples=40, deadline=None)
@@ -118,15 +113,3 @@ def test_batched_trials_link_exactly_at_the_largest_shift():
     batch_large = (np.concatenate([q for _, q in trials]), np.repeat(ids, [len(q) for _, q in trials]))
     n, m = pathcount._trial_counts(batch_unit, batch_large, rho, k, n_trials)
     assert list(zip(n.tolist(), m.tolist())) == [chain_counts(u, q, rho, k) for u, q in trials]
-
-
-def test_slab_tallies_on_exact_slab_boundaries():
-    # Steps straight out along the axis of their center land on fractions
-    # 1/8, 4/8 and 1 exactly; (3, 3) is at exactly 1 + rho from (3, 0).
-    unit = np.array([[2.0, 0.0], [3.0, 0.0], [3.25, 0.0], [0.0, 1.0], [2.0, 1.5]])
-    large = np.array([[4.5, 0.0], [5.0, 0.0], [3.0, 3.0], [-2.0, 1.0]])
-    for k in (1, 2, 3):
-        for n_slices in (1, 3, 8):
-            tally, m_total = chain_counts_sliced(unit, large, 2.0, k, n_slices)
-            assert tally == brute_force_slab_tally(unit, large, 2.0, k, n_slices)
-            assert m_total == chain_counts(unit, large, 2.0, k)[1] > 0

@@ -106,7 +106,7 @@ def test_every_rho_command_exits_cleanly_at_large_rho(rho, capsys):
         (False, ("paths", "--d", "2", "--rho", rho, "--kappa", "0.8", "--k", "1", "--trials", "10")),
         (False, ("paths", "--d", "6", "--rho", rho, "--kappa", "0.8", "--k", "1", "--trials", "10")),
         # The sweep's endpoints are monodisperse; a mixture at rho 301 samples
-        # millions of balls per trial and runs for minutes.
+        # millions of balls per trial and passes the cap on a run.
         (False, ("alpha-sweep", "--rho", rho, "--d", "2", "--L", "6", "--trials", "50",
                  "--tol", "0.3", "--alphas", "0,1")),
     ):
@@ -362,6 +362,25 @@ def test_alpha_sweep_rejects_a_bad_alpha_before_sampling(capsys):
     assert out == ""
     assert "alpha must lie in [0, 1]" in err
     assert "alpha=" not in err and "level 0" not in err  # no progress line
+
+
+def test_a_threshold_run_over_the_ball_cap_exits_3_before_sampling(monkeypatch, capsys):
+    # Each sample stays under the 5e7-ball cap, but the run's trials expect
+    # 9.2e7 balls at the bracket top for the mixture, and 5.5e7 for the
+    # unit balls.
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the run size was checked")
+
+    monkeypatch.setattr(estimation, "sample", no_sampling)
+    for argv in (
+        ("alpha-sweep", "--rho", "301", "--d", "2", "--L", "6", "--trials", "50", "--tol", "0.3",
+         "--alphas", "0.5"),
+        ("threshold", "--d", "2", "--mixture", "1:1", "--L", "64", "--trials", "20000"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3, argv
+        assert out == "" and "over the cap 5e+07" in err, argv
+        assert "alpha=" not in err and "level 0" not in err, argv  # no progress line
 
 
 def test_alpha_sweep_rejects_an_empty_alpha_list(monkeypatch, capsys):

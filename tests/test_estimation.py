@@ -76,6 +76,24 @@ def test_estimation_failure_when_never_crossing(monkeypatch):
         estimate_lambda_c(UNIT, BOX, trials=60, seed=0)
 
 
+def test_alpha_sweep_caps_the_run_summed_over_its_alphas(monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the run size was checked")
+
+    monkeypatch.setattr(estimation, "sample", no_sampling)
+    box = BoxSpec(2, 12.0)
+    # Both endpoints are the canonical unit-ball run: 60 trials at lambda_hi
+    # = 8 / (4 pi) in the halo window of side 14.
+    one = 60 * 8.0 / (4.0 * math.pi) * 14.0**2
+    monkeypatch.setattr(estimation, "MAX_EXPECTED_COUNT", 1.5 * one)
+    estimation._check_run([(UNIT, box)], 60, 0.02)
+    with pytest.raises(CapacityError, match="over the cap"):
+        alpha_sweep(2.0, [0.0, 1.0], 2, box, trials=60)
+    monkeypatch.setattr(estimation, "MAX_EXPECTED_COUNT", 0.99 * one)
+    with pytest.raises(CapacityError, match="over the cap"):
+        estimate_lambda_c(UNIT, box, trials=60)
+
+
 def test_the_estimator_never_labels_clusters(monkeypatch):
     """The spanning-tree search alone decides crossing; no trial computes labels."""
 

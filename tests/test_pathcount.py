@@ -7,13 +7,13 @@ from contperc import pathcount
 from contperc.cli import main
 from contperc.errors import CapacityError
 from contperc.pathcount import (
-    chain_counts,
-    chain_counts_sliced,
     count_paths,
     intensities,
     tuple_expectation_exact,
 )
 from contperc.geometry import unit_ball_volume
+
+from test_chain_properties import chain_counts
 
 
 def test_intensities():
@@ -147,25 +147,6 @@ def test_per_sample_domination():
         for k in (1, 2, 3):
             n, m = chain_counts(p1, pr, rho, k)
             assert n <= m
-
-
-def test_slice_decomposition_matches_total():
-    rng = np.random.default_rng(9)
-    rho = 2.0
-    total_checked = 0
-    for _ in range(300):
-        p1 = rng.uniform(-5, 5, size=(rng.integers(1, 9), 2))
-        pr = rng.uniform(-5, 5, size=(rng.integers(1, 5), 2))
-        for k in (1, 2, 3):
-            for n_slices in (1, 3, 8):
-                tally, m_total = chain_counts_sliced(p1, pr, rho, k, n_slices)
-                _, m_ref = chain_counts(p1, pr, rho, k)
-                assert m_total == m_ref
-                assert sum(tally.values()) == m_ref
-                assert all(len(key) == k for key in tally)
-                assert all(0 <= idx < n_slices for key in tally for idx in key)
-                total_checked += m_ref
-    assert total_checked > 100
 
 
 def test_determinism():

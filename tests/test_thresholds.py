@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from hypothesis import strategies as st
 import contperc
 from contperc import thresholds
 from contperc.thresholds import (
+    MAX_K,
     AlternationParams,
-    distance_profile,
     genealogy_envelope,
     k2_crossover_rho,
     kappa_c,
@@ -59,16 +60,22 @@ def test_kappa_below_one_and_k1_exact_up_to_max_rho():
         assert all(math.isfinite(r.kappa) and r.kappa <= 1.0 + 1e-13 for r in res), rho
 
 
+def distances(params):
+    """The distances d_1, ..., d_{k+1} reached along the path of params."""
+    dists = thresholds._path_terms(params.rho, np.arctanh([params.offsets]))[2]
+    return [float(d[0]) for d in dists]
+
+
 def test_distance_profile_zero_offset():
-    prof = distance_profile(AlternationParams(3.0, 1, (0.0,)))
-    assert prof.distances[0] == 4.0
-    assert prof.distances[1] == pytest.approx(4.0 * math.sqrt(2.0), rel=1e-14)
+    dists = distances(AlternationParams(3.0, 1, (0.0,)))
+    assert dists[0] == 4.0
+    assert dists[1] == pytest.approx(4.0 * math.sqrt(2.0), rel=1e-14)
 
 
 def test_distance_profile_rho3_crossing_offset():
-    prof = distance_profile(AlternationParams(3.0, 1, (5.0 / 13.0,)))
+    dists = distances(AlternationParams(3.0, 1, (5.0 / 13.0,)))
     # d_2^2 = 16 + 2*4*(5/13)*4 + 16 = 576/13
-    assert prof.final == pytest.approx(24.0 / math.sqrt(13.0), rel=1e-14)
+    assert dists[-1] == pytest.approx(24.0 / math.sqrt(13.0), rel=1e-14)
 
 
 def test_distances_strictly_increase():
@@ -78,7 +85,7 @@ def test_distances_strictly_increase():
         params = AlternationParams(
             float(rng.uniform(1.01, 8.0)), k, tuple(rng.uniform(0.0, 0.99, size=k))
         )
-        dists = distance_profile(params).distances
+        dists = distances(params)
         assert all(b > a for a, b in zip(dists, dists[1:]))
 
 
@@ -166,6 +173,39 @@ def test_kappa_c_certification_and_values():
         res = kappa_c(rho, k_max)
         assert 0.0 < res.kappa < 1.0
         assert res.kappa >= genealogy_envelope(rho, 1) - 1e-12
+
+
+def test_kappa_c_stops_early_with_the_full_minimum(monkeypatch):
+    # Against the minimum over every k, the first smallest winning ties;
+    # kappa_c reads the same per-k results, solved once.
+    solve = thresholds.kappa_c_k
+    for rho in np.geomspace(1.01, 1e6, 9).tolist() + [1.5, 2.0, 3.0, 10.0, 1e150]:
+        results = [solve(rho, k) for k in range(1, MAX_K + 1)]
+        monkeypatch.setattr(thresholds, "kappa_c_k", lambda rho, k: results[k - 1])
+        for k_max in range(1, MAX_K + 1):
+            best = min(results[:k_max], key=lambda r: r.kappa)
+            certified = genealogy_envelope(rho, k_max + 1) >= best.kappa
+            assert kappa_c(rho, k_max) == replace(best, certified=certified), (rho, k_max)
+
+
+def test_kappa_c_solves_only_until_the_envelope_passes_the_minimum(monkeypatch):
+    calls = []
+    solve = thresholds.kappa_c_k
+    monkeypatch.setattr(thresholds, "kappa_c_k", lambda rho, k: calls.append(k) or solve(rho, k))
+    res = kappa_c(1.5, 12)
+    assert calls == [1]
+    assert (res.k_used, res.certified) == (1, True)
+    # Made-up values at rho = 1.5, each above its envelope 0.96^(1/(k+1)):
+    # k = 3 wins although the envelope at k = 4 exceeds the k = 1 value, and
+    # the envelope at k = 4 then ends the search.
+    fake = {1: 0.99, 2: 0.995, 3: 0.9899}
+    assert genealogy_envelope(1.5, 3) < 0.9899 < 0.99 < genealogy_envelope(1.5, 4)
+    calls.clear()
+    monkeypatch.setattr(
+        thresholds, "kappa_c_k",
+        lambda rho, k: calls.append(k) or replace(res, kappa=fake[k], k_used=k),
+    )
+    assert (kappa_c(1.5, 12).k_used, calls) == (3, [1, 2, 3])
 
 
 def test_k1_achieves_minimum_below_rho2():
@@ -324,7 +364,7 @@ def test_vector_terms_match_scalar_reference(params):
     got_genealogy, got_geometry = objective(params)
     assert got_genealogy == pytest.approx(genealogy, rel=1e-13, abs=0.0)
     assert got_geometry == pytest.approx(geometry, rel=1e-13, abs=0.0)
-    assert distance_profile(params).distances == pytest.approx(dists, rel=1e-13, abs=0.0)
+    assert distances(params) == pytest.approx(dists, rel=1e-13, abs=0.0)
     zero = reference_path_terms(params.rho, params.k, (0.0,) * params.k)[0]
     assert genealogy_envelope(params.rho, params.k) == pytest.approx(zero, rel=1e-13, abs=0.0)
 
