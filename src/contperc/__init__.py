@@ -35,7 +35,6 @@ from .estimation import (
 from .geometry import SlabSpec, slab_log_rate, slab_volume, unit_ball_volume
 from .pathcount import count_paths, tuple_expectation_exact
 from .thresholds import (
-    AlternationParams,
     KappaResult,
     kappa_c,
     kappa_c1_closed_form,
@@ -72,7 +71,6 @@ __all__ = [
     "unit_ball_volume",
     "count_paths",
     "tuple_expectation_exact",
-    "AlternationParams",
     "KappaResult",
     "kappa_c",
     "kappa_c1_closed_form",

@@ -308,9 +308,7 @@ def covered_fraction_empirical(
     d = box.dimension
     rng = stream(seed)
     points = rng.random((probes, d)) * box.side
-    if config.n == 0:
-        return CoverageEstimate(0.0, 0.0)
-    reach = float(config.radii.max()) * _QUERY_SLACK
+    reach = float(config.radii.max(initial=0.0)) * _QUERY_SLACK
     near = cKDTree(points).sparse_distance_matrix(
         cKDTree(config.centers), reach, output_type="ndarray"
     )

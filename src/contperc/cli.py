@@ -180,7 +180,7 @@ def _cmd_alpha_sweep(params: dict, seed: int, quiet: bool):
         target_rel_tol=params["tol"],
         progress=_progress_printer(quiet),
     )
-    rows = [_estimate_row(p.estimate, rho=p.rho, alpha=p.alpha) for p in points]
+    rows = [_estimate_row(est, rho=rho, alpha=a) for a, est in zip(alphas, points)]
     return rows, False
 
 

@@ -1,10 +1,11 @@
 """Percolation threshold estimation and the scale-free quantities built on it.
 
 The estimator bisects the intensity lambda toward crossing probability 1/2
-in a finite box and uses a Wilson 95% interval at every level to decide
-the bisection branch; the loop stops when the bracket is relatively narrow
-or when both endpoints' intervals straddle 1/2, i.e. the statistical
-resolution of the trial budget is exhausted.
+in a finite box, keeping the side of 1/2 that each level's crossing fraction
+lies on.  A Wilson 95% interval at every level makes the initial bracket
+decisive and stops the loop when both endpoints' intervals straddle 1/2,
+i.e. the statistical resolution of the trial budget is exhausted; the loop
+also stops when the bracket is relatively narrow.
 
 The trials are shared across levels (common random numbers, the
 Newman-Ziff coupling).  Every ball of a seeded trial carries an arrival
@@ -56,7 +57,6 @@ __all__ = [
     "LevelStat",
     "ThresholdEstimate",
     "LadderResult",
-    "AlphaEstimate",
     "wilson_interval",
     "canonicalize",
     "estimate_lambda_c",
@@ -328,22 +328,18 @@ def estimate_lambda_c(
             break
         mid = math.sqrt(lam_lo * lam_hi)
         stat_mid = evaluate(mid)
-        if stat_mid.wilson_low > 0.5:
-            lam_hi, stat_hi = mid, stat_mid
-        elif stat_mid.wilson_high < 0.5:
-            lam_lo, stat_lo = mid, stat_mid
-        elif stat_mid.p_hat >= 0.5:
+        # A Wilson interval that excludes 1/2 lies on p_hat's side of it, so
+        # p_hat alone decides, for decisive and straddling levels alike.
+        if stat_mid.p_hat >= 0.5:
             lam_hi, stat_hi = mid, stat_mid
         else:
             lam_lo, stat_lo = mid, stat_mid
 
-    # Interpolate to crossing probability 1/2 inside the final bracket.
+    # Interpolate to crossing probability 1/2 inside the final bracket, where
+    # pa < 1/2 <= pb holds since the expansion, so t lies in (0, 1].
     ratio = lam_hi / lam_lo
     pa, pb = stat_lo.p_hat, stat_hi.p_hat
-    if pb > pa:
-        t = min(1.0, max(0.0, (0.5 - pa) / (pb - pa)))
-    else:
-        t = 0.5
+    t = (0.5 - pa) / (pb - pa)
     # Clamped because lam_lo * ratio**1 can round one ulp above lam_hi.
     lam_c = min(max(lam_lo * ratio**t, lam_lo), lam_hi)
 
@@ -371,7 +367,6 @@ class LadderResult:
 
     estimates: tuple[ThresholdEstimate, ...]
     drifts: tuple[float, ...]
-    headline: ThresholdEstimate
     systematic: bool
 
 
@@ -386,22 +381,26 @@ def size_ladder(
     """Estimate at increasing box sides and flag unresolved finite-size drift.
 
     Every side runs estimate_lambda_c at its default tolerance.  The
-    headline number is the largest-box estimate; the systematic flag is
-    raised when the drift of the last step exceeds that estimate's CI width.
+    headline number is the largest-box estimate, estimates[-1]; the
+    systematic flag is raised when the drift of the last step exceeds that
+    estimate's CI width.  The run size is checked summed over the sides
+    before the first estimate starts.
     """
     sides = list(sides)
     if not sides:
         raise ValueError("need at least one box side")
     if any(b <= a for a, b in zip(sides, sides[1:])):
         raise ValueError("sides must be strictly increasing")
+    boxes = [BoxSpec(dimension=d, side=float(side)) for side in sides]
+    _check_run([(mixture, box) for box in boxes], trials, 0.02)
     estimates = []
-    for i, side in enumerate(sides):
+    for i, box in enumerate(boxes):
         if progress is not None:
-            progress(f"ladder level {i}: L={side:g}")
+            progress(f"ladder level {i}: L={sides[i]:g}")
         estimates.append(
             estimate_lambda_c(
                 mixture,
-                BoxSpec(dimension=d, side=float(side)),
+                box,
                 trials,
                 seed=derive_seed(seed, 101, i),
                 progress=progress,
@@ -410,15 +409,9 @@ def size_ladder(
     drifts = tuple(
         abs(b.normalized - a.normalized) for a, b in zip(estimates, estimates[1:])
     )
-    headline = estimates[-1]
-    ci_width = headline.normalized_ci_high - headline.normalized_ci_low
+    ci_width = estimates[-1].normalized_ci_high - estimates[-1].normalized_ci_low
     systematic = bool(drifts) and drifts[-1] > ci_width
-    return LadderResult(
-        estimates=tuple(estimates),
-        drifts=drifts,
-        headline=headline,
-        systematic=systematic,
-    )
+    return LadderResult(estimates=tuple(estimates), drifts=drifts, systematic=systematic)
 
 
 def mu_d_transform(mixture: RadiusMixture, d: int) -> RadiusMixture:
@@ -466,13 +459,6 @@ def mixture_for_alpha(alpha: float, rho: float, d: int) -> RadiusMixture:
     return RadiusMixture([(1.0, 1.0 - alpha), (rho, rho_weight)])
 
 
-@dataclass(frozen=True)
-class AlphaEstimate:
-    alpha: float
-    rho: float
-    estimate: ThresholdEstimate
-
-
 def alpha_sweep(
     rho: float,
     alphas: Sequence[float],
@@ -482,8 +468,9 @@ def alpha_sweep(
     seed: int = 0,
     target_rel_tol: float = 0.02,
     progress: ProgressFn | None = None,
-) -> list[AlphaEstimate]:
-    """Estimate critical covered volumes along the two-radius interpolation.
+) -> list[ThresholdEstimate]:
+    """Estimate critical covered volumes along the two-radius interpolation,
+    one estimate per alpha, in the order of `alphas`.
 
     The box side is interpreted in units of the largest mixture radius, so
     every sweep point runs at the same relative finite-size resolution and
@@ -502,13 +489,14 @@ def alpha_sweep(
     for alpha, mixture, physical in zip(alphas, mixtures, boxes):
         if progress is not None:
             progress(f"alpha={alpha:g}")
-        est = estimate_lambda_c(
-            mixture,
-            physical,
-            trials,
-            target_rel_tol=target_rel_tol,
-            seed=seed,
-            progress=progress,
+        out.append(
+            estimate_lambda_c(
+                mixture,
+                physical,
+                trials,
+                target_rel_tol=target_rel_tol,
+                seed=seed,
+                progress=progress,
+            )
         )
-        out.append(AlphaEstimate(alpha=float(alpha), rho=float(rho), estimate=est))
     return out

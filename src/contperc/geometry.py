@@ -170,10 +170,6 @@ def log_upper_cap_fraction(d: int, t: float) -> float:
         raise ValueError("dimension must be a positive integer")
     if not 0.0 <= t <= 1.0:
         raise ValueError("cap height fraction must lie in [0, 1]")
-    if t == 0.0:
-        return _LN_HALF
-    if t == 1.0:
-        return -math.inf
     x = (1.0 - t) * (1.0 + t)
     return _LN_HALF + _log_betainc(0.5 * (d + 1), 0.5, x)
 
@@ -186,12 +182,8 @@ def log_slab_volume(spec: SlabSpec) -> float:
     log_fb = log_upper_cap_fraction(d, spec.upper)
     if spec.lower == 0.0:
         # Everything below upper * r: full ball minus the upper cap.
-        if log_fb == -math.inf:
-            return log_scale
         return log_scale + math.log1p(-math.exp(log_fb))
     log_fa = log_upper_cap_fraction(d, spec.lower)
-    if log_fb == -math.inf:
-        return log_scale + log_fa
     diff = log_fb - log_fa
     if diff >= 0.0:
         # Only possible through rounding when upper is at machine distance

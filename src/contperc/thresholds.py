@@ -36,7 +36,6 @@ from .rng import stream
 from .util import check_rho
 
 __all__ = [
-    "AlternationParams",
     "KappaResult",
     "objective",
     "kappa_c_k",
@@ -54,24 +53,6 @@ _GRID_STEP = 0.05
 _COARSE_POINTS = 4096
 _COARSE_SEED = 0
 _SLSQP_OPTIONS = {"ftol": 1e-14, "maxiter": 200}
-
-
-@dataclass(frozen=True)
-class AlternationParams:
-    """Radius ratio, path shape and radial offsets of one candidate path."""
-
-    rho: float
-    k: int
-    offsets: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        check_rho(self.rho)
-        if not isinstance(self.k, int) or self.k < 1:
-            raise ValueError("k must be a positive integer")
-        if len(self.offsets) != self.k:
-            raise ValueError("expected one offset per step, k in total")
-        if any(not (0.0 <= a < 1.0) for a in self.offsets):
-            raise ValueError("offsets must lie in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -109,9 +90,13 @@ def _path_terms(
     return genealogy, 2.0 * rho / dists[-1], dists
 
 
-def objective(params: AlternationParams) -> tuple[float, float]:
-    """Return (genealogy_term, geometry_term); the caller takes the max."""
-    genealogy, geometry, _ = _path_terms(params.rho, np.arctanh([params.offsets]))
+def objective(rho: float, offsets: tuple[float, ...]) -> tuple[float, float]:
+    """Return (genealogy_term, geometry_term) of the path with k = len(offsets)
+    radial offsets in [0, 1); the caller takes the max."""
+    check_rho(rho)
+    if len(offsets) == 0 or any(not 0.0 <= a < 1.0 for a in offsets):
+        raise ValueError("offsets must be one or more values in [0, 1)")
+    genealogy, geometry, _ = _path_terms(rho, np.arctanh([offsets]))
     return float(genealogy[0]), float(geometry[0])
 
 

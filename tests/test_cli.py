@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import re
 import runpy
 from pathlib import Path
 
@@ -519,3 +520,61 @@ def test_benchmark_workloads_parse():
         config = cli._config_from_args(cli.build_parser().parse_args(argv))
         assert config.command == workload.argv[0], name
         assert config.fmt in ("json", "csv"), name
+
+
+PROGRESS_ARGV = {
+    "threshold": ("--d", "2", "--mixture", "1:1", "--L", "8", "--trials", "50", "--tol", "0.2"),
+    "alpha-sweep": ("--rho", "2", "--L", "6", "--alphas", "0,1", "--trials", "50", "--tol", "0.3"),
+    "kappa-sweep": ("--rho-min", "1.5", "--rho-max", "3", "--steps", "30"),
+}
+
+
+def assert_levels_in_order(lines):
+    assert len(lines) >= 2
+    for i, line in enumerate(lines):
+        pattern = rf"level {i}: lambda~=\S+ p=[01]\.\d{{3}} wilson=\[[01]\.\d{{3}},[01]\.\d{{3}}\]"
+        assert re.fullmatch(pattern, line), (i, line)
+
+
+@pytest.mark.parametrize("command", sorted(PROGRESS_ARGV))
+def test_progress_goes_to_stderr_unless_quiet(command, capsys):
+    argv = (command, *PROGRESS_ARGV[command], "--seed", "4")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0
+    quiet_code, quiet_out, quiet_err = run_cli(capsys, *argv, "--quiet")
+    assert quiet_code == 0 and quiet_out == out and quiet_err == ""
+    lines = err.splitlines()
+    if command == "threshold":
+        assert_levels_in_order(lines)
+    elif command == "alpha-sweep":
+        starts = [i for i, line in enumerate(lines) if line.startswith("alpha=")]
+        assert starts[0] == 0 and [lines[i] for i in starts] == ["alpha=0", "alpha=1"]
+        for a, b in zip(starts, starts[1:] + [len(lines)]):
+            assert_levels_in_order(lines[a + 1 : b])
+    else:
+        assert lines == [f"kappa-sweep: {i}/30 rows" for i in (10, 20, 30)]
+
+
+def test_a_random_seed_is_saved_as_an_integer_and_replays(tmp_path, capsys):
+    cfg_path = tmp_path / "run.json"
+    code, first, _ = run_cli(
+        capsys, "threshold", *REPLAY_ARGV["threshold"], "--seed", "random",
+        "--save-config", str(cfg_path), "--quiet",
+    )
+    assert code == 0
+    seed = json.loads(cfg_path.read_text())["seed"]
+    assert type(seed) is int and 0 <= seed < 2**63
+    assert json.loads(first)["seed"] == seed
+    code, replayed, _ = run_cli(capsys, "replay", str(cfg_path), "--quiet")
+    assert code == 0 and replayed == first
+
+
+def test_kappa_sweep_rejects_its_steps_and_rho_range_before_optimizing(monkeypatch, capsys):
+    def no_optimizing(*args, **kwargs):
+        raise AssertionError("kappa_c_k called before the range was checked")
+
+    monkeypatch.setattr(thresholds, "kappa_c_k", no_optimizing)
+    for argv in (("--steps", "1"), ("--rho-min", "5", "--rho-max", "2")):
+        code, out, err = run_cli(capsys, "kappa-sweep", *argv)
+        assert code == 2, argv
+        assert out == "" and err == "error: need steps >= 2 and rho_min < rho_max\n"

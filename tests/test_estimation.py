@@ -94,6 +94,32 @@ def test_alpha_sweep_caps_the_run_summed_over_its_alphas(monkeypatch):
         estimate_lambda_c(UNIT, box, trials=60)
 
 
+def test_size_ladder_caps_the_run_summed_over_its_sides(monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the run size was checked")
+
+    monkeypatch.setattr(estimation, "sample", no_sampling)
+    sides = [600.0, 700.0, 800.0, 900.0]
+    # 50 trials at lambda_hi = 8 / (4 pi) in the halo window of side L + 2:
+    # every side alone is under the cap, the four together are over it.
+    balls = [50 * 8.0 / (4.0 * math.pi) * (side + 2.0) ** 2 for side in sides]
+    assert max(balls) < estimation.MAX_EXPECTED_COUNT < sum(balls)
+    with pytest.raises(CapacityError, match="over the cap"):
+        size_ladder(UNIT, 2, sides, trials=50)
+
+
+def test_a_wilson_interval_excluding_half_lies_on_the_side_of_p_hat():
+    # The bisection step reads p_hat alone, and the final interpolation needs
+    # p_hat < 1/2 at a decisive low end and p_hat >= 1/2 at a decisive high end.
+    for n in range(50, 401):
+        for s in range(n + 1):
+            low, high = wilson_interval(s, n)
+            if low > 0.5:
+                assert s / n >= 0.5, (s, n)
+            if high < 0.5:
+                assert s / n < 0.5, (s, n)
+
+
 def test_the_estimator_never_labels_clusters(monkeypatch):
     """The spanning-tree search alone decides crossing; no trial computes labels."""
 
@@ -193,8 +219,7 @@ def test_mass_invariance_halves_lambda_exactly():
 
 
 def test_alpha_endpoints_identical_per_seed():
-    points = alpha_sweep(10.0, [0.0, 1.0], 2, BoxSpec(2, 12.0), trials=60, seed=3)
-    e0, e1 = points[0].estimate, points[1].estimate
+    e0, e1 = alpha_sweep(10.0, [0.0, 1.0], 2, BoxSpec(2, 12.0), trials=60, seed=3)
     assert e0.normalized == e1.normalized
     assert e0.covered_volume == e1.covered_volume
     assert all(x.indicators == y.indicators for x, y in zip(e0.levels, e1.levels))
@@ -202,7 +227,7 @@ def test_alpha_endpoints_identical_per_seed():
 
 def test_size_ladder_single_side_passthrough():
     ladder = size_ladder(UNIT, 2, [16.0], trials=60, seed=2)
-    assert ladder.headline == ladder.estimates[0]
+    assert len(ladder.estimates) == 1
     assert ladder.drifts == ()
     assert ladder.systematic is False
 
@@ -211,7 +236,6 @@ def test_size_ladder_drift_fields():
     ladder = size_ladder(UNIT, 2, [12.0, 16.0], trials=60, seed=8)
     assert len(ladder.estimates) == 2
     assert len(ladder.drifts) == 1
-    assert ladder.headline is ladder.estimates[-1]
     with pytest.raises(ValueError):
         size_ladder(UNIT, 2, [16.0, 12.0], trials=60, seed=8)
     with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ from contperc.geometry import (
     _log_betainc,
     log_slab_volume,
     log_unit_ball_volume,
+    log_upper_cap_fraction,
     slab_log_rate,
     slab_volume,
     unit_ball_volume,
@@ -84,6 +85,23 @@ def test_log_betainc_matches_scipy():
                 mine = math.exp(_log_betainc(a, b, x))
                 worst = max(worst, abs(mine - ref) / ref)
     assert worst < 5e-12
+
+
+def test_cap_fraction_is_exact_at_both_ends():
+    for d in (1, 2, 3, 2000, 10**6):
+        assert log_upper_cap_fraction(d, 0.0) == math.log(0.5)
+        assert log_upper_cap_fraction(d, 1.0) == -math.inf
+
+
+def test_slab_up_to_the_top_is_exact():
+    # At b = 1 the upper cap is empty, so nothing is subtracted.
+    for d in (1, 2, 3, 2000, 10**6):
+        for r in (0.5, 1.0, 3.0):
+            log_scale = d * math.log(r) + log_unit_ball_volume(d)
+            assert log_slab_volume(SlabSpec(d, r, 0.0, 1.0)) == log_scale
+            for a in (0.25, 0.5, 0.9):
+                expected = log_scale + log_upper_cap_fraction(d, a)
+                assert log_slab_volume(SlabSpec(d, r, a, 1.0)) == expected, (d, r, a)
 
 
 def test_partition_identity():

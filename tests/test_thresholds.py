@@ -13,7 +13,6 @@ import contperc
 from contperc import thresholds
 from contperc.thresholds import (
     MAX_K,
-    AlternationParams,
     genealogy_envelope,
     k2_crossover_rho,
     kappa_c,
@@ -27,19 +26,17 @@ from _oracles import reference_kappa_c_k, reference_path_terms
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        AlternationParams(1.0, 1, (0.0,))
+        objective(1.0, (0.0,))
     with pytest.raises(ValueError):
-        AlternationParams(2.0, 0, ())
+        objective(2.0, ())
     with pytest.raises(ValueError):
-        AlternationParams(2.0, 2, (0.1,))
-    with pytest.raises(ValueError):
-        AlternationParams(2.0, 1, (1.0,))
+        objective(2.0, (1.0,))
 
 
 def test_rho_must_be_finite_and_below_overflow():
     for rho in (math.inf, math.nan, 1e308, 2e150, 1.0):
         with pytest.raises(ValueError, match=r"rho must exceed 1 and be at most 1e\+150$"):
-            AlternationParams(rho, 1, (0.0,))
+            objective(rho, (0.0,))
         with pytest.raises(ValueError, match="rho must exceed 1"):
             kappa_c_k(rho, 2)
         with pytest.raises(ValueError, match="rho must exceed 1"):
@@ -60,20 +57,20 @@ def test_kappa_below_one_and_k1_exact_up_to_max_rho():
         assert all(math.isfinite(r.kappa) and r.kappa <= 1.0 + 1e-13 for r in res), rho
 
 
-def distances(params):
-    """The distances d_1, ..., d_{k+1} reached along the path of params."""
-    dists = thresholds._path_terms(params.rho, np.arctanh([params.offsets]))[2]
+def distances(rho, offsets):
+    """The distances d_1, ..., d_{k+1} reached along the path with these offsets."""
+    dists = thresholds._path_terms(rho, np.arctanh([offsets]))[2]
     return [float(d[0]) for d in dists]
 
 
 def test_distance_profile_zero_offset():
-    dists = distances(AlternationParams(3.0, 1, (0.0,)))
+    dists = distances(3.0, (0.0,))
     assert dists[0] == 4.0
     assert dists[1] == pytest.approx(4.0 * math.sqrt(2.0), rel=1e-14)
 
 
 def test_distance_profile_rho3_crossing_offset():
-    dists = distances(AlternationParams(3.0, 1, (5.0 / 13.0,)))
+    dists = distances(3.0, (5.0 / 13.0,))
     # d_2^2 = 16 + 2*4*(5/13)*4 + 16 = 576/13
     assert dists[-1] == pytest.approx(24.0 / math.sqrt(13.0), rel=1e-14)
 
@@ -82,24 +79,22 @@ def test_distances_strictly_increase():
     rng = np.random.default_rng(3)
     for _ in range(50):
         k = int(rng.integers(1, 5))
-        params = AlternationParams(
-            float(rng.uniform(1.01, 8.0)), k, tuple(rng.uniform(0.0, 0.99, size=k))
-        )
-        dists = distances(params)
+        rho = float(rng.uniform(1.01, 8.0))
+        dists = distances(rho, tuple(rng.uniform(0.0, 0.99, size=k)))
         assert all(b > a for a, b in zip(dists, dists[1:]))
 
 
 def test_objective_examples():
-    gen, geo = objective(AlternationParams(2.0, 1, (0.0,)))
+    gen, geo = objective(2.0, (0.0,))
     assert gen == pytest.approx(math.sqrt(8.0 / 9.0), rel=1e-12)
     assert geo == pytest.approx(4.0 / (3.0 * math.sqrt(2.0)), rel=1e-12)
     assert gen == pytest.approx(geo, rel=1e-12)  # branches meet at rho=2, a=0
 
-    gen, geo = objective(AlternationParams(3.0, 1, (5.0 / 13.0,)))
+    gen, geo = objective(3.0, (5.0 / 13.0,))
     assert gen == pytest.approx(math.sqrt(13.0) / 4.0, rel=1e-12)
     assert geo == pytest.approx(math.sqrt(13.0) / 4.0, rel=1e-12)
 
-    gen, _ = objective(AlternationParams(1.5, 1, (0.0,)))
+    gen, _ = objective(1.5, (0.0,))
     assert gen == pytest.approx(2.0 * math.sqrt(1.5) / 2.5, rel=1e-12)
 
 
@@ -112,7 +107,7 @@ def test_monotone_branches():
             for a in grid:
                 offs = [0.3] * k
                 offs[axis] = float(a)
-                gen, geo = objective(AlternationParams(rho, k, tuple(offs)))
+                gen, geo = objective(rho, tuple(offs))
                 if prev is not None:
                     assert gen >= prev[0] - 1e-12
                     assert geo <= prev[1] + 1e-12
@@ -352,21 +347,23 @@ def paths(draw):
     rho = draw(st.floats(1.0, 20.0, exclude_min=True))
     k = draw(st.integers(1, 12))
     offsets = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=k, max_size=k))
-    return AlternationParams(rho, k, tuple(offsets))
+    return rho, tuple(offsets)
 
 
 @settings(deadline=None, max_examples=300)
 @given(paths())
-@example(AlternationParams(2.0, 1, (1.0 - 1e-6,)))
-@example(AlternationParams(20.0, 12, (0.999999,) * 12))
-def test_vector_terms_match_scalar_reference(params):
-    genealogy, geometry, dists = reference_path_terms(params.rho, params.k, params.offsets)
-    got_genealogy, got_geometry = objective(params)
+@example((2.0, (1.0 - 1e-6,)))
+@example((20.0, (0.999999,) * 12))
+def test_vector_terms_match_scalar_reference(path):
+    rho, offsets = path
+    k = len(offsets)
+    genealogy, geometry, dists = reference_path_terms(rho, k, offsets)
+    got_genealogy, got_geometry = objective(rho, offsets)
     assert got_genealogy == pytest.approx(genealogy, rel=1e-13, abs=0.0)
     assert got_geometry == pytest.approx(geometry, rel=1e-13, abs=0.0)
-    assert distances(params) == pytest.approx(dists, rel=1e-13, abs=0.0)
-    zero = reference_path_terms(params.rho, params.k, (0.0,) * params.k)[0]
-    assert genealogy_envelope(params.rho, params.k) == pytest.approx(zero, rel=1e-13, abs=0.0)
+    assert distances(rho, offsets) == pytest.approx(dists, rel=1e-13, abs=0.0)
+    zero = reference_path_terms(rho, k, (0.0,) * k)[0]
+    assert genealogy_envelope(rho, k) == pytest.approx(zero, rel=1e-13, abs=0.0)
 
 
 def _run_python(code):
