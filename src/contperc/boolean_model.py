@@ -30,7 +30,7 @@ from scipy.spatial import cKDTree
 from .errors import CapacityError
 from .geometry import unit_ball_volume
 from .rng import stream
-from .util import ipow
+from .util import _QUERY_SLACK, ipow
 
 __all__ = [
     "RadiusMixture",
@@ -48,14 +48,6 @@ __all__ = [
 # Hard cap on the expected number of balls in one configuration, and in one
 # threshold run summed over its trials (estimation).
 MAX_EXPECTED_COUNT = 5e7
-# Largest dimension the Monte Carlo layers (estimation, pathcount) simulate;
-# box and ball volumes explode beyond it.
-MAX_SIMULATION_DIMENSION = 6
-
-# Relative margin on k-d tree query radii, so that the tree's own rounding
-# of distances cannot drop a pair the exact hit test would accept.  The
-# exact test alone decides which candidates connect.
-_QUERY_SLACK = 1.0 + 1e-9
 
 
 class RadiusMixture:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import importlib
 import io
 import json
 import secrets
@@ -16,8 +17,6 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import branching, estimation, geometry, pathcount, thresholds
-from .boolean_model import BoxSpec, RadiusMixture
 from .errors import CapacityError
 from .util import check_rho
 
@@ -56,8 +55,10 @@ class RunConfig:
         return cls(**{name: data[name] for name in cls.__dataclass_fields__})
 
 
-def parse_mixture(text: str) -> RadiusMixture:
-    """Parse the mixture syntax 'r:w[,r:w...]'."""
+def parse_mixture(text: str):
+    """Parse the mixture syntax 'r:w[,r:w...]' into a RadiusMixture."""
+    from .boolean_model import RadiusMixture
+
     atoms = []
     for part in text.split(","):
         try:
@@ -84,7 +85,7 @@ def _progress_printer(quiet: bool):
     return emit
 
 
-def _estimate_row(est: estimation.ThresholdEstimate, rho=None, alpha=None) -> dict:
+def _estimate_row(est, rho=None, alpha=None) -> dict:
     return {
         "rho": rho,
         "alpha": alpha,
@@ -101,6 +102,8 @@ def _estimate_row(est: estimation.ThresholdEstimate, rho=None, alpha=None) -> di
 
 
 def _cmd_kappa(params: dict, seed: int, quiet: bool):
+    from . import thresholds
+
     rho = params["rho"]
     if "k" in params:
         res = thresholds.kappa_c_k(rho, params["k"])
@@ -117,6 +120,8 @@ def _cmd_kappa(params: dict, seed: int, quiet: bool):
 
 
 def _cmd_kappa_sweep(params: dict, seed: int, quiet: bool):
+    from . import thresholds
+
     rho_min = params["rho_min"]
     rho_max = params["rho_max"]
     steps = params["steps"]
@@ -148,6 +153,9 @@ def _cmd_kappa_sweep(params: dict, seed: int, quiet: bool):
 
 
 def _cmd_threshold(params: dict, seed: int, quiet: bool):
+    from . import estimation
+    from .boolean_model import BoxSpec
+
     mixture = parse_mixture(params["mixture"])
     box = BoxSpec(dimension=params["d"], side=params["L"])
     est = estimation.estimate_lambda_c(
@@ -162,6 +170,9 @@ def _cmd_threshold(params: dict, seed: int, quiet: bool):
 
 
 def _cmd_alpha_sweep(params: dict, seed: int, quiet: bool):
+    from . import estimation
+    from .boolean_model import BoxSpec
+
     rho = params["rho"]
     d = params["d"]
     if "alphas" in params:
@@ -185,6 +196,8 @@ def _cmd_alpha_sweep(params: dict, seed: int, quiet: bool):
 
 
 def _cmd_gw(params: dict, seed: int, quiet: bool):
+    from . import branching
+
     d = params["d"]
     rho = params["rho"]
     limit = branching.gw_critical_kappa_limit(rho)
@@ -202,6 +215,8 @@ def _cmd_gw(params: dict, seed: int, quiet: bool):
 
 
 def _cmd_paths(params: dict, seed: int, quiet: bool):
+    from . import pathcount
+
     d = params["d"]
     rho = params["rho"]
     kappa = params["kappa"]
@@ -222,6 +237,8 @@ def _cmd_paths(params: dict, seed: int, quiet: bool):
 
 
 def _cmd_slab(params: dict, seed: int, quiet: bool):
+    from . import geometry
+
     spec = geometry.SlabSpec(
         dimension=params["d"],
         radius=params["r"],
@@ -240,20 +257,23 @@ def _cmd_slab(params: dict, seed: int, quiet: bool):
     return [row], True
 
 
+# Command -> (the module its handler runs, the handler).  `_config_from_args`
+# imports the module, so a run loads what its command needs, and only that,
+# once its arguments are parsed; the handler's own import is then a lookup.
 _COMMANDS = {
-    "kappa": _cmd_kappa,
-    "kappa-sweep": _cmd_kappa_sweep,
-    "threshold": _cmd_threshold,
-    "alpha-sweep": _cmd_alpha_sweep,
-    "gw": _cmd_gw,
-    "paths": _cmd_paths,
-    "slab": _cmd_slab,
+    "kappa": ("thresholds", _cmd_kappa),
+    "kappa-sweep": ("thresholds", _cmd_kappa_sweep),
+    "threshold": ("estimation", _cmd_threshold),
+    "alpha-sweep": ("estimation", _cmd_alpha_sweep),
+    "gw": ("branching", _cmd_gw),
+    "paths": ("pathcount", _cmd_paths),
+    "slab": ("geometry", _cmd_slab),
 }
 
 
 def dispatch(config: RunConfig, quiet: bool = True):
     """Run the command in a RunConfig; returns (rows, single_record)."""
-    return _COMMANDS[config.command](config.params, config.seed, quiet)
+    return _COMMANDS[config.command][1](config.params, config.seed, quiet)
 
 
 def _format_csv_value(value) -> str:
@@ -367,6 +387,8 @@ _NOT_PARAMS = {"command", "seed", "format", "output", "save_config", "quiet"}
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
+    """The RunConfig of parsed arguments; also imports the module the command runs."""
+    importlib.import_module(f".{_COMMANDS[args.command][0]}", __package__)
     params = {
         key: value
         for key, value in vars(args).items()

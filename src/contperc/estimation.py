@@ -41,7 +41,6 @@ from scipy.sparse.csgraph import breadth_first_order, minimum_spanning_tree
 
 from .boolean_model import (
     MAX_EXPECTED_COUNT,
-    MAX_SIMULATION_DIMENSION,
     BallConfiguration,
     BoxSpec,
     RadiusMixture,
@@ -51,7 +50,7 @@ from .boolean_model import (
 from .errors import CapacityError
 from .geometry import unit_ball_volume
 from .rng import derive_seed, stream
-from .util import check_rho, ipow
+from .util import MAX_SIMULATION_DIMENSION, check_rho, ipow
 
 __all__ = [
     "LevelStat",
@@ -80,7 +79,9 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """Wilson score 95% interval for a binomial proportion.
 
     Unlike the Wald interval it behaves correctly for proportions near 0
-    and 1, which is where bisection spends its early levels.
+    and 1, which is where bisection spends its early levels.  The ends are
+    clamped to [0, 1] and to p_hat, which rounding would otherwise miss at
+    0 and n successes (a low end of 6.9e-18 at 0 of 50).
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -89,7 +90,7 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     denom = 1.0 + z2 / trials
     center = (p + z2 / (2.0 * trials)) / denom
     half = _Z95 * math.sqrt(p * (1.0 - p) / trials + z2 / (4.0 * trials * trials)) / denom
-    return max(0.0, center - half), min(1.0, center + half)
+    return max(0.0, min(p, center - half)), min(1.0, max(p, center + half))
 
 
 @dataclass(frozen=True)

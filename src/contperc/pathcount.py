@@ -36,11 +36,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .boolean_model import MAX_SIMULATION_DIMENSION, _QUERY_SLACK
 from .errors import CapacityError
 from .geometry import unit_ball_volume
 from .rng import stream
-from .util import check_rho, ipow
+from .util import _QUERY_SLACK, MAX_SIMULATION_DIMENSION, check_rho, ipow
 
 __all__ = [
     "PathCountRun",

@@ -26,6 +26,7 @@ results depend on (rho, k) alone.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -124,6 +125,21 @@ def _term_gradients(
     return genealogy[:, None] * a / (k + 1), d_geometry
 
 
+@functools.cache
+def _coarse(k: int) -> np.ndarray:
+    """The coarse sample of kappa_c_k in u = atanh(a), read-only and built once per k:
+    a full grid with step _GRID_STEP for k <= 3, else _COARSE_POINTS uniform
+    points from a fixed stream plus the zero row."""
+    if k <= 3:
+        axis = np.arctanh(np.arange(0.0, 1.0, _GRID_STEP))
+        candidates = np.stack(np.meshgrid(*([axis] * k), indexing="ij"), axis=-1).reshape(-1, k)
+    else:
+        sample = np.arctanh(stream(_COARSE_SEED, k).random((_COARSE_POINTS, k)))
+        candidates = np.vstack([sample, np.zeros((1, k))])
+    candidates.flags.writeable = False
+    return candidates
+
+
 def kappa_c_k(rho: float, k: int) -> KappaResult:
     """Minimize the alternating-path objective over offsets in [0, 1)^k.
 
@@ -143,12 +159,7 @@ def kappa_c_k(rho: float, k: int) -> KappaResult:
     if not isinstance(k, int) or not 1 <= k <= MAX_K:
         raise ValueError(f"k must lie in 1..{MAX_K}")
 
-    if k <= 3:
-        axis = np.arctanh(np.arange(0.0, 1.0, _GRID_STEP))
-        candidates = np.stack(np.meshgrid(*([axis] * k), indexing="ij"), axis=-1).reshape(-1, k)
-    else:
-        sample = np.arctanh(stream(_COARSE_SEED, k).random((_COARSE_POINTS, k)))
-        candidates = np.vstack([sample, np.zeros((1, k))])
+    candidates = _coarse(k)
     if rho > 2.0:
         candidates = np.vstack([candidates, np.full((1, k), math.log(rho / 2.0))])
 

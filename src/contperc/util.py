@@ -2,7 +2,16 @@
 
 from __future__ import annotations
 
-__all__ = ["check_rho", "ipow"]
+__all__ = ["MAX_SIMULATION_DIMENSION", "check_rho", "ipow"]
+
+# Largest dimension the Monte Carlo layers (estimation, pathcount) simulate;
+# box and ball volumes explode beyond it.
+MAX_SIMULATION_DIMENSION = 6
+
+# Relative margin on k-d tree query radii, so that the tree's own rounding
+# of distances cannot drop a pair the exact hit test would accept.  The
+# exact test alone decides which candidates connect.
+_QUERY_SLACK = 1.0 + 1e-9
 
 
 def check_rho(rho: float) -> None:

@@ -2,8 +2,11 @@ import csv
 import io
 import json
 import math
+import os
 import re
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -578,3 +581,84 @@ def test_kappa_sweep_rejects_its_steps_and_rho_range_before_optimizing(monkeypat
         code, out, err = run_cli(capsys, "kappa-sweep", *argv)
         assert code == 2, argv
         assert out == "" and err == "error: need steps >= 2 and rho_min < rho_max\n"
+
+
+# Runs in a fresh interpreter: parse argv as `main` does, then dispatch it,
+# and print the modules loaded by then and those dispatch added.
+LOADS_SCRIPT = """
+import json, sys
+from contperc import cli
+parser = cli.build_parser()
+try:
+    args = parser.parse_args(sys.argv[1:])
+except SystemExit as exc:
+    print(json.dumps({"exit": exc.code, "parsed": sorted(sys.modules)}))
+    raise SystemExit(0)
+if args.command == "replay":
+    config = cli._replay_config(parser, args.config_path)
+else:
+    config = cli._config_from_args(args)
+parsed = sorted(sys.modules)
+cli.dispatch(config)
+print(json.dumps({"parsed": parsed, "added": sorted(set(sys.modules) - set(parsed))}))
+"""
+
+_NOT_SIMULATED = {"contperc.boolean_model", "contperc.estimation", "contperc.pathcount"}
+
+# Command -> modules loaded once its arguments are parsed, and modules, each
+# with its submodules, that are not.
+COMMAND_LOADS = {
+    "kappa": ({"contperc.thresholds", "scipy.optimize"}, _NOT_SIMULATED),
+    "kappa-sweep": ({"contperc.thresholds", "scipy.optimize"}, _NOT_SIMULATED),
+    "threshold": ({"contperc.estimation", "scipy.sparse.csgraph"}, {"scipy.optimize"}),
+    "alpha-sweep": ({"contperc.estimation", "scipy.sparse.csgraph"}, {"scipy.optimize"}),
+    "gw": ({"contperc.branching"}, {"scipy"}),
+    "paths": ({"contperc.pathcount", "scipy.spatial"}, {"scipy.optimize", "scipy.sparse.csgraph"}),
+    "slab": ({"contperc.geometry", "scipy.special"}, {"scipy.optimize", "scipy.sparse"}),
+}
+
+
+def loads_in_a_fresh_interpreter(*argv):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADS_SCRIPT, *argv],
+        capture_output=True, text=True, check=True, env=env,
+    )
+    return json.loads(proc.stdout)
+
+
+def loaded_under(modules, packages):
+    return sorted(m for m in modules if any(m == p or m.startswith(p + ".") for p in packages))
+
+
+def test_importing_the_cli_and_a_parse_error_load_no_scipy():
+    # A parse error exits before any command module is imported.
+    report = loads_in_a_fresh_interpreter("threshold", "--d", "2")
+    assert report["exit"] == 2
+    assert loaded_under(report["parsed"], {"scipy"}) == []
+    assert loaded_under(report["parsed"], {"contperc"}) == [
+        "contperc", "contperc.cli", "contperc.errors", "contperc.util",
+    ]
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_LOADS))
+def test_a_command_loads_its_modules_at_parsing_and_none_in_dispatch(command):
+    wanted, unwanted = COMMAND_LOADS[command]
+    report = loads_in_a_fresh_interpreter(command, *REPLAY_ARGV[command], "--quiet")
+    assert wanted <= set(report["parsed"])
+    assert loaded_under(report["parsed"], unwanted) == []
+    # The benchmark times dispatch as wall_s and the imports as setup_s.
+    assert report["added"] == []
+
+
+def test_a_replay_loads_its_commands_modules_at_parsing(tmp_path, capsys):
+    cfg_path = tmp_path / "run.json"
+    code, _, _ = run_cli(capsys, "paths", *REPLAY_ARGV["paths"], "--save-config", str(cfg_path), "--quiet")
+    assert code == 0
+    report = loads_in_a_fresh_interpreter("replay", str(cfg_path), "--quiet")
+    wanted, unwanted = COMMAND_LOADS["paths"]
+    assert wanted <= set(report["parsed"])
+    assert loaded_under(report["parsed"], unwanted) == []
+    assert report["added"] == []

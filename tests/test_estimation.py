@@ -120,6 +120,17 @@ def test_a_wilson_interval_excluding_half_lies_on_the_side_of_p_hat():
                 assert s / n < 0.5, (s, n)
 
 
+def test_a_wilson_interval_holds_p_hat_within_zero_and_one():
+    # Unclamped, rounding gave a low end of 6.9e-18 at 0 of 50 and a high end
+    # of 1 - 1.1e-16 at 53 of 53.
+    assert wilson_interval(0, 50)[0] == 0.0
+    assert wilson_interval(53, 53)[1] == 1.0
+    for n in range(50, 2001):
+        for s in range(n + 1):
+            low, high = wilson_interval(s, n)
+            assert 0.0 <= low <= s / n <= high <= 1.0, (s, n)
+
+
 def test_the_estimator_never_labels_clusters(monkeypatch):
     """The spanning-tree search alone decides crossing; no trial computes labels."""
 

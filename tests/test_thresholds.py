@@ -376,11 +376,6 @@ def _run_python(code):
     ).stdout
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    out = _run_python("import sys, contperc.cli; print('scipy.stats' in sys.modules)")
-    assert out.strip() == "False"
-
-
 def test_kappa_c_k_coarse_sample_is_fixed_across_processes():
     code = "from contperc.thresholds import kappa_c_k; r = kappa_c_k(3.0, 5); print(r)"
     assert _run_python(code) == _run_python(code)
