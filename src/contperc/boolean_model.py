@@ -188,6 +188,11 @@ class CoverageEstimate(NamedTuple):
     stderr: float
 
 
+def expected_count(mixture: RadiusMixture, lam: float, box: BoxSpec) -> float:
+    """Expected number of balls in one sample: lam * mass * (L + 2 r_max)^d, the halo window."""
+    return lam * (mixture.total_mass * ipow(box.side + 2.0 * mixture.r_max, box.dimension))
+
+
 def sample(
     mixture: RadiusMixture, lam: float, box: BoxSpec, seed: int
 ) -> BallConfiguration:
@@ -205,7 +210,7 @@ def sample(
     d = box.dimension
     origin = -mixture.r_max
     extent = box.side + 2.0 * mixture.r_max
-    expected = lam * (mixture.total_mass * ipow(extent, d))
+    expected = expected_count(mixture, lam, box)
     if expected > MAX_EXPECTED_COUNT:
         raise CapacityError(
             f"expected ball count {expected:.3g} exceeds the cap {MAX_EXPECTED_COUNT:.0e}"

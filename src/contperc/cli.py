@@ -11,6 +11,7 @@ import csv
 import importlib
 import io
 import json
+import os
 import secrets
 import sys
 from dataclasses import asdict, dataclass
@@ -307,6 +308,14 @@ def _write_output(text: str, output: str | None) -> None:
             fh.write(text)
 
 
+def _check_target(path: str) -> None:
+    """Reject, before the run, a file name to write that is empty or a directory, or whose directory is missing."""
+    if not path or os.path.isdir(path):
+        raise ValueError(f"cannot write {path!r}: the name is empty or a directory")
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise ValueError(f"cannot write {path!r}: its directory does not exist")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="contperc",
@@ -435,7 +444,14 @@ def main(argv=None) -> int:
             config, save_config = _replay_config(parser, args.config_path), None
         else:
             config, save_config = _config_from_args(args), args.save_config
+        for path in (config.output, save_config):
+            if path not in (None, "-"):
+                _check_target(path)
         rows, single = dispatch(config, quiet=args.quiet)
+        _write_output(render(rows, single, config.fmt), config.output)
+        if save_config:
+            with open(save_config, "w") as fh:
+                fh.write(config.to_json())
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     except ValueError as exc:
@@ -444,11 +460,6 @@ def main(argv=None) -> int:
     except (CapacityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-
-    _write_output(render(rows, single, config.fmt), config.output)
-    if save_config:
-        with open(save_config, "w") as fh:
-            fh.write(config.to_json())
     return 0
 
 

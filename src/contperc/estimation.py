@@ -45,6 +45,7 @@ from .boolean_model import (
     BoxSpec,
     RadiusMixture,
     clusters,
+    expected_count,
     sample,
 )
 from .errors import CapacityError
@@ -146,6 +147,13 @@ def canonicalize(mixture: RadiusMixture) -> tuple[RadiusMixture, float, float]:
     return canon, scale, mass
 
 
+def _first_bracket(canon: RadiusMixture, d: int) -> tuple[float, float, float]:
+    """(norm_factor, lam_lo, lam_hi): v_d sum w (2r)^d, and the first bracket 1 and 8 over it."""
+    norm_factor = unit_ball_volume(d) * canon.doubled_moment(d)
+    lam_lo = 1.0 / norm_factor
+    return norm_factor, lam_lo, 8.0 * lam_lo
+
+
 def _check_run(runs, trials: int, target_rel_tol: float) -> None:
     """Reject a threshold run over (mixture, box) pairs before any sampling.
 
@@ -167,9 +175,8 @@ def _check_run(runs, trials: int, target_rel_tol: float) -> None:
                 "box volumes explode beyond that"
             )
         canon, scale, _ = canonicalize(mixture)
-        lam_hi = 8.0 / (unit_ball_volume(d) * canon.doubled_moment(d))
-        extent = box.side / scale + 2.0 * canon.r_max  # sample's halo window
-        balls += trials * lam_hi * canon.total_mass * ipow(extent, d)
+        lam_hi = _first_bracket(canon, d)[2]
+        balls += trials * expected_count(canon, lam_hi, BoxSpec(dimension=d, side=box.side / scale))
     if balls > MAX_EXPECTED_COUNT:
         raise CapacityError(
             f"the run's trials expect {balls:.3g} balls at the bracket top, "
@@ -281,9 +288,7 @@ def estimate_lambda_c(
     d = box.dimension
     canon, scale, mass = canonicalize(mixture)
     canon_box = BoxSpec(dimension=d, side=box.side / scale)
-    norm_factor = unit_ball_volume(d) * canon.doubled_moment(d)
-    lam_lo = 1.0 / norm_factor
-    lam_hi = 8.0 * lam_lo
+    norm_factor, lam_lo, lam_hi = _first_bracket(canon, d)
     critical = _critical_intensities(canon, canon_box, seed, trials, lam_hi)
     levels: list[LevelStat] = []
 

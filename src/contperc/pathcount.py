@@ -20,9 +20,10 @@ ball of that radius reproduces the infinite-volume counts, and the
 ordered-tuple expectation has the exact closed form
 E(M_k) = (kappa^(k+1) (1+rho)^2 / (4 rho))^d for k >= 1, E(M_0) = kappa^d.
 
-One chain walker serves every count.  k-d trees give the unit-unit and
-unit-large neighbour lists in CSR form, and the chains grow one center at a
-time as integer index arrays, dropping steps back onto a center already in
+One chain walker serves every count.  k-d trees find the unit-unit steps
+and the unit-large hits, held as scipy.sparse CSR matrices; the chains grow
+one center at a time as integer index arrays, each step reading the rows of
+the chains' last centers and dropping steps back onto a center already in
 the chain.  count_paths walks all trials of a chunk at once, side by side
 along the first axis; chunks are sized so that their expected points and
 partial chains stay under caps.
@@ -34,6 +35,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
 from scipy.spatial import cKDTree
 
 from .errors import CapacityError
@@ -102,22 +104,6 @@ def _norm2(points: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", points, points)
 
 
-def _csr(src: np.ndarray, dst: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Neighbour lists of nodes 0..n-1 from directed edges, in CSR form."""
-    ptr = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(np.bincount(src, minlength=n), out=ptr[1:])
-    return ptr, dst[np.argsort(src, kind="stable")]
-
-
-def _gather(ptr: np.ndarray, idx: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(position in nodes, neighbour) for every neighbour of every node."""
-    first = ptr[nodes]
-    deg = ptr[nodes + 1] - first
-    owner = np.repeat(np.arange(nodes.size), deg)
-    shift = first - (np.cumsum(deg) - deg)
-    return owner, idx[np.arange(owner.size) + shift[owner]]
-
-
 def _hits(a, b, i, j, reach):
     """Keep the candidate pairs (i, j) of one trial strictly closer than reach."""
     (points_a, trial_a), (points_b, trial_b) = a, b
@@ -126,60 +112,52 @@ def _hits(a, b, i, j, reach):
     return i[hit], j[hit]
 
 
-def _walk(unit, large, rho, k):
-    """Every ordered chain x_1, ..., x_k (k >= 1) of distinct unit centers, per trial.
+def _trial_counts(unit, large, rho, k, n_trials):
+    """Per-trial (N_k, M_k) as two integer arrays of length n_trials.
 
-    unit and large are (points, trial ids) pairs.  Returns (chains, end_ptr,
-    end_idx): a row of chains holds the unit indices of one chain, and
-    end_idx[end_ptr[u] : end_ptr[u + 1]] lists the large centers within
-    1 + rho of unit center u.  Trials share d-dimensional k-d trees, trial t
-    shifted by t * spacing along axis 0, beyond both query radii of the
-    others.  The shift rounds a first coordinate by at most half an ulp of the
-    largest, so both query radii grow by two such ulps; the strict test in
-    _hits, on the unshifted points and trial ids, alone decides every edge.
+    unit and large are (points, trial ids) pairs.  For k >= 1, the sparse
+    matrices ends and steps hold the unit-large hits within 1 + rho and the
+    unit-unit steps within 2.  A row of chains holds the unit indices of one
+    chain; each step reads the rows of steps at the last centers and drops
+    steps back onto a center already in the chain.  ends.T times the chains
+    ending at each unit center counts the chains ending at each large
+    center, which sum to M_k and are nonzero at the N_k endpoints.
+
+    Trials share d-dimensional k-d trees, trial t shifted by t * spacing
+    along axis 0, beyond both query radii of the others.  The shift rounds a
+    first coordinate by at most half an ulp of the largest, so both query
+    radii grow by two such ulps; the strict test in _hits, on the unshifted
+    points and trial ids, alone decides every edge.
     """
+    if k == 0:
+        hit = _norm2(large[0]) < (2.0 * rho) ** 2
+        counts = np.bincount(large[1][hit], minlength=n_trials)
+        return counts, counts
     reach = 1.0 + rho
     spacing = 2.0 * (2.0 * rho + 2.0 * k + reach)
     shifted = [np.column_stack([p[:, 0] + t * spacing, p[:, 1:]]) for p, t in (unit, large)]
     slack = 2.0 * np.spacing(max(np.abs(p[:, 0]).max(initial=0.0) for p in shifted))
     tree_u, tree_l = map(cKDTree, shifted)
+    n_unit, n_large = len(unit[0]), len(large[0])
     near = tree_u.sparse_distance_matrix(tree_l, reach * _QUERY_SLACK + slack, output_type="ndarray")
     u, l = _hits(unit, large, near["i"], near["j"], reach)
-    norms2 = _norm2(unit[0])
-    end_ptr, end_idx = _csr(u, l, norms2.size)
+    ends = csr_matrix((np.ones(u.size, dtype=bool), (u, l)), shape=(n_unit, n_large))
 
-    chains = np.flatnonzero(norms2 < reach * reach)[:, None]
+    chains = np.flatnonzero(_norm2(unit[0]) < reach * reach)[:, None]
     if k >= 2:
         near = tree_u.query_pairs(2.0 * _QUERY_SLACK + slack, output_type="ndarray")
         a, b = _hits(unit, unit, near[:, 0], near[:, 1], 2.0)
-        ptr, idx = _csr(np.concatenate([a, b]), np.concatenate([b, a]), norms2.size)
+        edges = (np.concatenate([a, b]), np.concatenate([b, a]))
+        steps = csr_matrix((np.ones(2 * a.size, dtype=bool), edges), shape=(n_unit, n_unit))
     for _ in range(k - 1):
-        owner, nxt = _gather(ptr, idx, chains[:, -1])
-        prev = chains[owner]
-        fresh = (prev != nxt[:, None]).all(axis=1)
-        chains = np.column_stack([prev[fresh], nxt[fresh]])
-    return chains, end_ptr, end_idx
-
-
-def _trial_counts(unit, large, rho, k, n_trials):
-    """Per-trial (N_k, M_k) as two integer arrays of length n_trials."""
-    if k == 0:
-        hit = _norm2(large[0]) < (2.0 * rho) ** 2
-        counts = np.bincount(large[1][hit], minlength=n_trials)
-        return counts, counts
-    chains, end_ptr, end_idx = _walk(unit, large, rho, k)
-    last = chains[:, -1]
-    m = np.bincount(unit[1][last], weights=np.diff(end_ptr)[last], minlength=n_trials)
-    _, ends = _gather(end_ptr, end_idx, _distinct(last, end_ptr.size - 1))
-    n = np.bincount(large[1][_distinct(ends, large[0].shape[0])], minlength=n_trials)
+        step = steps[chains[:, -1]]
+        prev = np.repeat(chains, np.diff(step.indptr), axis=0)
+        fresh = (prev != step.indices[:, None]).all(axis=1)
+        chains = np.column_stack([prev[fresh], step.indices[fresh]])
+    per_end = ends.T @ np.bincount(chains[:, -1], minlength=n_unit)
+    m = np.bincount(large[1], weights=per_end, minlength=n_trials)
+    n = np.bincount(large[1][per_end > 0], minlength=n_trials)
     return n, m.astype(np.int64)
-
-
-def _distinct(idx, size):
-    """Sorted distinct values of indices into range(size), by a mask: np.unique hashes them."""
-    seen = np.zeros(size, dtype=bool)
-    seen[idx] = True
-    return np.flatnonzero(seen)
 
 
 def _uniform_ball(rng: np.random.Generator, n: int, d: int, radius: float) -> np.ndarray:

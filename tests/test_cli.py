@@ -426,6 +426,45 @@ def test_non_finite_box_side_exits_2_before_sampling(monkeypatch, capsys):
         assert "box side must be positive and finite" in err, argv
 
 
+def test_an_unwritable_target_exits_2_before_sampling(monkeypatch, tmp_path, capsys):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled although the result could not be written")
+
+    monkeypatch.setattr(estimation, "sample", no_sampling)
+    kept = tmp_path / "kept.json"
+    kept.write_text("earlier result\n")
+    missing = str(tmp_path / "missing" / "o.json")
+    argv = ("threshold", "--d", "2", "--mixture", "1:1", "--L", "8", "--trials", "50", "--quiet",
+            "--output", str(kept))
+    for option, target, message in (
+        ("--output", missing, "its directory does not exist"),
+        ("--output", str(tmp_path), "the name is empty or a directory"),
+        ("--output", "", "the name is empty or a directory"),
+        ("--save-config", missing, "its directory does not exist"),
+        ("--save-config", str(tmp_path), "the name is empty or a directory"),
+        ("--save-config", "", "the name is empty or a directory"),
+    ):
+        code, out, err = run_cli(capsys, *argv, option, target)
+        assert code == 2, (option, target)
+        assert out == "", (option, target)
+        assert err.startswith(f"error: cannot write {target!r}: {message}"), (option, target)
+        assert kept.read_text() == "earlier result\n", (option, target)
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(dict(_THRESHOLD_CONFIG, output=missing)))
+    code, out, err = run_cli(capsys, "replay", str(path), "--quiet")
+    assert (code, out) == (2, "")
+    assert "cannot write" in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that refuses writes")
+def test_a_failed_write_exits_3(capsys):
+    for option in ("--output", "--save-config"):
+        code, _, err = run_cli(capsys, "slab", "--d", "3", "--r", "1", "--a", "0", "--b", "1",
+                               option, "/dev/full")
+        assert code == 3, option
+        assert err.startswith("error: [Errno 28]"), option
+
+
 def test_gw_and_paths_reject_a_non_finite_kappa(monkeypatch, capsys):
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled with a non-finite kappa")

@@ -13,6 +13,7 @@ from contperc.pathcount import (
 )
 from contperc.geometry import unit_ball_volume
 
+from _oracles import brute_force_chains
 from test_chain_properties import chain_counts
 
 
@@ -147,6 +148,20 @@ def test_per_sample_domination():
         for k in (1, 2, 3):
             n, m = chain_counts(p1, pr, rho, k)
             assert n <= m
+    # Chunks whose sparse shapes go empty: no unit points, no large points,
+    # and chains that all die before step k (0-row slices of the step
+    # matrix).  Only trial 1 of 3 holds points.
+    none, one, pair = np.zeros((0, 2)), np.array([[1.0, 0.0]]), np.array([[1.0, 0.0], [2.0, 0.0]])
+    large = np.array([[2.5, 0.0]])
+    in_trial_1 = lambda points: (points, np.ones(len(points), dtype=np.intp))
+    for p1, pr in ((none, large), (pair, none), (one, large), (pair, large)):
+        for k in (1, 2, 3, 4):
+            n, m = pathcount._trial_counts(in_trial_1(p1), in_trial_1(pr), rho, k, 3)
+            assert n.dtype == m.dtype == np.int64 and n.shape == m.shape == (3,)
+            assert (n <= m).all()
+            chains = brute_force_chains(p1, pr, rho, k)
+            expected = [(0, 0), (len({j for _, j in chains}), len(chains)), (0, 0)]
+            assert list(zip(n.tolist(), m.tolist())) == expected, (len(p1), len(pr), k)
 
 
 def test_determinism():
