@@ -7,6 +7,8 @@ high-dimensional limit.  That matches the alternating-path constant only up
 to rho = 2; beyond, geometry pushes the true constant higher.
 """
 
+import numpy as np
+
 from contperc.branching import (
     gw_critical_kappa,
     gw_critical_kappa_limit,
@@ -16,10 +18,9 @@ from contperc.branching import (
 )
 from contperc.thresholds import kappa_c1_closed_form
 
-m = mean_matrix(1, 1.0, 2.0)
 print("mean matrix at d=1, kappa=1, rho=2:")
-print(m.entries)
-print(f"largest eigenvalue: {perron_root(m):.6f}")
+print(np.exp(mean_matrix(1, 1.0, 2.0)))
+print(f"largest eigenvalue: {perron_root(1, 1.0, 2.0):.6f}")
 
 print("\ncritical kappa versus dimension (rho = 1.5):")
 for d in (1, 2, 5, 10, 50, 200, 1000):
@@ -36,4 +37,4 @@ for rho in (1.2, 1.6, 2.0, 3.0, 6.0):
 print("\ngrowth rate per dimension at kappa just above critical (rho=2):")
 kappa = 1.02 * gw_critical_kappa_limit(2.0)
 for d in (10, 100, 1000):
-    print(f"  d={d:5d}  (1/d) ln r_d = {perron_root_log(mean_matrix(d, kappa, 2.0)) / d:+.6f}")
+    print(f"  d={d:5d}  (1/d) ln r_d = {perron_root_log(d, kappa, 2.0) / d:+.6f}")

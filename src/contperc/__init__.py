@@ -33,7 +33,6 @@ _EXPORTS = {
     "gw_critical_kappa_limit": "branching",
     "mean_matrix": "branching",
     "perron_root": "branching",
-    "CapacityError": "errors",
     "ThresholdEstimate": "estimation",
     "alpha_sweep": "estimation",
     "estimate_lambda_c": "estimation",
@@ -51,6 +50,7 @@ _EXPORTS = {
     "kappa_c1_closed_form": "thresholds",
     "kappa_c_k": "thresholds",
     "objective": "thresholds",
+    "CapacityError": "util",
 }
 
 __all__ = list(_EXPORTS)

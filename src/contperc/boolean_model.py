@@ -27,10 +27,8 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
-from .errors import CapacityError
 from .geometry import unit_ball_volume
-from .rng import stream
-from .util import _QUERY_SLACK, ipow
+from .util import _QUERY_SLACK, CapacityError, ipow, stream
 
 __all__ = [
     "RadiusMixture",
@@ -173,11 +171,6 @@ class ClusterLabeling:
     def labels(self) -> np.ndarray:
         graph = coo_matrix((np.ones(self.edges.shape[1]), tuple(self.edges)), shape=(self.n,) * 2)
         return connected_components(graph, directed=False)[1]
-
-    def canonical_labels(self) -> np.ndarray:
-        """Cluster labels renumbered by first appearance, for comparisons."""
-        _, first, inverse = np.unique(self.labels, return_index=True, return_inverse=True)
-        return np.unique(first[inverse], return_inverse=True)[1]
 
     def cluster_count(self) -> int:
         return np.unique(self.labels).size

@@ -6,6 +6,7 @@ number of offspring of each type touching a parent ball is
 
     M_d = kappa^d * [[1, ((1+rho)/(2 rho))^d], [((1+rho)/2)^d, 1]].
 
+M_d depends on (d, kappa, rho) alone, so every function here takes those.
 Entries are kept in log space: ((1+rho)/2)^d overflows doubles near d = 700
 for rho = 10.
 """
@@ -13,14 +14,12 @@ for rho = 10.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .util import check_rho
+from .util import check_rho, exp_or_inf
 
 __all__ = [
-    "MeanMatrix",
     "mean_matrix",
     "perron_root",
     "perron_root_log",
@@ -29,50 +28,38 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class MeanMatrix:
-    """2x2 offspring mean matrix, entries stored as logs."""
-
-    dimension: int
-    kappa: float
-    rho: float
-    log_entries: np.ndarray = field(repr=False)
-
-    @property
-    def entries(self) -> np.ndarray:
-        """Entries in linear scale (may overflow for very large dimension)."""
-        return np.exp(self.log_entries)
-
-
-def mean_matrix(d: int, kappa: float, rho: float) -> MeanMatrix:
-    """Build the offspring mean matrix M_d for dimension d."""
+def _check(d: int, kappa: float, rho: float) -> None:
     if not isinstance(d, int) or d < 1:
         raise ValueError("dimension must be a positive integer")
     if not 0.0 < kappa < math.inf:
         raise ValueError(f"kappa must be positive and finite, not {kappa!r}")
     check_rho(rho)
+
+
+def mean_matrix(d: int, kappa: float, rho: float) -> np.ndarray:
+    """Return ln(M_d), the 2x2 array of the logs of the entries of M_d."""
+    _check(d, kappa, rho)
     base = d * math.log(kappa)
     up = d * math.log((1.0 + rho) / (2.0 * rho))
     down = d * math.log((1.0 + rho) / 2.0)
-    log_entries = np.array([[base, base + up], [base + down, base]])
-    return MeanMatrix(dimension=d, kappa=kappa, rho=rho, log_entries=log_entries)
+    return np.array([[base, base + up], [base + down, base]])
 
 
-def perron_root_log(m: MeanMatrix) -> float:
+def perron_root_log(d: int, kappa: float, rho: float) -> float:
     """Return ln(r_d) for the largest eigenvalue r_d of M_d.
 
     For a positive 2x2 matrix with equal diagonal [[A, B], [C, A]] the
     eigenvalues are A +- sqrt(B C), so
     r_d = kappa^d (1 + ((1+rho)/(2 sqrt(rho)))^d).
     """
-    d, kappa, rho = m.dimension, m.kappa, m.rho
+    _check(d, kappa, rho)
     log_beta = math.log((1.0 + rho) / (2.0 * math.sqrt(rho)))  # >= 0 for rho > 1
     return d * math.log(kappa) + d * log_beta + math.log1p(math.exp(-d * log_beta))
 
 
-def perron_root(m: MeanMatrix) -> float:
-    """Largest eigenvalue of M_d (overflows to inf for very large d)."""
-    return math.exp(perron_root_log(m))
+def perron_root(d: int, kappa: float, rho: float) -> float:
+    """Largest eigenvalue r_d of M_d; math.inf past double range, 0.0 below it."""
+    return exp_or_inf(perron_root_log(d, kappa, rho))
 
 
 def gw_critical_kappa(d: int, rho: float) -> float:

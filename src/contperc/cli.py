@@ -18,8 +18,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import CapacityError
-from .util import check_rho
+from .util import CapacityError, check_rho
 
 DEFAULT_SEED = 20260808
 
@@ -203,12 +202,11 @@ def _cmd_gw(params: dict, seed: int, quiet: bool):
     rho = params["rho"]
     limit = branching.gw_critical_kappa_limit(rho)
     kappa = params.get("kappa", limit)
-    matrix = branching.mean_matrix(d, kappa, rho)
     row = {
         "d": d,
         "kappa": kappa,
         "rho": rho,
-        "r_d_log": branching.perron_root_log(matrix),
+        "r_d_log": branching.perron_root_log(d, kappa, rho),
         "kappa_star_d": branching.gw_critical_kappa(d, rho),
         "kappa_star_limit": limit,
     }
@@ -328,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", default=str(DEFAULT_SEED), help="integer seed, or 'random'")
         p.add_argument("--format", choices=("json", "csv"), default=fmt)
         p.add_argument("--output", default=None, help="output path ('-' for stdout)")
-        p.add_argument("--save-config", default=None, help="write the RunConfig JSON here")
+        p.add_argument("--save-config", default=None, help="write the RunConfig JSON here ('-' for stdout)")
         p.add_argument("--quiet", action="store_true", help="suppress progress on stderr")
 
     p = sub.add_parser("kappa", help="threshold constant for one rho")
@@ -414,8 +412,12 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 def _replay_config(parser: argparse.ArgumentParser, path: str) -> RunConfig:
     """Parse a saved config as `[command, --key=value ...]`, as a fresh run is parsed."""
-    with open(path) as fh:
-        saved = RunConfig.from_json(fh.read())
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ValueError(f"cannot read {path!r}: {exc.strerror}") from exc
+    saved = RunConfig.from_json(text)
     if str(saved.command).startswith("-"):  # argparse would read it as an option, such as --help
         raise ValueError(f"unknown command {saved.command!r}")
     argv = [saved.command, f"--seed={saved.seed}", f"--format={saved.fmt}"]
@@ -450,8 +452,7 @@ def main(argv=None) -> int:
         rows, single = dispatch(config, quiet=args.quiet)
         _write_output(render(rows, single, config.fmt), config.output)
         if save_config:
-            with open(save_config, "w") as fh:
-                fh.write(config.to_json())
+            _write_output(config.to_json(), save_config)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     except ValueError as exc:

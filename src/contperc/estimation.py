@@ -48,10 +48,8 @@ from .boolean_model import (
     expected_count,
     sample,
 )
-from .errors import CapacityError
 from .geometry import unit_ball_volume
-from .rng import derive_seed, stream
-from .util import MAX_SIMULATION_DIMENSION, check_rho, ipow
+from .util import MAX_SIMULATION_DIMENSION, CapacityError, check_rho, derive_seed, ipow, stream
 
 __all__ = [
     "LevelStat",

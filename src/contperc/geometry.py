@@ -24,6 +24,8 @@ from dataclasses import dataclass
 
 from scipy.special import gammaln
 
+from .util import exp_or_inf
+
 __all__ = [
     "SlabSpec",
     "unit_ball_volume",
@@ -58,8 +60,8 @@ class SlabSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.dimension, int) or self.dimension < 1:
             raise ValueError("dimension must be a positive integer")
-        if not self.radius > 0.0:
-            raise ValueError("radius must be positive")
+        if not 0.0 < self.radius < math.inf:
+            raise ValueError("radius must be positive and finite")
         if not (0.0 <= self.lower < self.upper <= 1.0):
             raise ValueError("fractions must satisfy 0 <= lower < upper <= 1")
 
@@ -195,10 +197,10 @@ def log_slab_volume(spec: SlabSpec) -> float:
 def slab_volume(spec: SlabSpec) -> float:
     """Return the exact volume of the slab described by `spec`.
 
-    Underflows to 0.0 when the volume is below double-precision range;
-    use `log_slab_volume` or `slab_log_rate` in that regime.
+    The volume is 0.0 below double-precision range and math.inf above it;
+    use `log_slab_volume` or `slab_log_rate` in those regimes.
     """
-    return math.exp(log_slab_volume(spec))
+    return exp_or_inf(log_slab_volume(spec))
 
 
 def slab_log_rate(spec: SlabSpec) -> float:

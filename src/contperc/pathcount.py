@@ -38,14 +38,10 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.spatial import cKDTree
 
-from .errors import CapacityError
-from .geometry import unit_ball_volume
-from .rng import stream
-from .util import _QUERY_SLACK, MAX_SIMULATION_DIMENSION, check_rho, ipow
+from .util import _QUERY_SLACK, MAX_SIMULATION_DIMENSION, CapacityError, check_rho, stream
 
 __all__ = [
     "PathCountRun",
-    "intensities",
     "tuple_expectation_exact",
     "count_paths",
 ]
@@ -72,12 +68,6 @@ class PathCountRun:
     se_n: float
     mean_m: float
     se_m: float
-
-
-def intensities(d: int, rho: float, kappa: float) -> tuple[float, float]:
-    """Center intensities (lambda_1, lambda_rho) of the two processes."""
-    lam1 = ipow(kappa, d) / (unit_ball_volume(d) * ipow(2.0, d))
-    return lam1, lam1 / ipow(rho, d)
 
 
 def tuple_expectation_exact(d: int, rho: float, kappa: float, k: int) -> float:

@@ -33,8 +33,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.optimize import brentq, minimize
 
-from .rng import stream
-from .util import check_rho
+from .util import check_rho, stream
 
 __all__ = [
     "KappaResult",

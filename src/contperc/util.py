@@ -1,8 +1,21 @@
-"""Small numeric helpers shared across modules."""
+"""Small helpers shared across modules: limits, the capacity error, random streams.
+
+Random streams use the Philox counter-based generator.  Every stochastic
+routine in the package takes an explicit 64-bit seed and derives independent
+substreams from (seed, *key) with a SeedSequence, so results never depend on
+scheduling or evaluation order.
+"""
 
 from __future__ import annotations
 
-__all__ = ["MAX_SIMULATION_DIMENSION", "check_rho", "ipow"]
+import math
+
+import numpy as np
+
+__all__ = [
+    "MAX_SIMULATION_DIMENSION", "CapacityError", "check_rho", "derive_seed", "exp_or_inf", "ipow",
+    "stream",
+]
 
 # Largest dimension the Monte Carlo layers (estimation, pathcount) simulate;
 # box and ball volumes explode beyond it.
@@ -14,11 +27,23 @@ MAX_SIMULATION_DIMENSION = 6
 _QUERY_SLACK = 1.0 + 1e-9
 
 
+class CapacityError(RuntimeError):
+    """Raised when a requested computation exceeds a documented size limit."""
+
+
 def check_rho(rho: float) -> None:
     """Raise ValueError unless 1 < rho <= 1e150 (so also for nan and inf), where
     squared path distances, below (2 + 2 rho + 2 k)^2, stay finite."""
     if not 1.0 < rho <= 1e150:
         raise ValueError("rho must exceed 1 and be at most 1e+150")
+
+
+def exp_or_inf(x: float) -> float:
+    """e^x, or math.inf past double range, just as math.exp gives 0.0 below it."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 def ipow(x, n: int):
@@ -34,3 +59,15 @@ def ipow(x, n: int):
     for _ in range(n):
         result = result * x
     return result
+
+
+def stream(seed: int, *key: int) -> np.random.Generator:
+    """Return a Philox generator for the substream identified by (seed, *key)."""
+    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
+    return np.random.Generator(np.random.Philox(seed=ss))
+
+
+def derive_seed(seed: int, *key: int) -> int:
+    """Fold (seed, *key) into a single 64-bit integer seed."""
+    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
+    return int(ss.generate_state(1, np.uint64)[0])

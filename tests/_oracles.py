@@ -7,7 +7,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from contperc import thresholds
-from contperc.rng import stream
+from contperc.util import stream
 
 
 def brute_force_edges(config):
@@ -37,6 +37,12 @@ def brute_force_labels(config, box):
         parent[find(i)] = find(j)
     canon = {}
     return np.array([canon.setdefault(find(i), len(canon)) for i in range(n)])
+
+
+def canonical_labels(labels):
+    """Cluster labels renumbered by first appearance, as brute_force_labels numbers them."""
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    return np.unique(first[inverse], return_inverse=True)[1]
 
 
 def brute_force_percolates(config, box):

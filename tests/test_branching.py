@@ -16,13 +16,13 @@ from _oracles import power_iteration_largest_eigenvalue, quadratic_largest_eigen
 
 
 def test_mean_matrix_d1():
-    m = mean_matrix(1, 1.0, 2.0)
-    assert np.allclose(m.entries, [[1.0, 0.75], [1.5, 1.0]], rtol=1e-12)
+    m = np.exp(mean_matrix(1, 1.0, 2.0))
+    assert np.allclose(m, [[1.0, 0.75], [1.5, 1.0]], rtol=1e-12)
 
 
 def test_mean_matrix_d2():
-    m = mean_matrix(2, 0.5, 3.0)
-    assert np.allclose(m.entries, [[0.25, 1.0 / 9.0], [1.0, 0.25]], rtol=1e-12)
+    m = np.exp(mean_matrix(2, 0.5, 3.0))
+    assert np.allclose(m, [[0.25, 1.0 / 9.0], [1.0, 0.25]], rtol=1e-12)
 
 
 def test_diagonal_is_kappa_power():
@@ -31,26 +31,26 @@ def test_diagonal_is_kappa_power():
         d = int(rng.integers(1, 400))
         kappa = float(rng.uniform(0.2, 1.5))
         rho = float(rng.uniform(1.01, 12.0))
-        m = mean_matrix(d, kappa, rho)
-        assert m.log_entries[0, 0] == pytest.approx(d * math.log(kappa), rel=1e-10)
-        assert m.log_entries[1, 1] == m.log_entries[0, 0]
+        log_m = mean_matrix(d, kappa, rho)
+        assert log_m[0, 0] == pytest.approx(d * math.log(kappa), rel=1e-10)
+        assert log_m[1, 1] == log_m[0, 0]
 
 
 def test_validation():
-    with pytest.raises(ValueError):
-        mean_matrix(0, 1.0, 2.0)
-    for kappa in (-1.0, 0.0, math.inf, math.nan):
-        with pytest.raises(ValueError, match="kappa must be positive and finite"):
-            mean_matrix(2, kappa, 2.0)
-    with pytest.raises(ValueError):
-        mean_matrix(2, 1.0, 1.0)
+    for function in (mean_matrix, perron_root_log, perron_root):
+        with pytest.raises(ValueError, match="dimension must be a positive integer"):
+            function(0, 1.0, 2.0)
+        for kappa in (-1.0, 0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="kappa must be positive and finite"):
+                function(2, kappa, 2.0)
+        with pytest.raises(ValueError, match="rho must exceed 1"):
+            function(2, 1.0, 1.0)
     with pytest.raises(ValueError):
         gw_critical_kappa(2, 0.9)
 
 
 def test_perron_root_d1_example():
-    m = mean_matrix(1, 1.0, 2.0)
-    assert perron_root(m) == pytest.approx(1.0 + 3.0 / (2.0 * math.sqrt(2.0)), rel=1e-12)
+    assert perron_root(1, 1.0, 2.0) == pytest.approx(1.0 + 3.0 / (2.0 * math.sqrt(2.0)), rel=1e-12)
 
 
 def test_perron_root_matches_power_iteration():
@@ -65,9 +65,8 @@ def test_perron_root_matches_power_iteration():
         rho = float(rng.uniform(1.05, 8.0))
         if ((1.0 + rho) / (2.0 * math.sqrt(rho))) ** d > 1e3:
             continue
-        m = mean_matrix(d, kappa, rho)
-        oracle = power_iteration_largest_eigenvalue(m.entries)
-        assert perron_root(m) == pytest.approx(oracle, rel=1e-9)
+        oracle = power_iteration_largest_eigenvalue(np.exp(mean_matrix(d, kappa, rho)))
+        assert perron_root(d, kappa, rho) == pytest.approx(oracle, rel=1e-9)
         cases += 1
 
 
@@ -77,32 +76,35 @@ def test_perron_root_matches_quadratic_roots():
         d = int(rng.integers(1, 31))
         kappa = float(rng.uniform(0.3, 1.2))
         rho = float(rng.uniform(1.05, 8.0))
-        m = mean_matrix(d, kappa, rho)
-        assert perron_root(m) == pytest.approx(
-            quadratic_largest_eigenvalue(m.entries), rel=1e-9
+        assert perron_root(d, kappa, rho) == pytest.approx(
+            quadratic_largest_eigenvalue(np.exp(mean_matrix(d, kappa, rho))), rel=1e-9
         )
 
 
 def test_perron_log_rate_converges():
     kappa, rho = 0.7, 3.0
     target = math.log(kappa * (1.0 + rho) / (2.0 * math.sqrt(rho)))
-    gaps = [abs(perron_root_log(mean_matrix(d, kappa, rho)) / d - target) for d in (10, 100, 1000)]
+    gaps = [abs(perron_root_log(d, kappa, rho) / d - target) for d in (10, 100, 1000)]
     assert gaps[0] > gaps[1] > gaps[2]
     assert gaps[2] < 1e-3
+    # Past double range the root is inf, as it is 0.0 below it; its log stays finite.
+    assert perron_root(1000, 2.0, 2.0) == math.inf
+    assert perron_root(1000, 0.1, 2.0) == 0.0
+    assert math.isfinite(perron_root_log(1000, 2.0, 2.0))
 
 
 def test_critical_kappa_makes_root_one():
     for d in (1, 7, 50, 300):
         for rho in (1.2, 2.0, 6.0):
             kappa_star = gw_critical_kappa(d, rho)
-            assert abs(perron_root_log(mean_matrix(d, kappa_star, rho))) < 1e-12
+            assert abs(perron_root_log(d, kappa_star, rho)) < 1e-12
 
 
 def test_root_approaches_one_from_above_at_limit_kappa():
     # at kappa = 2 sqrt(rho)/(1+rho) the root is 1 + beta^(-d), decreasing to 1
     for rho in (1.5, 3.0):
         kappa = gw_critical_kappa_limit(rho)
-        logs = [perron_root_log(mean_matrix(d, kappa, rho)) for d in (5, 50, 500)]
+        logs = [perron_root_log(d, kappa, rho) for d in (5, 50, 500)]
         assert all(v > 0.0 for v in logs)
         assert logs[0] > logs[1] > logs[2]
         assert math.exp(logs[-1]) == pytest.approx(1.0, abs=1e-3)

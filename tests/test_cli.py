@@ -137,6 +137,13 @@ def test_slab_value(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["volume"] == pytest.approx(0.654498, abs=1e-6)
+    # Past double range the volume is inf and its logs stay finite; an infinite radius exits 2.
+    code, out, _ = run_cli(capsys, "slab", "--d", "3", "--r", "1e200", "--a", "0", "--b", "1")
+    assert code == 0
+    data = json.loads(out)
+    assert data["volume"] == math.inf and math.isfinite(data["log_rate"])
+    code, out, err = run_cli(capsys, "slab", "--d", "3", "--r", "inf", "--a", "0", "--b", "1")
+    assert (code, out, err) == (2, "", "error: radius must be positive and finite\n")
 
 
 def test_gw_output(capsys):
@@ -465,6 +472,30 @@ def test_a_failed_write_exits_3(capsys):
         assert err.startswith("error: [Errno 28]"), option
 
 
+def test_an_unreadable_config_exits_2_before_its_command_loads(monkeypatch, tmp_path, capsys):
+    def no_command(*args):
+        raise AssertionError("parsed a command from an unreadable config")
+
+    monkeypatch.setattr(cli, "_config_from_args", no_command)
+    for path, reason in ((tmp_path / "missing.json", "No such file or directory"),
+                         (tmp_path, "Is a directory")):
+        code, out, err = run_cli(capsys, "replay", str(path), "--quiet")
+        assert (code, out) == (2, ""), path
+        assert err == f"error: cannot read {str(path)!r}: {reason}\n", path
+
+
+def test_save_config_dash_writes_the_config_to_stdout_after_the_data(monkeypatch, tmp_path, capsys):
+    monkeypatch.chdir(tmp_path)
+    argv = ("slab", "--d", "3", "--r", "1", "--a", "0", "--b", "1")
+    code, out, _ = run_cli(capsys, *argv, "--save-config", "-")
+    assert code == 0
+    assert list(tmp_path.iterdir()) == []
+    _, data, _ = run_cli(capsys, *argv)
+    assert out.startswith(data)
+    config = RunConfig.from_json(out[len(data):])
+    assert (config.command, config.params) == ("slab", {"d": 3, "r": 1.0, "a": 0.0, "b": 1.0})
+
+
 def test_gw_and_paths_reject_a_non_finite_kappa(monkeypatch, capsys):
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled with a non-finite kappa")
@@ -678,7 +709,7 @@ def test_importing_the_cli_and_a_parse_error_load_no_scipy():
     assert report["exit"] == 2
     assert loaded_under(report["parsed"], {"scipy"}) == []
     assert loaded_under(report["parsed"], {"contperc"}) == [
-        "contperc", "contperc.cli", "contperc.errors", "contperc.util",
+        "contperc", "contperc.cli", "contperc.util",
     ]
 
 

@@ -27,7 +27,7 @@ from contperc.boolean_model import (
     sample,
 )
 from contperc.estimation import _critical_intensities, _critical_mark
-from contperc.rng import derive_seed, stream
+from contperc.util import derive_seed, stream
 
 from _oracles import brute_force_percolates
 

@@ -5,7 +5,7 @@ import pytest
 
 from contperc import boolean_model, estimation
 from contperc.boolean_model import BoxSpec, RadiusMixture, clusters, percolates, sample
-from contperc.errors import CapacityError
+from contperc.util import CapacityError
 from contperc.estimation import (
     alpha_sweep,
     canonicalize,

@@ -44,8 +44,9 @@ def test_unit_ball_invalid_dimension():
 def test_slabspec_validation():
     with pytest.raises(ValueError):
         SlabSpec(0, 1.0, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        SlabSpec(2, -1.0, 0.0, 1.0)
+    for radius in (-1.0, 0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="radius must be positive and finite"):
+            SlabSpec(2, radius, 0.0, 1.0)
     with pytest.raises(ValueError):
         SlabSpec(2, 1.0, 0.5, 0.5)
     with pytest.raises(ValueError):
@@ -164,3 +165,6 @@ def test_underflow_goes_to_log_space():
     spec = SlabSpec(2000, 1.0, 0.6, 0.7)
     assert slab_volume(spec) == 0.0  # below double range
     assert np.isfinite(log_slab_volume(spec))
+    spec = SlabSpec(3, 1e200, 0.0, 1.0)
+    assert slab_volume(spec) == math.inf  # above double range
+    assert np.isfinite(log_slab_volume(spec)) and np.isfinite(slab_log_rate(spec))

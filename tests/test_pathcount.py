@@ -5,22 +5,12 @@ import pytest
 
 from contperc import pathcount
 from contperc.cli import main
-from contperc.errors import CapacityError
-from contperc.pathcount import (
-    count_paths,
-    intensities,
-    tuple_expectation_exact,
-)
 from contperc.geometry import unit_ball_volume
+from contperc.pathcount import count_paths, tuple_expectation_exact
+from contperc.util import CapacityError
 
 from _oracles import brute_force_chains
 from test_chain_properties import chain_counts
-
-
-def test_intensities():
-    lam1, lam_rho = intensities(2, 2.0, 0.8)
-    assert lam1 == pytest.approx(0.64 / (4.0 * math.pi), rel=1e-12)
-    assert lam_rho == pytest.approx(lam1 / 4.0, rel=1e-12)
 
 
 def test_tuple_expectation_values():
@@ -33,8 +23,9 @@ def test_tuple_expectation_values():
     )
     # matches the product-of-volumes form at k = 1
     d, rho, kappa = 3, 3.0, 0.5
-    lam1, lam_rho = intensities(d, rho, kappa)
     vd = unit_ball_volume(d)
+    lam1 = kappa**d / (vd * 2.0**d)
+    lam_rho = lam1 / rho**d
     direct = lam1 * lam_rho * (vd * (1.0 + rho) ** d) ** 2
     assert tuple_expectation_exact(d, rho, kappa, 1) == pytest.approx(direct, rel=1e-12)
 
