@@ -114,6 +114,7 @@ def _cmd_kappa(params: dict, seed: int, quiet: bool):
         "k": res.k_used,
         "kappa": res.kappa,
         "offsets": list(res.offsets),
+        "u": list(res.u),
         "certified": res.certified,
     }
     return [row], True

@@ -1,39 +1,49 @@
 """Minimax threshold constants for alternating paths in two-radius Boolean models.
 
 For a radius ratio rho > 1 and a path shape parameter k >= 1, the constant
-kappa_c(rho, k) is the infimum over radial offsets (a_2, ..., a_{k+1}) in
+kappa_c(rho, k) is the infimum over radial offsets (a_1, ..., a_k) in
 [0, 1)^k of the larger of two terms:
 
-* a genealogy term, the growth rate of the associated branching process,
-  (4 rho / ((1+rho)^2 sqrt(prod(1 - a_i^2))))^(1/(k+1)),
-* a geometry term, 2 rho / D(a), where D(a) is the distance reached after
-  k+1 steps of the law-of-cosines recursion with the given offsets.
+* a genealogy term G, the growth rate of the associated branching process,
+  (4 rho / ((1+rho)^2 sqrt(prod(1 - a_j^2))))^(1/(k+1)),
+* a geometry term H = 2 rho / D_k, where D_0 = 1 + rho and
+  D_j^2 = D_{j-1}^2 + 2 r_j a_j D_{j-1} + r_j^2 is the law of cosines for a
+  step of length r_j = 2 (j < k) or r_k = 1 + rho leaving at offset a_j.
 
-The genealogy term increases and the geometry term decreases in every
-offset, so the objective is a max of two monotone surfaces and the optimum
-sits either at the zero-offset boundary or on the crossing set.  The
-optimizer works in u = atanh(a), where 1 - a^2 = sech^2 u does not cancel as
-the optimal offsets crowd toward 1: a coarse stage (a full grid for k <= 3,
-a fixed uniform sample beyond) followed by SLSQP on the epigraph form,
-minimize t subject to t >= genealogy(u) and t >= geometry(u): two smooth
-constraints with analytic gradients replace the max, which is not
-differentiable on the crossing.  The three best coarse points are refined
-together, as three blocks of one SLSQP problem that share no variable.
-Every value, from the coarse stage to the reported kappa, comes from one
-vectorised evaluation of both terms, and the coarse sample is fixed, so
-results depend on (rho, k) alone.
+Why the problem is one-dimensional.  G increases and H decreases in every
+offset, and max(G, H) grows without bound as any offset tends to 1, so a
+minimizer exists.  If G(0) >= H(0), the zero offsets are optimal, since no
+offset lowers G.  Otherwise G = H at every minimizer: where G > H, lowering
+a positive offset lowers G, and where G < H, raising any offset lowers H.
+Every offset is also positive there: raising a zero a_j lowers H to first
+order and raises G only to second order, and lowering another, positive
+offset then brings both terms below their common value.  An interior
+minimizer of max(G, H) on G = H satisfies grad log G = mu grad log D_k with
+mu > 0.  In u = atanh(a), d log G / du_j = a_j / (k + 1), and the ratio of
+the conditions for u_j and u_{j+1} eliminates mu:
+
+    f(a_{j+1}) (D_j + r_{j+1} a_{j+1}) = K_j = f(a_j) r_{j+1} D_j^2 / (r_j D_{j-1}),
+
+with f(a) = a / (1 - a^2) = sinh(2u) / 2.  Its positive root
+a_{j+1} = 2K / (D_j + S), S = sqrt(D_j^2 + 4K (r_{j+1} + K)), is free of
+cancellation, and so is 1 - a_{j+1} = (D_j + (D_j^2 + 4K r_{j+1}) / (S + 2K))
+/ (D_j + S).  So u_1 fixes every offset, and `kappa_c_k` bisects u_1 to the
+point of this curve where log G - log H changes sign.  That function
+increases along the curve wherever it was sampled (k <= 12, rho up to 1e150),
+so its one root is the minimizer; the tests hold the result against an
+SLSQP solve and a certified branch-and-bound bracket that do not use the
+curve.  K and 1 - a are carried in logs, since K passes double range for
+large rho.  Every reported value, the envelope and `objective` come from
+one plain-float evaluation of both terms, in u, where 1 - a^2 = sech^2 u
+does not cancel as the offsets crowd toward 1.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-from scipy.optimize import brentq, minimize
-
-from .util import check_rho, stream
+from .util import check_rho, exp_or_inf
 
 __all__ = [
     "KappaResult",
@@ -46,179 +56,143 @@ __all__ = [
 ]
 
 MAX_K = 12
-# u = atanh(a) <= 400 keeps cosh(u) and the genealogy term finite; it passes
-# ln(rho / 2), the k = 1 optimum, for every rho up to util's 1e150.
-_U_MAX = 400.0
-_GRID_STEP = 0.05
-_COARSE_POINTS = 4096
-_COARSE_SEED = 0
-_SLSQP_OPTIONS = {"ftol": 1e-14, "maxiter": 200}
+# Halvings of the bisection bracket [0, hi], hi < 360; a crossing above
+# hi * 2**-47 is resolved to the float before the limit.
+_BISECTIONS = 100
+_LOG2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
 class KappaResult:
-    """Optimized threshold constant with the offsets achieving it."""
+    """Optimized threshold constant with the offsets achieving it.
+
+    `u` holds the offsets as u_j = atanh(a_j), the form the solve works in:
+    past rho of about 3e8 the largest a_j rounds to 1, but u_j stays exact,
+    and `objective(rho, u=result.u)` returns `branch_values`.
+    """
 
     kappa: float
-    offsets: tuple[float, ...]
+    u: tuple[float, ...]
     branch_values: tuple[float, float]
     k_used: int
     certified: bool | None = None
 
+    @property
+    def offsets(self) -> tuple[float, ...]:
+        """The offsets a_j = tanh(u_j) in [0, 1]."""
+        return tuple(math.tanh(x) for x in self.u)
 
-def _path_terms(
-    rho: float, u: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-    """Genealogy term, geometry term and distances for each row of (n, k) u = atanh(a).
 
-    log genealogy = (log 4 rho - 2 log1p(rho) + sum log cosh u_i) / (k + 1).
-    d_1 = 1 + rho and d_i^2 = d_{i-1}^2 + 2 r_i a_i d_{i-1} + r_i^2, the
-    law of cosines for a step of length r_i leaving at radial offset a_i.
-    Interior steps link unit balls (r_i = 2), the last one reaches a ball of
-    the large radius (r_{k+1} = 1 + rho).  The distances come back as k + 1
-    arrays of length n.
+def _path_terms(rho: float, u) -> tuple[float, float, list[float]]:
+    """Genealogy term, geometry term and distances D_0, ..., D_k of the path
+    with offsets a_j = tanh(u_j).
+
+    log cosh u = u + log1p(e^{-2u}) - log 2 stays finite for every u >= 0.
     """
-    k = u.shape[1]
-    # The ufunc reduce skips np.sum's Python wrapper, once per SLSQP evaluation.
-    log_cosh = np.add.reduce(np.log(np.cosh(u)), axis=1)
-    genealogy = np.exp((math.log(4.0 * rho) - 2.0 * math.log1p(rho) + log_cosh) / (k + 1))
-    a = np.tanh(u)
-    dists = [np.full(u.shape[0], 1.0 + rho)]
-    for j, r_i in enumerate([2.0] * (k - 1) + [1.0 + rho]):
-        prev = dists[-1]
-        dists.append(np.sqrt(prev * prev + 2.0 * r_i * a[:, j] * prev + r_i * r_i))
+    k = len(u)
+    log_cosh = sum(x + math.log1p(math.exp(-2.0 * x)) for x in u) - k * _LOG2
+    genealogy = exp_or_inf((math.log(4.0 * rho) - 2.0 * math.log1p(rho) + log_cosh) / (k + 1))
+    dists = [1.0 + rho]
+    for j, x in enumerate(u):
+        r = 2.0 if j < k - 1 else 1.0 + rho
+        d, a = dists[-1], math.tanh(x)
+        dists.append(math.sqrt(d * d + 2.0 * r * a * d + r * r))
     return genealogy, 2.0 * rho / dists[-1], dists
 
 
-def objective(rho: float, offsets: tuple[float, ...]) -> tuple[float, float]:
-    """Return (genealogy_term, geometry_term) of the path with k = len(offsets)
-    radial offsets in [0, 1); the caller takes the max."""
+def objective(rho: float, offsets=(), *, u=None) -> tuple[float, float]:
+    """Return (genealogy_term, geometry_term) of the path with k radial offsets;
+    the caller takes the max.
+
+    The offsets are given either as k values a_j in [0, 1) or, by keyword,
+    as k values u_j = atanh(a_j) in [0, inf), which also reach offsets that
+    round to 1 (see KappaResult.u).
+    """
     check_rho(rho)
-    if len(offsets) == 0 or any(not 0.0 <= a < 1.0 for a in offsets):
-        raise ValueError("offsets must be one or more values in [0, 1)")
-    genealogy, geometry, _ = _path_terms(rho, np.arctanh([offsets]))
-    return float(genealogy[0]), float(geometry[0])
+    if u is None:
+        if len(offsets) == 0 or any(not 0.0 <= a < 1.0 for a in offsets):
+            raise ValueError("offsets must be one or more values in [0, 1)")
+        u = [math.atanh(a) for a in offsets]
+    elif len(offsets) or len(u) == 0 or any(not 0.0 <= x < math.inf for x in u):
+        raise ValueError("u must be one or more finite values >= 0, given without offsets")
+    genealogy, geometry, _ = _path_terms(rho, u)
+    return genealogy, geometry
 
 
 def genealogy_envelope(rho: float, k: int) -> float:
     """Zero-offset lower bound (4 rho / (1+rho)^2)^(1/(k+1)) for kappa_c(rho, k)."""
-    return float(_path_terms(rho, np.zeros((1, k)))[0][0])
+    return _path_terms(rho, [0.0] * k)[0]
 
 
-def _term_gradients(
-    rho: float, u: np.ndarray, terms: tuple[np.ndarray, np.ndarray, list[np.ndarray]]
-) -> tuple[np.ndarray, np.ndarray]:
-    """d(genealogy)/du and d(geometry)/du, each (n, k), at each row of u = atanh(a),
-    from the terms `_path_terms(rho, u)` returned there.  da_i/du_i = sech^2 u_i,
-    and distances differentiate forward,
-    dd_j = (d_{j-1} + r_j a_j) / d_j dd_{j-1} + r_j d_{j-1} / d_j e_j."""
-    genealogy, geometry, dists = terms
-    k = u.shape[1]
-    a = np.tanh(u)
-    d_dist = np.zeros(u.shape)
-    for j, r_j in enumerate([2.0] * (k - 1) + [1.0 + rho]):
-        d_dist *= ((dists[j] + r_j * a[:, j]) / dists[j + 1])[:, None]
-        d_dist[:, j] = r_j * dists[j] / dists[j + 1]
-    sech = 1.0 / np.cosh(u)
-    d_geometry = -(geometry / dists[-1])[:, None] * d_dist * sech * sech
-    return genealogy[:, None] * a / (k + 1), d_geometry
+def _stationary_u(rho: float, u_1: float, k: int) -> list[float]:
+    """The offsets u_1, ..., u_k, u_j = atanh(a_j), of the stationarity curve
+    through u_1 > 0 (module docstring).
 
-
-@functools.cache
-def _coarse(k: int) -> np.ndarray:
-    """The coarse sample of kappa_c_k in u = atanh(a), read-only and built once per k:
-    a full grid with step _GRID_STEP for k <= 3, else _COARSE_POINTS uniform
-    points from a fixed stream plus the zero row."""
-    if k <= 3:
-        axis = np.arctanh(np.arange(0.0, 1.0, _GRID_STEP))
-        candidates = np.stack(np.meshgrid(*([axis] * k), indexing="ij"), axis=-1).reshape(-1, k)
-    else:
-        sample = np.arctanh(stream(_COARSE_SEED, k).random((_COARSE_POINTS, k)))
-        candidates = np.vstack([sample, np.zeros((1, k))])
-    candidates.flags.writeable = False
-    return candidates
+    With q = K_j / D_j and t = r_{j+1} / D_j, a_{j+1} = 2q / (1 + s) with
+    s = sqrt(1 + 4q (t + q)) when q <= 1, where a_{j+1} < 0.62 and atanh is
+    exact.  Beyond it, w = 1 / (2q) gives a_{j+1} = 1 / (w + s'),
+    s' = sqrt(w^2 + 2wt + 1), and 1 - a_{j+1} = w (1 + (w + 2t) / (s' + 1))
+    / (w + s'); log q is kept, and w may underflow to 0.
+    """
+    radii = [2.0] * (k - 1) + [1.0 + rho]
+    u = [u_1]
+    a, d = math.tanh(u_1), 1.0 + rho
+    for j in range(1, k):
+        r_prev = radii[j - 1]
+        d_prev, d = d, math.sqrt(d * d + 2.0 * r_prev * a * d + r_prev * r_prev)
+        r = radii[j]
+        # log f(a_j) = log(sinh(2 u_j) / 2), exact for small and large u_j.
+        log_f = 2.0 * u[-1] - 2.0 * _LOG2 + math.log(-math.expm1(-4.0 * u[-1]))
+        log_q = log_f + math.log(r / r_prev * d / d_prev)
+        t = r / d
+        if log_q <= 0.0:
+            q = math.exp(log_q)
+            a = 2.0 * q / (1.0 + math.sqrt(1.0 + 4.0 * q * (t + q)))
+            u.append(math.atanh(a))
+        else:
+            w = 0.5 * math.exp(-log_q)
+            s = math.sqrt(w * w + 2.0 * w * t + 1.0)
+            a = 1.0 / (w + s)
+            log_gap = -log_q - _LOG2 + math.log1p((w + 2.0 * t) / (s + 1.0)) - math.log(w + s)
+            u.append(0.5 * (math.log1p(a) - log_gap))
+    return u
 
 
 def kappa_c_k(rho: float, k: int) -> KappaResult:
     """Minimize the alternating-path objective over offsets in [0, 1)^k.
 
-    Coarse stage, in a: a full grid with step 0.05 per coordinate for
-    k <= 3, 4096 uniform points from a fixed stream plus the zero offsets
-    beyond that; for rho > 2 one more point has every u_i = ln(rho / 2).
-    The three best candidates start one SLSQP solve of the epigraph form
-    over three independent blocks (u_b, t_b), with the objective sum t_b and
-    a block-diagonal constraint Jacobian; each point's terms are evaluated
-    once for both the constraints and their Jacobian.  The solutions,
-    clipped to the bounds, are evaluated with the coarse optimum in one
-    batch, and the first smallest wins.  The solve converges well inside the
-    iteration limit for every k <= MAX_K.  k = 1 meets kappa_c1_closed_form
-    to 1e-14 for every rho up to 1e150.
+    The zero offsets when G(0) >= H(0); otherwise u_1 is bisected along
+    the stationarity curve until the midpoint rounds to an end, keeping one
+    end with G < H and one with G >= H, and the end with the smaller
+    max(G, H) wins (the G < H end on a tie).  k = 1 meets
+    kappa_c1_closed_form to 1e-14 for every rho up to 1e150.
     """
     check_rho(rho)
     if not isinstance(k, int) or not 1 <= k <= MAX_K:
         raise ValueError(f"k must lie in 1..{MAX_K}")
 
-    candidates = _coarse(k)
-    if rho > 2.0:
-        candidates = np.vstack([candidates, np.full((1, k), math.log(rho / 2.0))])
-
-    genealogy, geometry, _ = _path_terms(rho, candidates)
-    values = np.maximum(genealogy, geometry)
-    order = np.argsort(values)
-
-    finalists = candidates[order[:1]]
-    # No offset lowers the genealogy term, so a coarse optimum at its
-    # zero-offset value is exact and needs no refinement.
-    starts = order[:3] if values[order[0]] > genealogy_envelope(rho, k) else order[:0]
-    if starts.size:
-        # One block (u_b, t_b) per start: minimize sum t_b subject to
-        # t_b - genealogy(u_b) >= 0 and t_b - geometry(u_b) >= 0.  The blocks
-        # share no variable, so each reaches the optimum of its own solve.
-        m = starts.size
-        blocks = np.arange(m)
-        last = {}
-
-        def terms(x: np.ndarray) -> tuple:
-            # SLSQP asks for the gaps and their Jacobian at the same point and
-            # overwrites x in place, so the memo keeps a copy.
-            if "x" not in last or not np.array_equal(last["x"], x):
-                last["x"] = x.copy()
-                last["terms"] = _path_terms(rho, x.reshape(m, k + 1)[:, :k])
-            return last["terms"]
-
-        def gaps(x: np.ndarray) -> np.ndarray:
-            genealogy, geometry, _ = terms(x)
-            return (x[k :: k + 1, None] - np.column_stack([genealogy, geometry])).ravel()
-
-        def gaps_jac(x: np.ndarray) -> np.ndarray:
-            d_terms = _term_gradients(rho, x.reshape(m, k + 1)[:, :k], terms(x))
-            jac = np.zeros((m, 2, m, k + 1))
-            jac[blocks, :, blocks, :k] = -np.stack(d_terms, axis=1)
-            jac[blocks, :, blocks, k] = 1.0
-            return jac.reshape(2 * m, m * (k + 1))
-
-        t_grad = np.tile(np.eye(k + 1)[-1], m)
-        res = minimize(
-            lambda x: x[k :: k + 1].sum(),
-            np.column_stack([candidates[starts], values[starts]]).ravel(),
-            jac=lambda x: t_grad,
-            method="SLSQP",
-            bounds=([(0.0, _U_MAX)] * k + [(None, None)]) * m,
-            constraints={"type": "ineq", "fun": gaps, "jac": gaps_jac},
-            options=_SLSQP_OPTIONS,
-        )
-        refined = np.clip(res.x.reshape(m, k + 1)[:, :k], 0.0, _U_MAX)
-        finalists = np.vstack([finalists, refined])
-
-    genealogy, geometry, _ = _path_terms(rho, finalists)
-    best = int(np.argmin(np.maximum(genealogy, geometry)))
-    branches = (float(genealogy[best]), float(geometry[best]))
-    return KappaResult(
-        kappa=max(branches),
-        offsets=tuple(float(a) for a in np.tanh(finalists[best])),
-        branch_values=branches,
-        k_used=k,
-    )
+    zero = [0.0] * k
+    genealogy, geometry, _ = _path_terms(rho, zero)
+    if genealogy >= geometry:
+        return KappaResult(genealogy, tuple(zero), (genealogy, geometry), k)
+    # Every offset raises G, so G >= 2 > sqrt(2) > H(0) >= H once
+    # log cosh u_1 >= (k + 1) log 2 - log(4 rho / (1 + rho)^2); as
+    # log cosh x >= x - log 2, this hi brackets the crossing from above.
+    lo, hi = 0.0, (k + 2) * _LOG2 - math.log(4.0 * rho) + 2.0 * math.log1p(rho)
+    top = _stationary_u(rho, hi, k)
+    ends = [(zero, (genealogy, geometry)), (top, _path_terms(rho, top)[:2])]
+    for _ in range(_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        u = _stationary_u(rho, mid, k)
+        terms = _path_terms(rho, u)[:2]
+        if terms[0] < terms[1]:
+            lo, ends[0] = mid, (u, terms)
+        else:
+            hi, ends[1] = mid, (u, terms)
+    u, terms = min(ends, key=lambda end: max(end[1]))
+    return KappaResult(max(terms), tuple(u), terms, k)
 
 
 def kappa_c(rho: float, k_max: int = 6) -> KappaResult:
@@ -258,16 +232,19 @@ def kappa_c1_closed_form(rho: float) -> float:
 def k2_crossover_rho(tol: float = 1e-3) -> float:
     """Numerically locate where kappa_c(rho, 2) first drops below kappa_c(rho, 1).
 
-    Brent's method on kappa_c_k(rho, 2) - kappa_c_k(rho, 1) over rho in
-    [2, 12] to absolute tolerance tol, which must be positive and finite;
-    brentq raises ValueError unless the gap changes sign between the two
-    ends.  This is an empirical crossover estimate only; no claim is made
-    that the k = 1 optimum stays global all the way up to this point.
+    Bisection of kappa_c_k(rho, 2) - kappa_c_k(rho, 1), positive at rho = 2
+    and negative at rho = 12, to absolute tolerance tol, which must be
+    positive and finite.  This is an empirical crossover estimate only; no
+    claim is made that the k = 1 optimum stays global all the way up to
+    this point.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
-
-    def gap(rho: float) -> float:
-        return kappa_c_k(rho, 2).kappa - kappa_c_k(rho, 1).kappa
-
-    return brentq(gap, 2.0, 12.0, xtol=tol)
+    lo, hi = 2.0, 12.0
+    while hi - lo > 2.0 * tol:
+        mid = 0.5 * (lo + hi)
+        if kappa_c_k(mid, 2).kappa > kappa_c_k(mid, 1).kappa:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)

@@ -6,9 +6,6 @@ import math
 import numpy as np
 from scipy.optimize import minimize
 
-from contperc import thresholds
-from contperc.util import stream
-
 
 def brute_force_edges(config):
     """Every intersecting unordered pair (i, j), i < j, by an all-pairs scan."""
@@ -134,65 +131,127 @@ def brute_force_chains(points_unit, points_large, rho, k):
 
 
 def reference_path_terms(rho, k, offsets):
-    """Scalar (genealogy, geometry, distances) of one alternating path, one step at a time.
+    """(genealogy, geometry, distances) of one alternating path, one step at a time.
 
     d_1 = 1 + rho and d_i^2 = d_{i-1}^2 + 2 r_i a_i d_{i-1} + r_i^2 with step
-    radii r_i = 2 for interior steps and 1 + rho for the last one.
+    radii r_i = 2 for interior steps and 1 + rho for the last one.  Each
+    offset may also be an array, for a batch of paths.
     """
     radii = [2.0] * (k - 1) + [1.0 + rho]
     dists = [1.0 + rho]
     for r_i, a_i in zip(radii, offsets):
         prev = dists[-1]
-        dists.append(math.sqrt(prev * prev + 2.0 * r_i * a_i * prev + r_i * r_i))
+        dists.append(np.sqrt(prev * prev + 2.0 * r_i * a_i * prev + r_i * r_i))
     prod = 1.0
     for a in offsets:
         prod *= (1.0 - a) * (1.0 + a)
-    genealogy = (4.0 * rho / ((1.0 + rho) ** 2 * math.sqrt(prod))) ** (1.0 / (k + 1))
+    genealogy = (4.0 * rho / ((1.0 + rho) ** 2 * np.sqrt(prod))) ** (1.0 / (k + 1))
     return genealogy, 2.0 * rho / dists[-1], dists
 
 
-def reference_kappa_c_k(rho, k):
-    """kappa_c(rho, k) with the coarse stage of `thresholds.kappa_c_k` and one
-    separate SLSQP solve of the epigraph form per start, as three solves.
+_GRID_STEP = 0.05
+_COARSE_POINTS = 4096
+_U_MAX = 400.0
+_SLSQP_OPTIONS = {"ftol": 1e-14, "maxiter": 200}
 
-    Each solve minimizes t over x = (u, t) subject to t - genealogy(u) >= 0
-    and t - geometry(u) >= 0, from one of the three best coarse points; the
-    coarse optimum and the clipped solutions are evaluated together and the
-    first smallest wins.
+
+def reference_term_gradients(rho, k, u):
+    """d(genealogy)/du and d(geometry)/du at offsets a = tanh(u), u of length k.
+
+    d genealogy / du_i = genealogy a_i / (k + 1), and distances differentiate
+    forward, dd_j = (d_{j-1} + r_j a_j) / d_j dd_{j-1} + r_j d_{j-1} / d_j
+    sech^2(u_j) e_j.
+    """
+    a = np.tanh(u)
+    genealogy, geometry, dists = reference_path_terms(rho, k, a)
+    d_dist = np.zeros(k)
+    for j, r_j in enumerate([2.0] * (k - 1) + [1.0 + rho]):
+        d_dist *= (dists[j] + r_j * a[j]) / dists[j + 1]
+        d_dist[j] = r_j * dists[j] / dists[j + 1] / np.cosh(u[j]) ** 2
+    return genealogy * a / (k + 1), -geometry / dists[-1] * d_dist
+
+
+def reference_kappa_c_k(rho, k):
+    """kappa_c(rho, k) by a coarse stage and SLSQP, without the stationarity curve.
+
+    The coarse stage: a full grid of offsets with step 0.05 for k <= 3, else
+    4096 uniform points from a fixed stream plus the zero offsets, and for
+    rho > 2 every u_i = ln(rho / 2).  From each of its three best points one
+    SLSQP solve of the epigraph form minimizes t over x = (u, t), u = atanh(a)
+    in [0, 400], subject to t - genealogy(u) >= 0 and t - geometry(u) >= 0.
+    The coarse optimum and the clipped solutions are evaluated together and
+    the smallest wins.  Terms come from reference_path_terms at a = tanh(u),
+    so 1 - a_i^2 carries a rounding of up to 2^-53 / (1 - a_i) relative.
     """
     if k <= 3:
-        axis = np.arctanh(np.arange(0.0, 1.0, thresholds._GRID_STEP))
+        axis = np.arange(0.0, 1.0, _GRID_STEP)
         candidates = np.stack(np.meshgrid(*([axis] * k), indexing="ij"), axis=-1).reshape(-1, k)
     else:
-        shape = (thresholds._COARSE_POINTS, k)
-        sample = np.arctanh(stream(thresholds._COARSE_SEED, k).random(shape))
+        sample = np.random.default_rng(k).random((_COARSE_POINTS, k))
         candidates = np.vstack([sample, np.zeros((1, k))])
+    candidates = np.arctanh(candidates)
     if rho > 2.0:
         candidates = np.vstack([candidates, np.full((1, k), math.log(rho / 2.0))])
-    genealogy, geometry, _ = thresholds._path_terms(rho, candidates)
-    values = np.maximum(genealogy, geometry)
-    order = np.argsort(values)
+
+    def values(u):
+        genealogy, geometry, _ = reference_path_terms(rho, k, np.tanh(u).T)
+        return np.maximum(genealogy, geometry)
 
     def gaps(x):
-        return x[-1] - np.concatenate(thresholds._path_terms(rho, x[None, :-1])[:2])
+        genealogy, geometry, _ = reference_path_terms(rho, k, np.tanh(x[:-1]))
+        return x[-1] - np.array([genealogy, geometry])
 
     def gaps_jac(x):
-        u = x[None, :-1]
-        d_terms = thresholds._term_gradients(rho, u, thresholds._path_terms(rho, u))
+        d_terms = reference_term_gradients(rho, k, x[:-1])
         return np.hstack([-np.vstack(d_terms), np.ones((2, 1))])
 
-    finalists = [candidates[order[0]]]
-    if values[order[0]] > thresholds.genealogy_envelope(rho, k):
-        for idx in order[:3]:
-            res = minimize(
-                lambda x: x[-1],
-                np.append(candidates[idx], values[idx]),
-                jac=lambda x: np.eye(k + 1)[-1],
-                method="SLSQP",
-                bounds=[(0.0, thresholds._U_MAX)] * k + [(None, None)],
-                constraints={"type": "ineq", "fun": gaps, "jac": gaps_jac},
-                options=thresholds._SLSQP_OPTIONS,
-            )
-            finalists.append(np.clip(res.x[:-1], 0.0, thresholds._U_MAX))
-    genealogy, geometry, _ = thresholds._path_terms(rho, np.array(finalists))
-    return float(np.maximum(genealogy, geometry).min())
+    coarse = values(candidates)
+    finalists = [candidates[np.argmin(coarse)]]
+    for idx in np.argsort(coarse)[:3]:
+        res = minimize(
+            lambda x: x[-1],
+            np.append(candidates[idx], coarse[idx]),
+            jac=lambda x: np.eye(k + 1)[-1],
+            method="SLSQP",
+            bounds=[(0.0, _U_MAX)] * k + [(None, None)],
+            constraints={"type": "ineq", "fun": gaps, "jac": gaps_jac},
+            options=_SLSQP_OPTIONS,
+        )
+        finalists.append(np.clip(res.x[:-1], 0.0, _U_MAX))
+    return float(values(np.array(finalists)).min())
+
+
+def certified_kappa_bracket(rho, k, eps):
+    """(low, high) with low <= kappa_c(rho, k) <= high and high - low <= eps,
+    by branch and bound over boxes of offsets a in [0, 1]^k.
+
+    The genealogy term increases and the geometry term decreases in every
+    offset, so on a box [lo, hi] no value lies below max(genealogy(lo),
+    geometry(hi)), while the value at any point bounds the minimum from
+    above.  Each round evaluates the midpoint of every box; a box whose
+    bound reaches the best value so far minus eps is set aside, and the
+    others are halved across their widest side.  low is the smallest bound
+    set aside and high the best value.  Rounding: both come from
+    reference_path_terms in floats, so each is off by a few ulps, plus
+    2^-53 / (1 - a_i) relative in the genealogy term.
+    """
+    if not eps > 0.0:
+        raise ValueError("eps must be positive")
+    lo, hi = np.zeros((k, 1)), np.ones((k, 1))
+    low = high = math.inf
+    while lo.shape[1]:
+        genealogy, geometry, _ = reference_path_terms(rho, k, (lo + hi) / 2.0)
+        high = min(high, float(np.maximum(genealogy, geometry).min()))
+        with np.errstate(divide="ignore"):  # the genealogy term at a_i = 1, unused
+            geometry = reference_path_terms(rho, k, hi)[1]
+        bound = np.maximum(reference_path_terms(rho, k, lo)[0], geometry)
+        done = bound >= high - eps
+        low = min(low, float(bound[done].min(initial=math.inf)))
+        lo, hi = lo[:, ~done], hi[:, ~done]
+        axis, box = np.argmax(hi - lo, axis=0), np.arange(lo.shape[1])
+        mid = (lo[axis, box] + hi[axis, box]) / 2.0
+        upper_lo, lower_hi = lo.copy(), hi.copy()
+        upper_lo[axis, box] = mid
+        lower_hi[axis, box] = mid
+        lo, hi = np.hstack([lo, upper_lo]), np.hstack([lower_hi, hi])
+    return low, high

@@ -31,6 +31,16 @@ def test_kappa_known_value(capsys):
     assert data["offsets"][0] == pytest.approx(5.0 / 13.0, abs=1e-4)
 
 
+@pytest.mark.parametrize("rho", [1e9, 1e50, 1e150])
+def test_kappa_reports_u_that_round_trips_through_objective(rho, capsys):
+    # The printed offsets round to 1 at these rho; u does not.
+    code, out, _ = run_cli(capsys, "kappa", "--rho", repr(rho), "--k", "1", "--quiet")
+    assert code == 0
+    data = json.loads(out)
+    assert data["offsets"] == [1.0]
+    assert max(thresholds.objective(rho, u=data["u"])) == data["kappa"]
+
+
 def test_kappa_kmax_certified(capsys):
     code, out, _ = run_cli(capsys, "kappa", "--rho", "1.5", "--kmax", "4", "--quiet")
     assert code == 0
@@ -678,8 +688,8 @@ _NOT_SIMULATED = {"contperc.boolean_model", "contperc.estimation", "contperc.pat
 # Command -> modules loaded once its arguments are parsed, and modules, each
 # with its submodules, that are not.
 COMMAND_LOADS = {
-    "kappa": ({"contperc.thresholds", "scipy.optimize"}, _NOT_SIMULATED),
-    "kappa-sweep": ({"contperc.thresholds", "scipy.optimize"}, _NOT_SIMULATED),
+    "kappa": ({"contperc.thresholds"}, _NOT_SIMULATED | {"scipy"}),
+    "kappa-sweep": ({"contperc.thresholds"}, _NOT_SIMULATED | {"scipy"}),
     "threshold": ({"contperc.estimation", "scipy.sparse.csgraph"}, {"scipy.optimize"}),
     "alpha-sweep": ({"contperc.estimation", "scipy.sparse.csgraph"}, {"scipy.optimize"}),
     "gw": ({"contperc.branching"}, {"scipy"}),

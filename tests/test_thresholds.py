@@ -1,7 +1,4 @@
 import math
-import os
-import subprocess
-import sys
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +6,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import contperc
 from contperc import thresholds
 from contperc.thresholds import (
     MAX_K,
@@ -21,7 +17,12 @@ from contperc.thresholds import (
     objective,
 )
 
-from _oracles import reference_kappa_c_k, reference_path_terms
+from _oracles import (
+    certified_kappa_bracket,
+    reference_kappa_c_k,
+    reference_path_terms,
+    reference_term_gradients,
+)
 
 
 def test_params_validation():
@@ -31,6 +32,9 @@ def test_params_validation():
         objective(2.0, ())
     with pytest.raises(ValueError):
         objective(2.0, (1.0,))
+    for offsets, u in (((), ()), ((), (-1e-3,)), ((), (math.inf,)), ((), (math.nan,)), ((0.5,), (0.5,))):
+        with pytest.raises(ValueError, match="u must be"):
+            objective(2.0, offsets, u=u)
 
 
 def test_rho_must_be_finite_and_below_overflow():
@@ -44,9 +48,8 @@ def test_rho_must_be_finite_and_below_overflow():
 
 
 def test_kappa_below_one_and_k1_exact_up_to_max_rho():
-    # The k = 1 optimum u = ln(rho / 2) lies inside [0, 400] up to rho = 1e150.
     for rho in np.geomspace(1.01, 1e150, 400).tolist():
-        assert abs(kappa_c_k(rho, 1).kappa - kappa_c1_closed_form(rho)) <= 1e-12, rho
+        assert abs(kappa_c_k(rho, 1).kappa - kappa_c1_closed_form(rho)) <= 1e-14, rho
     assert kappa_c_k(1e10, 1).kappa < 1.0
     for rho in np.geomspace(1.01, 300.0, 6).tolist():
         res = [kappa_c_k(rho, k) for k in range(1, thresholds.MAX_K + 1)]
@@ -59,8 +62,7 @@ def test_kappa_below_one_and_k1_exact_up_to_max_rho():
 
 def distances(rho, offsets):
     """The distances d_1, ..., d_{k+1} reached along the path with these offsets."""
-    dists = thresholds._path_terms(rho, np.arctanh([offsets]))[2]
-    return [float(d[0]) for d in dists]
+    return thresholds._path_terms(rho, [math.atanh(a) for a in offsets])[2]
 
 
 def test_distance_profile_zero_offset():
@@ -90,9 +92,9 @@ def test_objective_examples():
     assert geo == pytest.approx(4.0 / (3.0 * math.sqrt(2.0)), rel=1e-12)
     assert gen == pytest.approx(geo, rel=1e-12)  # branches meet at rho=2, a=0
 
-    gen, geo = objective(3.0, (5.0 / 13.0,))
-    assert gen == pytest.approx(math.sqrt(13.0) / 4.0, rel=1e-12)
-    assert geo == pytest.approx(math.sqrt(13.0) / 4.0, rel=1e-12)
+    for gen, geo in (objective(3.0, (5.0 / 13.0,)), objective(3.0, u=(math.log(1.5),))):
+        assert gen == pytest.approx(math.sqrt(13.0) / 4.0, rel=1e-12)
+        assert geo == pytest.approx(math.sqrt(13.0) / 4.0, rel=1e-12)
 
     gen, _ = objective(1.5, (0.0,))
     assert gen == pytest.approx(2.0 * math.sqrt(1.5) / 2.5, rel=1e-12)
@@ -222,102 +224,66 @@ def test_capacity_limit():
 
 
 def test_long_paths_reach_the_better_basin():
-    # Nelder-Mead from the same three starts stopped at 0.9080610970610745
-    # and 0.9323157803200167, in a worse basin than the one SLSQP reaches.
+    # A former Nelder-Mead solve from three coarse starts stopped at
+    # 0.9080610970610745 and 0.9323157803200167, in a worse basin.
     assert kappa_c_k(10.0, 8).kappa <= 0.9080610970610745 - 1e-6
     assert kappa_c_k(float(np.linspace(1.1, 10, 12)[4]), 6).kappa <= 0.9323157803200167 - 1e-6
 
 
-def test_no_slsqp_start_reaches_the_iteration_limit(monkeypatch):
-    iterations = []
-    minimize = thresholds.minimize
-
-    def counted(*args, **kwargs):
-        res = minimize(*args, **kwargs)
-        iterations.append(res.nit)
-        return res
-
-    monkeypatch.setattr(thresholds, "minimize", counted)
-    for rho in np.linspace(1.1, 10.0, 30):  # the kappa-sweep benchmark's rho
-        for k in range(1, thresholds.MAX_K + 1):
-            solves = len(iterations)
-            kappa_c_k(float(rho), k)
-            assert len(iterations) - solves <= 1, (rho, k)  # all starts in one solve
-    assert iterations
-    assert max(iterations) < thresholds._SLSQP_OPTIONS["maxiter"]
+def test_shooting_is_never_above_the_slsqp_oracle():
+    # The oracle's value is that of a point it found, so it cannot lie below
+    # the minimum; 2e-15 relative (about 10 ulps) covers the two evaluations'
+    # rounding, including the oracle's 1 - a^2 from a rounded a.
+    cases = [(rho, k) for rho in np.linspace(1.1, 10.0, 30).tolist() for k in (1, 2, 3)]
+    cases += [(rho, k) for rho in np.geomspace(1.05, 300.0, 12).tolist() for k in range(4, MAX_K + 1)]
+    for rho, k in cases:
+        want = reference_kappa_c_k(rho, k)
+        assert kappa_c_k(rho, k).kappa <= want * (1.0 + 2e-15), (rho, k)
 
 
-def test_slsqp_evaluates_the_path_terms_once_per_point(monkeypatch):
-    points, inside, path_terms_calls = set(), [], []
-    minimize, path_terms = thresholds.minimize, thresholds._path_terms
-
-    def recorded(fn):
-        def wrapper(x):
-            points.add(x.tobytes())
-            return fn(x)
-
-        return wrapper
-
-    def watched(*args, constraints, **kwargs):
-        constraints = {**constraints, "fun": recorded(constraints["fun"])}
-        constraints["jac"] = recorded(constraints["jac"])
-        inside.append(True)
-        try:
-            return minimize(*args, constraints=constraints, **kwargs)
-        finally:
-            inside.pop()
-
-    def counted(*args):
-        if inside:
-            path_terms_calls.append(args)
-        return path_terms(*args)
-
-    monkeypatch.setattr(thresholds, "minimize", watched)
-    monkeypatch.setattr(thresholds, "_path_terms", counted)
-    for rho in (9.0, 40.0, 1e6):  # every k below refines at these rho
-        for k in (1, 2, 3, 5, 12):
-            points.clear()
-            path_terms_calls.clear()
-            kappa_c_k(rho, k)
-            assert points and len(path_terms_calls) == len(points), (rho, k)
+def test_shooting_lies_in_the_certified_bracket():
+    # The bracket's ends each round by a few ulps; 1e-15 covers them.
+    cases = [(rho, k, 1e-9) for rho in np.linspace(1.1, 10.0, 30).tolist() for k in (1, 2)]
+    cases += [(rho, 3, 1e-6) for rho in (1.5, 3.0, 10.0)]
+    for rho, k, eps in cases:
+        low, high = certified_kappa_bracket(rho, k, eps)
+        assert high - low <= eps, (rho, k)
+        assert low - 1e-15 <= kappa_c_k(rho, k).kappa <= high + 1e-15, (rho, k)
 
 
-def test_one_block_solve_matches_three_separate_solves():
-    # The benchmark's kappa-sweep rows, which also report the best k.
-    for rho in np.linspace(1.1, 10.0, 30).tolist():
-        got = [kappa_c_k(rho, k).kappa for k in (1, 2, 3)]
-        want = [reference_kappa_c_k(rho, k) for k in (1, 2, 3)]
-        assert got == pytest.approx(want, rel=1e-13, abs=0.0), rho
-        assert np.argmin(got) == np.argmin(want), rho
-    for rho in np.geomspace(1.05, 300.0, 12).tolist():
-        for k in range(4, thresholds.MAX_K + 1):
-            got = kappa_c_k(rho, k).kappa
-            assert got == pytest.approx(reference_kappa_c_k(rho, k), rel=1e-13, abs=0.0), (rho, k)
+@pytest.mark.parametrize("rho", [1e9, 1e50, 1e150])
+def test_reported_u_round_trips_through_objective(rho):
+    # Past rho of about 3e8 the largest offset rounds to 1, which the
+    # offsets form of objective rejects; u stays exact.
+    for k in range(1, MAX_K + 1):
+        res = kappa_c_k(rho, k)
+        assert objective(rho, u=res.u) == res.branch_values, k
+        assert res.kappa == max(res.branch_values), k
+    assert kappa_c_k(rho, 1).offsets == (1.0,)
+    with pytest.raises(ValueError, match="offsets must be"):
+        objective(rho, kappa_c_k(rho, 1).offsets)
 
 
 @settings(deadline=None, max_examples=300)
 @given(
     st.floats(1.0, 20.0, exclude_min=True),
-    st.integers(1, 12).flatmap(
-        lambda k: st.lists(
-            st.lists(st.floats(0.0, 0.99), min_size=k, max_size=k), min_size=1, max_size=3
-        )
-    ),
+    st.integers(1, 12).flatmap(lambda k: st.lists(st.floats(0.0, 0.99), min_size=k, max_size=k)),
 )
-def test_term_gradients_match_central_differences(rho, rows):
-    u = np.arctanh(np.array(rows))
+def test_reference_gradients_match_central_differences(rho, offsets):
+    # The SLSQP oracle's gradients, against its own terms.
+    u = np.arctanh(np.array(offsets))
+    k = len(offsets)
     step = 1e-7
-    shifts = step * np.eye(u.shape[1])  # row i moves coordinate i alone
-    terms = thresholds._path_terms(rho, u)
-    analytic = thresholds._term_gradients(rho, u, terms)
-    for n, point in enumerate(u):
-        up = thresholds._path_terms(rho, point + shifts)
-        down = thresholds._path_terms(rho, point - shifts)
-        numeric = (np.array(up[:2]) - np.array(down[:2])) / (2.0 * step)
+    terms = reference_path_terms(rho, k, np.tanh(u))
+    analytic = reference_term_gradients(rho, k, u)
+    for i in range(k):
+        shift = step * np.eye(k)[i]
+        up = reference_path_terms(rho, k, np.tanh(u + shift))
+        down = reference_path_terms(rho, k, np.tanh(u - shift))
         for term in range(2):
+            numeric = (up[term] - down[term]) / (2.0 * step)
             # Rounding in the differences is about 1e-16 * value / step.
-            value = terms[term][n]
-            assert analytic[term][n] == pytest.approx(numeric[term], rel=1e-5, abs=1e-7 * value)
+            assert analytic[term][i] == pytest.approx(numeric, rel=1e-5, abs=1e-7 * terms[term])
 
 
 def test_k2_crossover_location():
@@ -335,7 +301,7 @@ def test_k2_crossover_tol_must_be_positive_and_finite(monkeypatch):
 
 
 def test_k2_crossover_bracket_changes_sign():
-    # brentq checks this too: it raises ValueError unless the gap changes sign.
+    # k2_crossover_rho bisects between these two ends.
     def gap(rho):
         return kappa_c_k(rho, 2).kappa - kappa_c_k(rho, 1).kappa
 
@@ -364,18 +330,3 @@ def test_vector_terms_match_scalar_reference(path):
     assert distances(rho, offsets) == pytest.approx(dists, rel=1e-13, abs=0.0)
     zero = reference_path_terms(rho, k, (0.0,) * k)[0]
     assert genealogy_envelope(rho, k) == pytest.approx(zero, rel=1e-13, abs=0.0)
-
-
-def _run_python(code):
-    """Run code in a fresh interpreter that imports this contperc."""
-    src = os.path.dirname(os.path.dirname(contperc.__file__))
-    entries = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(entries)}
-    return subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
-    ).stdout
-
-
-def test_kappa_c_k_coarse_sample_is_fixed_across_processes():
-    code = "from contperc.thresholds import kappa_c_k; r = kappa_c_k(3.0, 5); print(r)"
-    assert _run_python(code) == _run_python(code)
