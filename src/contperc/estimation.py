@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.sparse import coo_matrix
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, minimum_spanning_tree
 
 from .boolean_model import (
@@ -186,36 +186,50 @@ def _critical_mark(config: BallConfiguration, box: BoxSpec, marks: np.ndarray) -
     """Smallest q at which the balls with mark < q cross the box; inf if none do.
 
     This is the minimax mark over the paths between the two faces.  The hit
-    graph gains two face nodes, weighing 0, joined to the balls touching each
-    face, and every edge weighs the larger of its ends' marks, floored at the
-    smallest positive float because csgraph drops zero weights.  The minimum
-    spanning tree holds a minimax path between any two nodes, so the search
-    from the low face node decides crossing, and the answer is the largest
-    mark on its path to the high one.
+    graph gains the low and high face as nodes 0 and 1, joined to the balls
+    touching each face, and the balls are numbered by arrival: ball order[j]
+    is node j + 2.  Every edge is stored in the row of its later end and
+    weighs that end's mark, the larger of its ends' marks, floored at the
+    smallest positive float because csgraph drops zero weights.  The stored
+    weights then ascend, so the spanning tree's stable sort of them is one
+    linear pass.  Any minimum spanning tree holds a minimax path between any
+    two nodes, so which tree scipy returns cannot change the value: the
+    search from the low face decides crossing, and the answer is the mark of
+    the latest ball on its path to the high face, the largest node there.
     """
     labeling = clusters(config, box)
     n = config.n
-    low = np.flatnonzero(labeling.touches_low)
-    high = np.flatnonzero(labeling.touches_high)
-    a = np.concatenate((labeling.edges[0], np.full(low.size, n), np.full(high.size, n + 1)))
-    b = np.concatenate((labeling.edges[1], low, high))
-    node_weight = np.concatenate((np.maximum(marks, 5e-324), [0.0, 0.0]))
-    weight = np.maximum(node_weight[a], node_weight[b])
-    tree = minimum_spanning_tree(coo_matrix((weight, (a, b)), shape=(n + 2, n + 2)))
-    _, pred = breadth_first_order(tree, n, directed=False, return_predecessors=True)
-    if pred[n + 1] < 0:
+    order = np.argsort(marks)
+    node = np.empty(n, dtype=np.intp)
+    node[order] = np.arange(2, n + 2)
+    ends = node[labeling.edges]
+    low = node[labeling.touches_low]
+    high = node[labeling.touches_high]
+    rows = np.concatenate((ends.max(axis=0), low, high))
+    cols = np.concatenate((ends.min(axis=0), np.zeros_like(low), np.ones_like(high)))
+    counts = np.bincount(rows, minlength=n + 2)
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    data = np.repeat(np.maximum(marks[order], 5e-324), counts[2:])
+    graph = csr_matrix((data, cols[np.argsort(rows)], indptr), shape=(n + 2, n + 2))
+    tree = minimum_spanning_tree(graph, overwrite=True)
+    _, pred = breadth_first_order(tree, 0, directed=False, return_predecessors=True)
+    if pred[1] < 0:
         return math.inf
-    pred = pred.tolist()
-    path = []
-    node = pred[n + 1]
-    while node != n:
-        path.append(node)
-        node = pred[node]
-    return float(marks[path].max())
+    latest = step = pred.item(1)
+    while step != 0:
+        if step > latest:
+            latest = step
+        step = pred.item(step)
+    return float(marks[order[latest - 2]])
 
 
 def _critical_intensities(
-    mixture: RadiusMixture, box: BoxSpec, seed: int, trials: int, lam_hi: float
+    mixture: RadiusMixture,
+    box: BoxSpec,
+    seed: int,
+    trials: int,
+    lam_hi: float,
+    progress: ProgressFn | None = None,
 ) -> np.ndarray:
     """Every trial's critical intensity, sampled layer by layer until it crosses.
 
@@ -232,7 +246,11 @@ def _critical_intensities(
     is none).  That start depends only on earlier, independent trials, so
     every trial is still an exact draw.  While a trial has not crossed, its
     next layer ends at lam_hi, then at 2 lam_hi, 4 lam_hi and so on.
+
+    progress, if given, gets one line per trial, in order: its index, its
+    layers, its balls and its critical intensity in normalized units.
     """
+    norm_factor = _first_bracket(mixture, box.dimension)[0]
     critical = np.empty(trials)
     peak = None  # the largest critical intensity below lam_hi so far
     for t in range(trials):
@@ -259,6 +277,11 @@ def _critical_intensities(
             layer += 1
         if critical[t] < lam_hi and (peak is None or critical[t] > peak):
             peak = critical[t]
+        if progress is not None:
+            progress(
+                f"trial {t}: layers={layer + 1} balls={union.n} "
+                f"lambda~={critical[t] * norm_factor:.5g}"
+            )
     return critical
 
 
@@ -287,7 +310,7 @@ def estimate_lambda_c(
     canon, scale, mass = canonicalize(mixture)
     canon_box = BoxSpec(dimension=d, side=box.side / scale)
     norm_factor, lam_lo, lam_hi = _first_bracket(canon, d)
-    critical = _critical_intensities(canon, canon_box, seed, trials, lam_hi)
+    critical = _critical_intensities(canon, canon_box, seed, trials, lam_hi, progress)
     levels: list[LevelStat] = []
 
     def evaluate(lam: float) -> LevelStat:

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 from scipy.optimize import minimize
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import breadth_first_order, minimum_spanning_tree
 
 
 def brute_force_edges(config):
@@ -50,6 +52,34 @@ def brute_force_percolates(config, box):
     low = set(labels[config.centers[:, 0] < config.radii].tolist())
     high = set(labels[(config.centers[:, 0] + config.radii) > box.side].tolist())
     return not low.isdisjoint(high)
+
+
+def reference_critical_mark(labeling, marks):
+    """Minimax mark between the faces of a hit graph, by a spanning tree of it in COO form.
+
+    Balls keep their own numbers and the faces are nodes n and n + 1, so the
+    weights reach scipy's spanning tree unsorted.  Every edge weighs the
+    larger mark of its ends, floored at the smallest positive float (csgraph
+    drops zero weights; the faces weigh 0).  The answer is the largest mark
+    on the tree path from the low face to the high one, inf if there is none.
+    """
+    n = marks.size
+    low = np.flatnonzero(labeling.touches_low)
+    high = np.flatnonzero(labeling.touches_high)
+    a = np.concatenate((labeling.edges[0], np.full(low.size, n), np.full(high.size, n + 1)))
+    b = np.concatenate((labeling.edges[1], low, high))
+    node_weight = np.concatenate((np.maximum(marks, 5e-324), [0.0, 0.0]))
+    weight = np.maximum(node_weight[a], node_weight[b])
+    tree = minimum_spanning_tree(coo_matrix((weight, (a, b)), shape=(n + 2, n + 2)))
+    _, pred = breadth_first_order(tree, n, directed=False, return_predecessors=True)
+    if pred[n + 1] < 0:
+        return math.inf
+    path = []
+    node = pred[n + 1]
+    while node != n:
+        path.append(node)
+        node = pred[node]
+    return float(marks[path].max())
 
 
 def power_iteration_largest_eigenvalue(matrix, iters=500_000, tol=1e-13):

@@ -14,6 +14,7 @@ level with the oracle on their union.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
@@ -26,10 +27,16 @@ from contperc.boolean_model import (
     percolates,
     sample,
 )
-from contperc.estimation import _critical_intensities, _critical_mark
+from contperc.estimation import (
+    _critical_intensities,
+    _critical_mark,
+    _first_bracket,
+    canonicalize,
+    mixture_for_alpha,
+)
 from contperc.util import derive_seed, stream
 
-from _oracles import brute_force_percolates
+from _oracles import brute_force_percolates, reference_critical_mark
 
 GRID = 0.125
 MARK_STEP = 1.0 / 16.0
@@ -104,6 +111,41 @@ def test_no_crossing_gives_infinite_mark():
     apart = make_config([[0.5, 0.0], [3.5, 0.0]], [1.0, 1.0])
     assert _critical_mark(apart, box, np.array([0.0, 0.0])) == math.inf
     assert _critical_mark(make_config([], []), box, np.empty(0)) == math.inf
+
+
+# Realistic sizes: the benchmark's two mixtures, the unit ball and the 1:10
+# radius mixture in canonical units, in boxes holding a few hundred to ten
+# thousand balls; intensities at half and twice an approximate normalized
+# threshold, so that some configurations never cross.
+MIXTURES = {"1:1": RadiusMixture.dirac(1.0), "1:10": canonicalize(mixture_for_alpha(0.5, 10.0, 2))[0]}
+SIDES = {("1:1", 2): 40.0, ("1:1", 3): 14.0, ("1:1", 4): 8.0, ("1:10", 2): 12.0, ("1:10", 3): 4.5, ("1:10", 4): 4.5}
+NORMALIZED_THRESHOLD = {2: 4.51, 3: 2.73, 4: 2.09}
+
+
+def mark_variants(seed, n, lam):
+    """Uniform marks below lam, the same rounded down to 1/16 and to 1/3 of lam, and with exact zeros."""
+    u = stream(seed).random(n)
+    zeros = u.copy()
+    zeros[::5] = 0.0
+    return [lam * v for v in (u, np.floor(16.0 * u) / 16.0, np.floor(3.0 * u) / 3.0, zeros)]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("name", sorted(MIXTURES))
+def test_critical_mark_matches_the_reference_at_realistic_sizes(name, d):
+    mixture, box = MIXTURES[name], BoxSpec(d, SIDES[name, d])
+    norm_factor = _first_bracket(mixture, d)[0]
+    results = []
+    for factor in (0.5, 2.0):
+        lam = factor * NORMALIZED_THRESHOLD[d] / norm_factor
+        for seed in (0, 1):
+            cfg = sample(mixture, lam, box, derive_seed(seed, d))
+            labeling = clusters(cfg, box)
+            for marks in mark_variants(seed, cfg.n, lam):
+                critical = _critical_mark(cfg, box, marks)
+                assert critical == reference_critical_mark(labeling, marks)
+                results.append(critical)
+    assert math.inf in results and any(c < math.inf for c in results)
 
 
 def uniform_draws(seed, n):

@@ -1,11 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from contperc import boolean_model, estimation
 from contperc.boolean_model import BoxSpec, RadiusMixture, clusters, percolates, sample
-from contperc.util import CapacityError
+from contperc.util import CapacityError, derive_seed
 from contperc.estimation import (
     alpha_sweep,
     canonicalize,
@@ -24,7 +25,7 @@ BOX = BoxSpec(2, 16.0)
 def fake_critical_intensities(monkeypatch, values):
     """Make the estimator read the given critical intensities instead of sampling."""
 
-    def fake(mixture, box, seed, trials, lam_hi):
+    def fake(mixture, box, seed, trials, lam_hi, progress=None):
         assert trials == len(values)
         return np.asarray(values, dtype=float)
 
@@ -144,6 +145,55 @@ def test_the_estimator_never_labels_clusters(monkeypatch):
     assert np.isfinite(critical).all()
     est = estimate_lambda_c(UNIT, box, trials=50, seed=3)
     assert est.ci_low <= est.lambda_c <= est.ci_high
+
+
+@pytest.mark.parametrize("mixture", [UNIT, canonicalize(mixture_for_alpha(0.5, 10.0, 2))[0]])
+def test_every_spanning_tree_input_is_csr_with_ascending_weights(mixture, monkeypatch):
+    """Balls numbered by arrival give ascending weights, which the tree's sort passes over linearly."""
+    tree = estimation.minimum_spanning_tree
+    sizes = []
+
+    def checked(graph, overwrite=False):
+        assert graph.format == "csr"
+        assert not np.any(np.diff(graph.data) < 0.0)
+        sizes.append(graph.nnz)
+        return tree(graph, overwrite=overwrite)
+
+    monkeypatch.setattr(estimation, "minimum_spanning_tree", checked)
+    lam_hi = estimation._first_bracket(mixture, 2)[2]
+    estimation._critical_intensities(mixture, BoxSpec(2, 8.0), 3, 50, lam_hi)
+    assert len(sizes) >= 50 and min(sizes) > 0
+
+
+def test_trial_progress_lines_arrive_in_trial_order(monkeypatch):
+    balls = {}
+
+    def counting_sample(mixture, lam, box, seed):
+        cfg = sample(mixture, lam, box, seed)
+        balls[seed] = cfg.n
+        return cfg
+
+    monkeypatch.setattr(estimation, "sample", counting_sample)
+    box, seed, trials = BoxSpec(2, 8.0), 3, 50
+    norm_factor, _, lam_hi = estimation._first_bracket(UNIT, 2)
+    lines = []
+    critical = estimation._critical_intensities(UNIT, box, seed, trials, lam_hi, lines.append)
+    assert critical.tolist() == estimation._critical_intensities(UNIT, box, seed, trials, lam_hi).tolist()
+    assert len(lines) == trials
+    layered = 0
+    for t, line in enumerate(lines):
+        match = re.fullmatch(rf"trial {t}: layers=(\d+) balls=(\d+) lambda~=(\S+)", line)
+        assert match, (t, line)
+        layers = int(match[1])
+        layered += layers > 1
+        assert int(match[2]) == sum(balls[derive_seed(seed, j, t)] for j in range(layers))
+        assert match[3] == f"{critical[t] * norm_factor:.5g}"
+    assert layered > 0
+    # The estimator passes its callback through: the trial lines come first, then the levels.
+    lines.clear()
+    estimate_lambda_c(UNIT, box, trials=trials, seed=seed, progress=lines.append)
+    assert [line.split(":")[0] for line in lines[:trials]] == [f"trial {t}" for t in range(trials)]
+    assert lines[trials].startswith("level 0: ")
 
 
 def test_canonicalize():

@@ -12,10 +12,11 @@ Regenerate the files, after a change that is meant to alter an output, with
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import contextlib
+import io
 import json
 import math
 import re
-import sys
 from pathlib import Path
 
 import numpy
@@ -56,7 +57,9 @@ CASES = {
     ),
     "kappa-kmax": ("kappa", "--rho", "3", "--kmax", "6"),
     "gw": ("gw", "--d", "3", "--rho", "2"),
+    "gw-high-d": ("gw", "--d", "700", "--rho", "10", "--kappa", "0.5"),
     "slab": ("slab", "--d", "3", "--r", "1", "--a", "0", "--b", "1"),
+    "slab-huge-radius": ("slab", "--d", "3", "--r", "1e200", "--a", "0", "--b", "1"),
     "too-few-trials-exit2": ("threshold", "--d", "2", "--mixture", "1:1", "--L", "8", "--trials", "10"),
     "over-capacity-exit3": (
         "threshold", "--d", "2", "--mixture", "1:1", "--L", "1e5", "--trials", "50", "--quiet",
@@ -134,9 +137,6 @@ def test_the_tolerance_reads_numbers_loosely_and_text_exactly():
 
 def regenerate() -> None:
     """Run every case and write its stdout, stderr and exit code under tests/golden/."""
-    import contextlib
-    import io
-
     GOLDEN.mkdir(exist_ok=True)
 
     def capture(argv):
@@ -159,4 +159,4 @@ def regenerate() -> None:
 
 
 if __name__ == "__main__":
-    sys.exit(regenerate())
+    regenerate()
