@@ -91,7 +91,7 @@ def _estimate_row(est, rho=None, alpha=None) -> dict:
         "alpha": alpha,
         "d": est.dimension,
         "L": est.box_side,
-        "trials": est.trials_per_level,
+        "trials": est.trials,
         "lambda_c": est.lambda_c,
         "ci_low": est.ci_low,
         "ci_high": est.ci_high,
@@ -163,7 +163,6 @@ def _cmd_threshold(params: dict, seed: int, quiet: bool):
         mixture,
         box,
         trials=params["trials"],
-        target_rel_tol=params["tol"],
         seed=seed,
         progress=_progress_printer(quiet),
     )
@@ -189,7 +188,6 @@ def _cmd_alpha_sweep(params: dict, seed: int, quiet: bool):
         box,
         trials=params["trials"],
         seed=seed,
-        target_rel_tol=params["tol"],
         progress=_progress_printer(quiet),
     )
     rows = [_estimate_row(est, rho=rho, alpha=a) for a, est in zip(alphas, points)]
@@ -349,7 +347,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mixture", required=True, help="atoms as 'r:w[,r:w...]'")
     p.add_argument("--L", type=float, required=True)
     p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--tol", type=float, default=0.02)
+    # Accepted and ignored: the bisection tolerance of an earlier estimator,
+    # kept so that existing command lines and saved configs still run.
+    p.add_argument("--tol", type=float, default=None, help=argparse.SUPPRESS)
     add_common(p, "json")
 
     p = sub.add_parser("alpha-sweep", help="critical covered volume along a two-radius interpolation")
@@ -359,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha-count", type=int, default=9)
     p.add_argument("--L", type=float, required=True, help="box side in units of the largest radius")
     p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--tol", type=float, default=0.02)
+    p.add_argument("--tol", type=float, default=None, help=argparse.SUPPRESS)  # ignored, as on threshold
     add_common(p, "csv")
 
     p = sub.add_parser("gw", help="two-type branching means and critical kappa")

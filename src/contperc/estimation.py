@@ -1,19 +1,17 @@
 """Percolation threshold estimation and the scale-free quantities built on it.
 
-The estimator bisects the intensity lambda toward crossing probability 1/2
-in a finite box, keeping the side of 1/2 that each level's crossing fraction
-lies on.  A Wilson 95% interval at every level makes the initial bracket
-decisive and stops the loop when both endpoints' intervals straddle 1/2,
-i.e. the statistical resolution of the trial budget is exhausted; the loop
-also stops when the bracket is relatively narrow.
-
-The trials are shared across levels (common random numbers, the
-Newman-Ziff coupling).  Every ball of a seeded trial carries an arrival
-intensity, and a level at lambda keeps the balls arriving below lambda, so
-each trial is reduced to its critical intensity, the latest arrival on a
-minimax path between the two faces.  The trials are sampled once, before
-the first level, in superposed Poisson layers until each has crossed (see
-_critical_intensities); a level at lambda then reads critical < lambda.
+Every trial of a threshold run reduces to one number, its critical
+intensity (the Newman-Ziff coupling): every ball of a seeded trial carries
+an arrival intensity, the trial's configuration at lambda is its balls
+arriving below lambda, and the trial crosses the box exactly when lambda
+exceeds the latest arrival on a minimax path between the two faces.  The
+trials are sampled in superposed Poisson layers until each has crossed (see
+_critical_intensities), so every critical intensity is finite and the
+crossing probability at lambda is their empirical distribution function.
+The estimate is its median, the intensity at which half of the trials
+cross, and the 95% interval is the pair of order statistics X_(l), X_(u)
+that covers the true median whatever the distribution (binomial order
+statistics; David & Nagaraja, Order Statistics, 3rd ed., 2003).
 
 Scale handling.  Before simulating, the mixture is canonicalized: radii are
 divided by the largest radius and weights by the total mass, the box side is
@@ -52,10 +50,8 @@ from .geometry import unit_ball_volume
 from .util import MAX_SIMULATION_DIMENSION, CapacityError, check_rho, derive_seed, ipow, stream
 
 __all__ = [
-    "LevelStat",
     "ThresholdEstimate",
     "LadderResult",
-    "wilson_interval",
     "canonicalize",
     "estimate_lambda_c",
     "size_ladder",
@@ -65,74 +61,34 @@ __all__ = [
     "alpha_sweep",
 ]
 
-# 97.5% normal quantile for Wilson 95% intervals.
-_Z95 = 1.959963984540054
-
-# Levels before the bisection stops anyway, however small the tolerance.
-_MAX_LEVELS = 80
-
 ProgressFn = Callable[[str], None]
-
-
-def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
-    """Wilson score 95% interval for a binomial proportion.
-
-    Unlike the Wald interval it behaves correctly for proportions near 0
-    and 1, which is where bisection spends its early levels.  The ends are
-    clamped to [0, 1] and to p_hat, which rounding would otherwise miss at
-    0 and n successes (a low end of 6.9e-18 at 0 of 50).
-    """
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    p = successes / trials
-    z2 = _Z95 * _Z95
-    denom = 1.0 + z2 / trials
-    center = (p + z2 / (2.0 * trials)) / denom
-    half = _Z95 * math.sqrt(p * (1.0 - p) / trials + z2 / (4.0 * trials * trials)) / denom
-    return max(0.0, min(p, center - half)), min(1.0, max(p, center + half))
-
-
-@dataclass(frozen=True)
-class LevelStat:
-    """One bisection level: its intensity, trial outcomes and the Wilson interval."""
-
-    lam: float
-    trials: int
-    successes: int
-    wilson_low: float
-    wilson_high: float
-    indicators: tuple[bool, ...] = field(repr=False)
-
-    @property
-    def p_hat(self) -> float:
-        return self.successes / self.trials
-
-    @property
-    def straddles(self) -> bool:
-        return self.wilson_low <= 0.5 <= self.wilson_high
 
 
 @dataclass(frozen=True)
 class ThresholdEstimate:
     """Critical intensity estimate with its derived scale-free quantities.
 
-    ci_low / ci_high are the final bisection bracket.  normalized is
-    lambda_c * v_d * sum w (2r)^d and covered_volume equals
-    1 - exp(-normalized / 2^d) exactly.
+    lambda_c is the median of the trials' critical intensities and
+    ci_low / ci_high are their order statistics X_(l) and X_(u), a
+    distribution-free 95% interval for the intensity at which the box is
+    crossed with probability 1/2.  normalized is lambda_c * v_d * sum w (2r)^d
+    and covered_volume equals 1 - exp(-normalized / 2^d) exactly.  critical
+    holds the sorted critical intensities in canonical units (r_max = mass =
+    1), so runs equal up to scale and mass under one seed hold equal tuples.
     """
 
     lambda_c: float
     ci_low: float
     ci_high: float
     box_side: float
-    trials_per_level: int
+    trials: int
     normalized: float
     covered_volume: float
     dimension: int
     seed: int
     normalized_ci_low: float
     normalized_ci_high: float
-    levels: tuple[LevelStat, ...] = field(repr=False, default=())
+    critical: tuple[float, ...] = field(repr=False)
 
 
 def canonicalize(mixture: RadiusMixture) -> tuple[RadiusMixture, float, float]:
@@ -145,25 +101,41 @@ def canonicalize(mixture: RadiusMixture) -> tuple[RadiusMixture, float, float]:
     return canon, scale, mass
 
 
-def _first_bracket(canon: RadiusMixture, d: int) -> tuple[float, float, float]:
-    """(norm_factor, lam_lo, lam_hi): v_d sum w (2r)^d, and the first bracket 1 and 8 over it."""
+def _first_bracket(canon: RadiusMixture, d: int) -> tuple[float, float]:
+    """(norm_factor, lam_hi): v_d sum w (2r)^d, and the top of trial 0's first layer, 8 over it."""
     norm_factor = unit_ball_volume(d) * canon.doubled_moment(d)
-    lam_lo = 1.0 / norm_factor
-    return norm_factor, lam_lo, 8.0 * lam_lo
+    return norm_factor, 8.0 / norm_factor
 
 
-def _check_run(runs, trials: int, target_rel_tol: float) -> None:
+def _median_ranks(n: int) -> tuple[int, int]:
+    """(l, u): the 1-based ranks of the distribution-free 95% interval for the median.
+
+    Of n draws, the number B below the median is Bin(n, 1/2), so
+    [X_(l), X_(u)] misses the median with probability at most 2 P(B < l)
+    when u = n + 1 - l.  l is the largest rank with P(B < l) <= 1/40, found
+    by summing the binomial coefficients exactly in integers.  Each one comes
+    from the last by C(n, i + 1) = C(n, i) (n - i) / (i + 1); a math.comb
+    per term is several hundred times slower at n = 3000.
+    """
+    limit = 2**n
+    term, below, rank = 1, 0, 0  # C(n, rank) and sum_{i < rank} C(n, i)
+    while 40 * (below + term) <= limit:
+        below += term
+        term = term * (n - rank) // (rank + 1)
+        rank += 1
+    return rank, n + 1 - rank
+
+
+def _check_run(runs, trials: int) -> None:
     """Reject a threshold run over (mixture, box) pairs before any sampling.
 
     Invalid arguments raise ValueError.  A run whose trials expect more than
-    MAX_EXPECTED_COUNT balls in all, at the first bracket top lam_hi of each
+    MAX_EXPECTED_COUNT balls in all, at the first layer top lam_hi of each
     canonical box, raises CapacityError: the cap on one sample does not
     bound a run of many.
     """
     if trials < 50:
-        raise ValueError("need at least 50 trials per level")
-    if not target_rel_tol > 0.0:
-        raise ValueError("target_rel_tol must be positive")
+        raise ValueError("need at least 50 trials")
     balls = 0.0
     for mixture, box in runs:
         d = box.dimension
@@ -173,7 +145,7 @@ def _check_run(runs, trials: int, target_rel_tol: float) -> None:
                 "box volumes explode beyond that"
             )
         canon, scale, _ = canonicalize(mixture)
-        lam_hi = _first_bracket(canon, d)[2]
+        lam_hi = _first_bracket(canon, d)[1]
         balls += trials * expected_count(canon, lam_hi, BoxSpec(dimension=d, side=box.side / scale))
     if balls > MAX_EXPECTED_COUNT:
         raise CapacityError(
@@ -234,7 +206,7 @@ def _critical_intensities(
     """Every trial's critical intensity, sampled layer by layer until it crosses.
 
     Every ball of a trial carries an arrival intensity, and the trial's
-    configuration at a level lam is its balls arriving below lam, so it
+    configuration at intensity lam is its balls arriving below lam, so it
     crosses exactly when its critical intensity is below lam.  A trial is a
     stack of independent layers: layer j on derive_seed(seed, j, t) is a
     sample at intensity top - bottom with arrivals uniform on [bottom, top),
@@ -289,108 +261,59 @@ def estimate_lambda_c(
     mixture: RadiusMixture,
     box: BoxSpec,
     trials: int,
-    target_rel_tol: float = 0.02,
     seed: int = 0,
     progress: ProgressFn | None = None,
 ) -> ThresholdEstimate:
-    """Estimate the critical intensity by bisection on the crossing probability.
+    """Estimate the critical intensity as the median of the trials' critical intensities.
 
-    The trials are shared across levels (common random numbers) in the
-    canonicalized box: _critical_intensities gives each trial's critical
-    intensity, and a level at lam reads which of them lie below lam.  The
-    initial bracket starts at the branching lower-bound heuristic
-    lambda_lo = 1 / (v_d sum w (2r)^d) with lambda_hi = 8 lambda_lo, and
-    doubles outward until the endpoints are decisively sub- and
-    supercritical, which every finite set of critical intensities allows.
+    The trials run in the canonicalized box, where _critical_intensities
+    gives each one's critical intensity; trial 0's first layer ends at
+    lambda_hi = 8 / (v_d sum w (2r)^d), eight times the branching lower
+    bound.  The interval is [X_(l), X_(u)] with the ranks of _median_ranks.
     A run expecting more than MAX_EXPECTED_COUNT balls over its trials at
     lambda_hi raises CapacityError before any sampling.
     """
-    _check_run([(mixture, box)], trials, target_rel_tol)
+    _check_run([(mixture, box)], trials)
     d = box.dimension
     canon, scale, mass = canonicalize(mixture)
     canon_box = BoxSpec(dimension=d, side=box.side / scale)
-    norm_factor, lam_lo, lam_hi = _first_bracket(canon, d)
-    critical = _critical_intensities(canon, canon_box, seed, trials, lam_hi, progress)
-    levels: list[LevelStat] = []
-
-    def evaluate(lam: float) -> LevelStat:
-        level = len(levels)
-        indicators = tuple((critical < lam).tolist())
-        successes = sum(indicators)
-        wl, wh = wilson_interval(successes, trials)
-        stat = LevelStat(
-            lam=lam,
-            trials=trials,
-            successes=successes,
-            wilson_low=wl,
-            wilson_high=wh,
-            indicators=indicators,
+    norm_factor, lam_hi = _first_bracket(canon, d)
+    critical = np.sort(_critical_intensities(canon, canon_box, seed, trials, lam_hi, progress))
+    low, high = _median_ranks(trials)
+    lam_c = float(np.median(critical))
+    x_low, x_high = critical.item(low - 1), critical.item(high - 1)
+    if progress is not None:
+        progress(
+            f"median: lambda~={lam_c * norm_factor:.5g} "
+            f"ci=[{x_low * norm_factor:.5g},{x_high * norm_factor:.5g}]"
         )
-        levels.append(stat)
-        if progress is not None:
-            progress(
-                f"level {level}: lambda~={lam * norm_factor:.5g} "
-                f"p={stat.p_hat:.3f} wilson=[{wl:.3f},{wh:.3f}]"
-            )
-        return stat
-
-    stat_lo = evaluate(lam_lo)
-    stat_hi = evaluate(lam_hi)
-
-    # Every critical intensity is finite and non-negative, so both loops stop.
-    while stat_hi.wilson_low <= 0.5:
-        lam_hi *= 2.0
-        stat_hi = evaluate(lam_hi)
-    while stat_lo.wilson_high >= 0.5:
-        lam_lo *= 0.5
-        stat_lo = evaluate(lam_lo)
-
-    while True:
-        rel_width = (lam_hi - lam_lo) / (0.5 * (lam_hi + lam_lo))
-        if rel_width <= target_rel_tol:
-            break
-        if stat_lo.straddles and stat_hi.straddles:
-            break  # statistical resolution exhausted
-        if len(levels) >= _MAX_LEVELS:
-            break
-        mid = math.sqrt(lam_lo * lam_hi)
-        stat_mid = evaluate(mid)
-        # A Wilson interval that excludes 1/2 lies on p_hat's side of it, so
-        # p_hat alone decides, for decisive and straddling levels alike.
-        if stat_mid.p_hat >= 0.5:
-            lam_hi, stat_hi = mid, stat_mid
-        else:
-            lam_lo, stat_lo = mid, stat_mid
-
-    # Interpolate to crossing probability 1/2 inside the final bracket, where
-    # pa < 1/2 <= pb holds since the expansion, so t lies in (0, 1].
-    ratio = lam_hi / lam_lo
-    pa, pb = stat_lo.p_hat, stat_hi.p_hat
-    t = (0.5 - pa) / (pb - pa)
-    # Clamped because lam_lo * ratio**1 can round one ulp above lam_hi.
-    lam_c = min(max(lam_lo * ratio**t, lam_lo), lam_hi)
 
     denom = mass * ipow(scale, d)
     normalized = lam_c * norm_factor
     return ThresholdEstimate(
         lambda_c=lam_c / denom,
-        ci_low=lam_lo / denom,
-        ci_high=lam_hi / denom,
+        ci_low=x_low / denom,
+        ci_high=x_high / denom,
         box_side=box.side,
-        trials_per_level=trials,
+        trials=trials,
         normalized=normalized,
         covered_volume=-math.expm1(-normalized / ipow(2.0, d)),
         dimension=d,
         seed=int(seed),
-        normalized_ci_low=lam_lo * norm_factor,
-        normalized_ci_high=lam_hi * norm_factor,
-        levels=tuple(levels),
+        normalized_ci_low=x_low * norm_factor,
+        normalized_ci_high=x_high * norm_factor,
+        critical=tuple(critical.tolist()),
     )
 
 
 @dataclass(frozen=True)
 class LadderResult:
-    """Finite-size ladder: one estimate per box side, largest side last."""
+    """Finite-size ladder: one estimate per box side, largest side last.
+
+    drifts are the changes of the normalized estimate between neighbouring
+    sides; systematic is raised when the last one exceeds the width of the
+    largest box's 95% interval.
+    """
 
     estimates: tuple[ThresholdEstimate, ...]
     drifts: tuple[float, ...]
@@ -407,11 +330,10 @@ def size_ladder(
 ) -> LadderResult:
     """Estimate at increasing box sides and flag unresolved finite-size drift.
 
-    Every side runs estimate_lambda_c at its default tolerance.  The
-    headline number is the largest-box estimate, estimates[-1]; the
-    systematic flag is raised when the drift of the last step exceeds that
-    estimate's CI width.  The run size is checked summed over the sides
-    before the first estimate starts.
+    The headline number is the largest-box estimate, estimates[-1]; the
+    systematic flag is raised when the drift of the last step exceeds the
+    width of that estimate's 95% interval.  The run size is checked summed
+    over the sides before the first estimate starts.
     """
     sides = list(sides)
     if not sides:
@@ -419,7 +341,7 @@ def size_ladder(
     if any(b <= a for a, b in zip(sides, sides[1:])):
         raise ValueError("sides must be strictly increasing")
     boxes = [BoxSpec(dimension=d, side=float(side)) for side in sides]
-    _check_run([(mixture, box) for box in boxes], trials, 0.02)
+    _check_run([(mixture, box) for box in boxes], trials)
     estimates = []
     for i, box in enumerate(boxes):
         if progress is not None:
@@ -493,7 +415,6 @@ def alpha_sweep(
     box: BoxSpec,
     trials: int,
     seed: int = 0,
-    target_rel_tol: float = 0.02,
     progress: ProgressFn | None = None,
 ) -> list[ThresholdEstimate]:
     """Estimate critical covered volumes along the two-radius interpolation,
@@ -511,7 +432,7 @@ def alpha_sweep(
         raise ValueError("need at least one alpha")
     mixtures = [mixture_for_alpha(float(alpha), rho, d) for alpha in alphas]
     boxes = [BoxSpec(dimension=d, side=box.side * mixture.r_max) for mixture in mixtures]
-    _check_run(zip(mixtures, boxes), trials, target_rel_tol)
+    _check_run(zip(mixtures, boxes), trials)
     out = []
     for alpha, mixture, physical in zip(alphas, mixtures, boxes):
         if progress is not None:
@@ -521,7 +442,6 @@ def alpha_sweep(
                 mixture,
                 physical,
                 trials,
-                target_rel_tol=target_rel_tol,
                 seed=seed,
                 progress=progress,
             )

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import minimize
@@ -285,3 +286,16 @@ def certified_kappa_bracket(rho, k, eps):
         lower_hi[axis, box] = mid
         lo, hi = np.hstack([lo, upper_lo]), np.hstack([lower_hi, hi])
     return low, high
+
+
+def order_statistic_ranks(n):
+    """(l, u) of the distribution-free 95% interval [X_(l), X_(u)] for a median of n draws.
+
+    l is the largest rank with P(Bin(n, 1/2) < l) <= 1/40, the binomial
+    probabilities summed one by one as exact fractions, and u = n + 1 - l.
+    """
+    below, rank = Fraction(0), 0
+    while below + Fraction(math.comb(n, rank), 2**n) <= Fraction(1, 40):
+        below += Fraction(math.comb(n, rank), 2**n)
+        rank += 1
+    return rank, n + 1 - rank

@@ -612,15 +612,12 @@ PROGRESS_ARGV = {
 }
 
 
-def assert_trials_then_levels(lines, trials=50):
-    """One line per trial in trial order, then the bisection levels in order."""
+def assert_trials_then_median(lines, trials=50):
+    """One line per trial in trial order, then one line with the median and its interval."""
+    assert len(lines) == trials + 1
     for t, line in enumerate(lines[:trials]):
         assert re.fullmatch(rf"trial {t}: layers=[1-9]\d* balls=\d+ lambda~=\S+", line), (t, line)
-    levels = lines[trials:]
-    assert len(levels) >= 2
-    for i, line in enumerate(levels):
-        pattern = rf"level {i}: lambda~=\S+ p=[01]\.\d{{3}} wilson=\[[01]\.\d{{3}},[01]\.\d{{3}}\]"
-        assert re.fullmatch(pattern, line), (i, line)
+    assert re.fullmatch(r"median: lambda~=\S+ ci=\[\S+,\S+\]", lines[trials]), lines[trials]
 
 
 @pytest.mark.parametrize("command", sorted(PROGRESS_ARGV))
@@ -632,12 +629,12 @@ def test_progress_goes_to_stderr_unless_quiet(command, capsys):
     assert quiet_code == 0 and quiet_out == out and quiet_err == ""
     lines = err.splitlines()
     if command == "threshold":
-        assert_trials_then_levels(lines)
+        assert_trials_then_median(lines)
     elif command == "alpha-sweep":
         starts = [i for i, line in enumerate(lines) if line.startswith("alpha=")]
         assert starts[0] == 0 and [lines[i] for i in starts] == ["alpha=0", "alpha=1"]
         for a, b in zip(starts, starts[1:] + [len(lines)]):
-            assert_trials_then_levels(lines[a + 1 : b])
+            assert_trials_then_median(lines[a + 1 : b])
     else:
         assert lines == [f"kappa-sweep: {i}/30 rows" for i in (10, 20, 30)]
 

@@ -1,12 +1,14 @@
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from contperc import boolean_model, estimation
 from contperc.boolean_model import BoxSpec, RadiusMixture, clusters, percolates, sample
-from contperc.util import CapacityError, derive_seed
+from contperc.util import CapacityError, derive_seed, stream
 from contperc.estimation import (
     alpha_sweep,
     canonicalize,
@@ -15,8 +17,9 @@ from contperc.estimation import (
     mu_d_transform,
     multiscale_family,
     size_ladder,
-    wilson_interval,
 )
+
+from _oracles import order_statistic_ranks
 
 UNIT = RadiusMixture.dirac(1.0)
 BOX = BoxSpec(2, 16.0)
@@ -32,21 +35,9 @@ def fake_critical_intensities(monkeypatch, values):
     monkeypatch.setattr(estimation, "_critical_intensities", fake)
 
 
-def sigmoid_quantiles(midpoint, trials, slope=6.0):
-    """Critical intensities at the (i + 1/2) / trials quantiles of a log-logistic law."""
-    q = (np.arange(trials) + 0.5) / trials
-    return midpoint * np.exp(np.log(q / (1.0 - q)) / slope)
-
-
-def test_wilson_interval_behavior():
-    lo, hi = wilson_interval(0, 100)
-    assert lo < 1e-12 and 0.0 < hi < 0.06
-    lo, hi = wilson_interval(100, 100)
-    assert hi > 1.0 - 1e-12 and 0.94 < lo < 1.0
-    lo, hi = wilson_interval(50, 100)
-    assert lo < 0.5 < hi
-    narrow = wilson_interval(500, 1000)
-    assert narrow[1] - narrow[0] < hi - lo
+def shuffled_values(trials, seed):
+    """Critical intensities in random order."""
+    return stream(seed).uniform(0.2, 0.6, trials).tolist()
 
 
 def test_estimator_validations():
@@ -54,18 +45,57 @@ def test_estimator_validations():
         estimate_lambda_c(UNIT, BOX, trials=10, seed=0)
     with pytest.raises(ValueError):
         estimate_lambda_c(UNIT, BoxSpec(7, 16.0), trials=60, seed=0)
-    with pytest.raises(ValueError):
-        estimate_lambda_c(UNIT, BOX, trials=60, target_rel_tol=0.0, seed=0)
 
 
 def test_synthetic_oracle_recovers_midpoint(monkeypatch):
-    midpoint = 0.42
-    fake_critical_intensities(monkeypatch, sigmoid_quantiles(midpoint, 400))
-    est = estimate_lambda_c(UNIT, BOX, trials=400, target_rel_tol=0.01, seed=1)
-    assert abs(est.lambda_c - midpoint) <= 0.015 * midpoint
+    # lambda_c is the median of the critical intensities, at even and odd
+    # counts; UNIT is canonical (r_max = mass = 1), so it is read unscaled.
+    for trials in (60, 61, 200):
+        values = shuffled_values(trials, trials)
+        fake_critical_intensities(monkeypatch, values)
+        est = estimate_lambda_c(UNIT, BOX, trials=trials, seed=1)
+        assert est.lambda_c == np.median(values)
+        assert est.critical == tuple(sorted(values))
+        assert est.trials == trials
+        # covered volume is tied to the normalized threshold exactly
+        assert est.covered_volume == -math.expm1(-est.normalized / 4.0)
+
+
+@pytest.mark.parametrize("trials, ranks", [(50, (18, 33)), (60, (22, 39)), (150, (63, 88)), (200, (86, 115))])
+def test_the_interval_is_the_order_statistics_at_the_median_ranks(trials, ranks, monkeypatch):
+    values = shuffled_values(trials, 2 * trials)
+    fake_critical_intensities(monkeypatch, values)
+    est = estimate_lambda_c(UNIT, BOX, trials=trials)
+    low, high = ranks
+    ordered = sorted(values)
+    assert (est.ci_low, est.ci_high) == (ordered[low - 1], ordered[high - 1])
+    norm_factor = estimation._first_bracket(UNIT, 2)[0]
+    assert est.normalized_ci_low == ordered[low - 1] * norm_factor
+    assert est.normalized_ci_high == ordered[high - 1] * norm_factor
     assert est.ci_low <= est.lambda_c <= est.ci_high
-    # covered volume is tied to the normalized threshold exactly
-    assert est.covered_volume == -math.expm1(-est.normalized / 4.0)
+
+
+def test_equal_critical_intensities_give_a_point_interval(monkeypatch):
+    fake_critical_intensities(monkeypatch, [0.37] * 60)
+    est = estimate_lambda_c(UNIT, BOX, trials=60)
+    assert est.ci_low == est.lambda_c == est.ci_high == 0.37
+    assert est.normalized_ci_low == est.normalized == est.normalized_ci_high
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=50, max_value=3000))
+@example(200)
+def test_median_ranks_match_the_exact_binomial_oracle(n):
+    def p_between(low, high):  # P(low <= Bin(n, 1/2) < high)
+        return Fraction(sum(math.comb(n, i) for i in range(low, high)), 2**n)
+
+    low, high = estimation._median_ranks(n)
+    assert (low, high) == order_statistic_ranks(n)
+    assert high == n + 1 - low
+    assert p_between(low, high) >= Fraction(95, 100)
+    assert p_between(low + 1, high - 1) < Fraction(95, 100)
+    if n == 200:
+        assert (low, high) == (86, 115)
 
 
 def test_estimation_failure_when_never_crossing(monkeypatch):
@@ -87,7 +117,7 @@ def test_alpha_sweep_caps_the_run_summed_over_its_alphas(monkeypatch):
     # = 8 / (4 pi) in the halo window of side 14.
     one = 60 * 8.0 / (4.0 * math.pi) * 14.0**2
     monkeypatch.setattr(estimation, "MAX_EXPECTED_COUNT", 1.5 * one)
-    estimation._check_run([(UNIT, box)], 60, 0.02)
+    estimation._check_run([(UNIT, box)], 60)
     with pytest.raises(CapacityError, match="over the cap"):
         alpha_sweep(2.0, [0.0, 1.0], 2, box, trials=60)
     monkeypatch.setattr(estimation, "MAX_EXPECTED_COUNT", 0.99 * one)
@@ -107,29 +137,6 @@ def test_size_ladder_caps_the_run_summed_over_its_sides(monkeypatch):
     assert max(balls) < estimation.MAX_EXPECTED_COUNT < sum(balls)
     with pytest.raises(CapacityError, match="over the cap"):
         size_ladder(UNIT, 2, sides, trials=50)
-
-
-def test_a_wilson_interval_excluding_half_lies_on_the_side_of_p_hat():
-    # The bisection step reads p_hat alone, and the final interpolation needs
-    # p_hat < 1/2 at a decisive low end and p_hat >= 1/2 at a decisive high end.
-    for n in range(50, 401):
-        for s in range(n + 1):
-            low, high = wilson_interval(s, n)
-            if low > 0.5:
-                assert s / n >= 0.5, (s, n)
-            if high < 0.5:
-                assert s / n < 0.5, (s, n)
-
-
-def test_a_wilson_interval_holds_p_hat_within_zero_and_one():
-    # Unclamped, rounding gave a low end of 6.9e-18 at 0 of 50 and a high end
-    # of 1 - 1.1e-16 at 53 of 53.
-    assert wilson_interval(0, 50)[0] == 0.0
-    assert wilson_interval(53, 53)[1] == 1.0
-    for n in range(50, 2001):
-        for s in range(n + 1):
-            low, high = wilson_interval(s, n)
-            assert 0.0 <= low <= s / n <= high <= 1.0, (s, n)
 
 
 def test_the_estimator_never_labels_clusters(monkeypatch):
@@ -160,7 +167,7 @@ def test_every_spanning_tree_input_is_csr_with_ascending_weights(mixture, monkey
         return tree(graph, overwrite=overwrite)
 
     monkeypatch.setattr(estimation, "minimum_spanning_tree", checked)
-    lam_hi = estimation._first_bracket(mixture, 2)[2]
+    lam_hi = estimation._first_bracket(mixture, 2)[1]
     estimation._critical_intensities(mixture, BoxSpec(2, 8.0), 3, 50, lam_hi)
     assert len(sizes) >= 50 and min(sizes) > 0
 
@@ -175,7 +182,7 @@ def test_trial_progress_lines_arrive_in_trial_order(monkeypatch):
 
     monkeypatch.setattr(estimation, "sample", counting_sample)
     box, seed, trials = BoxSpec(2, 8.0), 3, 50
-    norm_factor, _, lam_hi = estimation._first_bracket(UNIT, 2)
+    norm_factor, lam_hi = estimation._first_bracket(UNIT, 2)
     lines = []
     critical = estimation._critical_intensities(UNIT, box, seed, trials, lam_hi, lines.append)
     assert critical.tolist() == estimation._critical_intensities(UNIT, box, seed, trials, lam_hi).tolist()
@@ -189,11 +196,14 @@ def test_trial_progress_lines_arrive_in_trial_order(monkeypatch):
         assert int(match[2]) == sum(balls[derive_seed(seed, j, t)] for j in range(layers))
         assert match[3] == f"{critical[t] * norm_factor:.5g}"
     assert layered > 0
-    # The estimator passes its callback through: the trial lines come first, then the levels.
+    # The estimator passes its callback through: the trial lines come first, then the median.
     lines.clear()
-    estimate_lambda_c(UNIT, box, trials=trials, seed=seed, progress=lines.append)
+    est = estimate_lambda_c(UNIT, box, trials=trials, seed=seed, progress=lines.append)
     assert [line.split(":")[0] for line in lines[:trials]] == [f"trial {t}" for t in range(trials)]
-    assert lines[trials].startswith("level 0: ")
+    assert lines[trials:] == [
+        f"median: lambda~={est.normalized:.5g} "
+        f"ci=[{est.normalized_ci_low:.5g},{est.normalized_ci_high:.5g}]"
+    ]
 
 
 def test_canonicalize():
@@ -249,9 +259,7 @@ def test_scaling_invariance_is_bit_exact():
         )
         assert scaled.normalized == base.normalized
         assert scaled.covered_volume == base.covered_volume
-        assert all(
-            x.indicators == y.indicators for x, y in zip(base.levels, scaled.levels)
-        )
+        assert scaled.critical == base.critical
         assert base.lambda_c / scaled.lambda_c == pytest.approx(a**2, rel=1e-12)
 
 
@@ -277,13 +285,14 @@ def test_mass_invariance_halves_lambda_exactly():
     assert halved.lambda_c == base.lambda_c * 2.0
     assert doubled.normalized == base.normalized
     assert halved.normalized == base.normalized
+    assert doubled.critical == halved.critical == base.critical
 
 
 def test_alpha_endpoints_identical_per_seed():
     e0, e1 = alpha_sweep(10.0, [0.0, 1.0], 2, BoxSpec(2, 12.0), trials=60, seed=3)
     assert e0.normalized == e1.normalized
     assert e0.covered_volume == e1.covered_volume
-    assert all(x.indicators == y.indicators for x, y in zip(e0.levels, e1.levels))
+    assert e0.critical == e1.critical
 
 
 def test_size_ladder_single_side_passthrough():
@@ -329,31 +338,3 @@ def test_multiscale_threshold_exceeds_monodisperse():
     multi_half = 0.5 * (multi.normalized_ci_high - multi.normalized_ci_low)
     pooled = math.hypot(mono_half, multi_half)
     assert multi.normalized > mono.normalized + 2.0 * pooled
-
-
-def test_lambda_c_stays_inside_its_bracket(monkeypatch):
-    # Half the trials cross from 0.17 up to 0.255, all of them above.  The
-    # bisection ends with that half at the upper level, so the interpolation
-    # lands on t = 1, and lam_lo * (lam_hi / lam_lo)**1 rounds one ulp above
-    # lam_hi here unless it is clamped.
-    values = [np.nextafter(0.17, 0.0)] * 30 + [np.nextafter(0.255, 0.0)] * 30
-    fake_critical_intensities(monkeypatch, values)
-    est = estimate_lambda_c(UNIT, BOX, trials=60)
-    lam_lo, lam_hi = est.ci_low, est.ci_high
-    p_at = {lv.lam: lv.p_hat for lv in est.levels}
-    assert (p_at[lam_lo], p_at[lam_hi]) == (0.0, 0.5)
-    assert lam_lo * (lam_hi / lam_lo) ** 1.0 > lam_hi
-    assert est.ci_low <= est.lambda_c <= est.ci_high
-    assert est.normalized_ci_low <= est.normalized <= est.normalized_ci_high
-
-
-def test_a_level_at_a_critical_intensity_reads_not_crossed(monkeypatch):
-    # Every trial crosses exactly at the initial lambda_hi = 8 / (v_2 2^2): a
-    # level there keeps none of the balls arriving at it, so the bracket
-    # expands once.
-    lam_hi = 8.0 / (math.pi * 4.0)
-    fake_critical_intensities(monkeypatch, [lam_hi] * 60)
-    est = estimate_lambda_c(UNIT, BOX, trials=60)
-    assert [(lv.lam, lv.successes) for lv in est.levels[:3]] == [
-        (lam_hi / 8.0, 0), (lam_hi, 0), (2.0 * lam_hi, 60)
-    ]
