@@ -65,6 +65,24 @@ CASES = {
         "threshold", "--d", "2", "--mixture", "1:1", "--L", "1e5", "--trials", "50", "--quiet",
     ),
     "paths-replay": ("replay", "{golden}/paths-replay.config.json"),
+    # The chain walker at every k but the workload's 2: k = 0 (no unit points),
+    # k = 1 (no steps), and k = 3 and 4 (several steps).
+    "paths-k0": (
+        "paths", "--d", "3", "--rho", "2", "--kappa", "0.9", "--k", "0", "--trials", "500",
+        "--seed", "1", "--quiet",
+    ),
+    "paths-k1": (
+        "paths", "--d", "2", "--rho", "2", "--kappa", "0.6", "--k", "1", "--trials", "20000",
+        "--seed", "1", "--quiet",
+    ),
+    "paths-k3": (
+        "paths", "--d", "3", "--rho", "2", "--kappa", "0.9", "--k", "3", "--trials", "500",
+        "--seed", "1", "--quiet",
+    ),
+    "paths-k4": (
+        "paths", "--d", "5", "--rho", "1.5", "--kappa", "0.9", "--k", "4", "--trials", "100",
+        "--seed", "1", "--quiet",
+    ),
 }
 
 # The config the replay case reads, saved by this run when the files are regenerated.
