@@ -20,13 +20,15 @@ ball of that radius reproduces the infinite-volume counts, and the
 ordered-tuple expectation has the exact closed form
 E(M_k) = (kappa^(k+1) (1+rho)^2 / (4 rho))^d for k >= 1, E(M_0) = kappa^d.
 
-One chain walker serves every count.  k-d trees find the unit-unit steps
-and the unit-large hits, held as scipy.sparse CSR matrices; the chains grow
-one center at a time as integer index arrays, each step reading the rows of
-the chains' last centers and dropping steps back onto a center already in
-the chain.  count_paths walks all trials of a chunk at once, side by side
-along the first axis; chunks are sized so that their expected points and
-partial chains stay under caps.
+One chain walker serves every count.  The chains grow one center at a
+time as integer index arrays, and every k-d tree query starts from their
+live frontier, the distinct last centers of the live chains: each step
+finds the unit-unit steps within 2 of the frontier, dropping steps back
+onto a center already in the chain, and the final frontier finds the
+unit-large hits within 1 + rho.  The work so follows the chains rather
+than the sampled points.  count_paths walks all trials of a chunk at once,
+side by side along the first axis; chunks are sized so that their expected
+points and partial chains stay under caps.
 """
 
 from __future__ import annotations
@@ -95,23 +97,36 @@ def _norm2(points: np.ndarray) -> np.ndarray:
 
 
 def _hits(a, b, i, j, reach):
-    """Keep the candidate pairs (i, j) of one trial strictly closer than reach."""
+    """Keep the candidate pairs (i, j) of one trial strictly closer than reach.
+
+    Pairs across trials are dropped before the coordinates are gathered.
+    """
     (points_a, trial_a), (points_b, trial_b) = a, b
-    diff = points_a[i] - points_b[j]
-    hit = (trial_a[i] == trial_b[j]) & (_norm2(diff) < reach * reach)
+    same = trial_a[i] == trial_b[j]
+    i, j = i[same], j[same]
+    hit = _norm2(points_a[i] - points_b[j]) < reach * reach
     return i[hit], j[hit]
+
+
+def _tree(points):
+    # Uncompacted trees build faster and find the same pairs.
+    return cKDTree(points, compact_nodes=False)
 
 
 def _trial_counts(unit, large, rho, k, n_trials):
     """Per-trial (N_k, M_k) as two integer arrays of length n_trials.
 
-    unit and large are (points, trial ids) pairs.  For k >= 1, the sparse
-    matrices ends and steps hold the unit-large hits within 1 + rho and the
-    unit-unit steps within 2.  A row of chains holds the unit indices of one
-    chain; each step reads the rows of steps at the last centers and drops
-    steps back onto a center already in the chain.  ends.T times the chains
-    ending at each unit center counts the chains ending at each large
-    center, which sum to M_k and are nonzero at the N_k endpoints.
+    unit and large are (points, trial ids) pairs.  A row of chains holds the
+    unit indices of one chain, and the frontier is the distinct last centers
+    of the live chains; every query starts from it.  Each step queries a
+    k-d tree over the frontier against the tree over all unit centers at 2,
+    drops each frontier center's pair with itself, holds the steps as a CSR
+    matrix, reads its rows at the chains' last centers and drops steps back
+    onto a center already in the chain.  After the walk, a tree over the
+    final frontier finds the large centers within 1 + rho; each such hit
+    carries the chains ending at its unit center, so their sum per large
+    center counts the chains ending there, which sum to M_k and are nonzero
+    at the N_k endpoints.
 
     Trials share d-dimensional k-d trees, trial t shifted by t * spacing
     along axis 0, beyond both query radii of the others.  The shift rounds a
@@ -127,24 +142,31 @@ def _trial_counts(unit, large, rho, k, n_trials):
     spacing = 2.0 * (2.0 * rho + 2.0 * k + reach)
     shifted = [np.column_stack([p[:, 0] + t * spacing, p[:, 1:]]) for p, t in (unit, large)]
     slack = 2.0 * np.spacing(max(np.abs(p[:, 0]).max(initial=0.0) for p in shifted))
-    tree_u, tree_l = map(cKDTree, shifted)
-    n_unit, n_large = len(unit[0]), len(large[0])
-    near = tree_u.sparse_distance_matrix(tree_l, reach * _QUERY_SLACK + slack, output_type="ndarray")
-    u, l = _hits(unit, large, near["i"], near["j"], reach)
-    ends = csr_matrix((np.ones(u.size, dtype=bool), (u, l)), shape=(n_unit, n_large))
+    n_unit = len(unit[0])
 
     chains = np.flatnonzero(_norm2(unit[0]) < reach * reach)[:, None]
     if k >= 2:
-        near = tree_u.query_pairs(2.0 * _QUERY_SLACK + slack, output_type="ndarray")
-        a, b = _hits(unit, unit, near[:, 0], near[:, 1], 2.0)
-        edges = (np.concatenate([a, b]), np.concatenate([b, a]))
-        steps = csr_matrix((np.ones(2 * a.size, dtype=bool), edges), shape=(n_unit, n_unit))
+        tree_u = _tree(shifted[0])
     for _ in range(k - 1):
+        front = np.flatnonzero(np.bincount(chains[:, -1], minlength=n_unit))
+        near = _tree(shifted[0][front]).sparse_distance_matrix(
+            tree_u, 2.0 * _QUERY_SLACK + slack, output_type="ndarray"
+        )
+        a, b = front[near["i"]], near["j"]
+        other = a != b  # by index, so that duplicate centers still link
+        a, b = _hits(unit, unit, a[other], b[other], 2.0)
+        steps = csr_matrix((np.ones(a.size, dtype=bool), (a, b)), shape=(n_unit, n_unit))
         step = steps[chains[:, -1]]
         prev = np.repeat(chains, np.diff(step.indptr), axis=0)
         fresh = (prev != step.indices[:, None]).all(axis=1)
         chains = np.column_stack([prev[fresh], step.indices[fresh]])
-    per_end = ends.T @ np.bincount(chains[:, -1], minlength=n_unit)
+    per_last = np.bincount(chains[:, -1], minlength=n_unit)
+    front = np.flatnonzero(per_last)
+    near = _tree(shifted[0][front]).sparse_distance_matrix(
+        _tree(shifted[1]), reach * _QUERY_SLACK + slack, output_type="ndarray"
+    )
+    u, l = _hits(unit, large, front[near["i"]], near["j"], reach)
+    per_end = np.bincount(l, weights=per_last[u], minlength=len(large[0]))
     m = np.bincount(large[1], weights=per_end, minlength=n_trials)
     n = np.bincount(large[1][per_end > 0], minlength=n_trials)
     return n, m.astype(np.int64)

@@ -155,6 +155,68 @@ def test_per_sample_domination():
             assert list(zip(n.tolist(), m.tolist())) == expected, (len(p1), len(pr), k)
 
 
+def simple_chain_frontiers(points, trial, rho, k):
+    """Sorted distinct last centers of the chains of each length 1..k, enumerated chain by chain."""
+    chains = [(i,) for i in np.flatnonzero(np.einsum("ij,ij->i", points, points) < (1.0 + rho) ** 2)]
+    members = np.split(np.arange(len(trial)), np.flatnonzero(np.diff(trial)) + 1)
+    by_trial = {int(trial[m[0]]): m for m in members if m.size}
+    frontiers = [sorted({c[-1] for c in chains})]
+    for _ in range(k - 1):
+        grown = []
+        for chain in chains:
+            near = by_trial[int(trial[chain[-1]])]
+            diff = points[near] - points[chain[-1]]
+            steps = near[np.einsum("ij,ij->i", diff, diff) < 4.0]
+            grown += [chain + (j,) for j in steps.tolist() if j not in chain]
+        chains = grown
+        frontiers.append(sorted({c[-1] for c in chains}))
+    return frontiers
+
+
+def test_queries_start_from_the_live_frontier(monkeypatch):
+    # Every unit-side tree but the one over all unit points must hold exactly
+    # the distinct last centers of the live chains, and no query may pair all
+    # sampled unit points.
+    trees, queries, walks = [], [], []
+
+    class Recording(pathcount.cKDTree):
+        def __init__(self, data, *args, **kwargs):
+            super().__init__(data, *args, **kwargs)
+            trees.append(self)
+
+        def sparse_distance_matrix(self, other, *args, **kwargs):
+            queries.append((self, other))
+            return super().sparse_distance_matrix(other, *args, **kwargs)
+
+        def query_pairs(self, *args, **kwargs):
+            raise AssertionError("query_pairs pairs every sampled unit point")
+
+    trial_counts = pathcount._trial_counts
+
+    def recording(unit, large, *args):
+        walks.append((unit, large))
+        return trial_counts(unit, large, *args)
+
+    monkeypatch.setattr(pathcount, "cKDTree", Recording)
+    monkeypatch.setattr(pathcount, "_trial_counts", recording)
+    d, rho, k = 5, 1.5, 4
+    run = count_paths(d, rho, 0.9, k, trials=300, seed=7)
+    assert run.mean_m > 0.0 and len(walks) == 1
+    (points, trial), (large, _) = walks[0]
+    frontiers = simple_chain_frontiers(points, trial, rho, k)
+    assert [len(f) for f in frontiers] == [498, 277, 133, 70]
+
+    whole = [t for t in trees if t.n == len(points)]
+    assert len(whole) == 1 and len(trees) == k + 2
+    assert len(queries) == k
+    for step, ((front, other), expected) in enumerate(zip(queries, frontiers), start=1):
+        assert other is (whole[0] if step < k else trees[-1]), step
+        assert other.n == (len(points) if step < k else len(large)), step
+        # Trials are shifted along axis 0 only, so the other axes name the centers.
+        assert np.array_equal(front.data[:, 1:], points[expected, 1:]), step
+    assert {id(t) for t in trees} == {id(t) for q in queries for t in q}
+
+
 def test_determinism():
     a = count_paths(2, 2.0, 0.7, 1, trials=5000, seed=12)
     b = count_paths(2, 2.0, 0.7, 1, trials=5000, seed=12)
