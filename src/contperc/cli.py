@@ -219,7 +219,9 @@ def _cmd_paths(params: dict, seed: int, quiet: bool):
     rho = params["rho"]
     kappa = params["kappa"]
     k = params["k"]
-    run = pathcount.count_paths(d, rho, kappa, k, trials=params["trials"], seed=seed)
+    run = pathcount.count_paths(
+        d, rho, kappa, k, trials=params["trials"], seed=seed, progress=_progress_printer(quiet)
+    )
     row = {
         "d": d,
         "rho": rho,

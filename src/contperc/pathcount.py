@@ -35,12 +35,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.spatial import cKDTree
 
-from .util import _QUERY_SLACK, MAX_SIMULATION_DIMENSION, CapacityError, check_rho, stream
+from .util import (
+    _QUERY_SLACK,
+    MAX_SIMULATION_DIMENSION,
+    CapacityError,
+    check_rho,
+    exp_or_inf,
+    stream,
+)
 
 __all__ = [
     "PathCountRun",
@@ -78,18 +86,24 @@ def tuple_expectation_exact(d: int, rho: float, kappa: float, k: int) -> float:
     The multivariate Mecke formula turns the tuple sum into a product of
     ball volumes: lambda_1^k lambda_rho (v_d (1+rho)^d)^2 (v_d 2^d)^(k-1)
     for k >= 1, which simplifies to (kappa^(k+1) (1+rho)^2 / (4 rho))^d.
-    Evaluated in log space.
+    Evaluated in log space, and math.inf past double range.  The formula
+    holds in every dimension, so d is not capped as in count_paths.
     """
+    if not isinstance(d, int) or d < 1:
+        raise ValueError("dimension must be a positive integer")
+    check_rho(rho)
+    if not 0.0 < kappa < math.inf:
+        raise ValueError(f"kappa must be positive and finite, not {kappa!r}")
     if not isinstance(k, int) or k < 0:
         raise ValueError("k must be a non-negative integer")
     if k == 0:
-        return math.exp(d * math.log(kappa))
+        return exp_or_inf(d * math.log(kappa))
     log_val = d * (
         (k + 1) * math.log(kappa)
         + 2.0 * math.log1p(rho)
         - math.log(4.0 * rho)
     )
-    return math.exp(log_val)
+    return exp_or_inf(log_val)
 
 
 def _norm2(points: np.ndarray) -> np.ndarray:
@@ -113,7 +127,7 @@ def _tree(points):
     return cKDTree(points, compact_nodes=False)
 
 
-def _trial_counts(unit, large, rho, k, n_trials):
+def _trial_counts(unit, large, rho, k, n_trials, live=None):
     """Per-trial (N_k, M_k) as two integer arrays of length n_trials.
 
     unit and large are (points, trial ids) pairs.  A row of chains holds the
@@ -126,7 +140,8 @@ def _trial_counts(unit, large, rho, k, n_trials):
     final frontier finds the large centers within 1 + rho; each such hit
     carries the chains ending at its unit center, so their sum per large
     center counts the chains ending there, which sum to M_k and are nonzero
-    at the N_k endpoints.
+    at the N_k endpoints.  live, if a list, gets the number of chains of
+    each length 1..k appended.
 
     Trials share d-dimensional k-d trees, trial t shifted by t * spacing
     along axis 0, beyond both query radii of the others.  The shift rounds a
@@ -148,6 +163,8 @@ def _trial_counts(unit, large, rho, k, n_trials):
     if k >= 2:
         tree_u = _tree(shifted[0])
     for _ in range(k - 1):
+        if live is not None:
+            live.append(len(chains))
         front = np.flatnonzero(np.bincount(chains[:, -1], minlength=n_unit))
         near = _tree(shifted[0][front]).sparse_distance_matrix(
             tree_u, 2.0 * _QUERY_SLACK + slack, output_type="ndarray"
@@ -160,6 +177,8 @@ def _trial_counts(unit, large, rho, k, n_trials):
         prev = np.repeat(chains, np.diff(step.indptr), axis=0)
         fresh = (prev != step.indices[:, None]).all(axis=1)
         chains = np.column_stack([prev[fresh], step.indices[fresh]])
+    if live is not None:
+        live.append(len(chains))
     per_last = np.bincount(chains[:, -1], minlength=n_unit)
     front = np.flatnonzero(per_last)
     near = _tree(shifted[0][front]).sparse_distance_matrix(
@@ -188,7 +207,15 @@ def _count_text(log_count: float) -> str:
     return f"10^{log_count / math.log(10.0):.4g}"
 
 
-def count_paths(d: int, rho: float, kappa: float, k: int, trials: int, seed: int) -> PathCountRun:
+def count_paths(
+    d: int,
+    rho: float,
+    kappa: float,
+    k: int,
+    trials: int,
+    seed: int,
+    progress: Callable[[str], None] | None = None,
+) -> PathCountRun:
     """Estimate E(N_k) and E(M_k) over independent trials.
 
     Trials are processed in chunks, one Philox substream per chunk; within
@@ -200,6 +227,9 @@ def count_paths(d: int, rho: float, kappa: float, k: int, trials: int, seed: int
     _CHUNK_TRIALS trials unless its expected points or partial chains would
     pass their caps; a request whose single trial passes a cap raises
     CapacityError before any sampling.
+
+    progress, if given, gets one line per chunk, in order: its index, its
+    trials, its unit and large points, and its chains of each length 1..k.
     """
     if not isinstance(d, int) or not 1 <= d <= MAX_SIMULATION_DIMENSION:
         raise ValueError(f"dimension must lie in 1..{MAX_SIMULATION_DIMENSION}")
@@ -244,7 +274,14 @@ def count_paths(d: int, rho: float, kappa: float, k: int, trials: int, seed: int
         trial_ids = np.arange(count)
         unit = (pts1, np.repeat(trial_ids, counts1))
         large = (pts_rho, np.repeat(trial_ids, counts_rho))
-        n, m = _trial_counts(unit, large, rho, k, count)
+        live = None if progress is None else []
+        n, m = _trial_counts(unit, large, rho, k, count, live)
+        if live is not None:
+            chains = ",".join(map(str, live)) or "none"
+            progress(
+                f"chunk {chunk_index}: trials={count} unit={len(pts1)} "
+                f"large={len(pts_rho)} chains={chains}"
+            )
         totals += [n.sum(), (n * n).sum(), m.sum(), (m * m).sum()]
 
     sum_n, sumsq_n, sum_m, sumsq_m = totals.tolist()

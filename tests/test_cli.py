@@ -609,6 +609,7 @@ PROGRESS_ARGV = {
     "threshold": ("--d", "2", "--mixture", "1:1", "--L", "8", "--trials", "50", "--tol", "0.2"),
     "alpha-sweep": ("--rho", "2", "--L", "6", "--alphas", "0,1", "--trials", "50", "--tol", "0.3"),
     "kappa-sweep": ("--rho-min", "1.5", "--rho-max", "3", "--steps", "30"),
+    "paths": ("--d", "2", "--rho", "3", "--kappa", "0.8", "--k", "3", "--trials", "200"),
 }
 
 
@@ -635,8 +636,13 @@ def test_progress_goes_to_stderr_unless_quiet(command, capsys):
         assert starts[0] == 0 and [lines[i] for i in starts] == ["alpha=0", "alpha=1"]
         for a, b in zip(starts, starts[1:] + [len(lines)]):
             assert_trials_then_median(lines[a + 1 : b])
-    else:
+    elif command == "kappa-sweep":
         assert lines == [f"kappa-sweep: {i}/30 rows" for i in (10, 20, 30)]
+    else:
+        # One chunk of all 200 trials, and its chains of each length 1..3.
+        assert len(lines) == 1
+        line = r"chunk 0: trials=200 unit=[1-9]\d* large=\d+ chains=(\d+,){2}\d+"
+        assert re.fullmatch(line, lines[0]), lines
 
 
 def test_a_random_seed_is_saved_as_an_integer_and_replays(tmp_path, capsys):

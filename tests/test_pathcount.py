@@ -30,6 +30,41 @@ def test_tuple_expectation_values():
     assert tuple_expectation_exact(d, rho, kappa, 1) == pytest.approx(direct, rel=1e-12)
 
 
+def test_tuple_expectation_is_infinite_past_double_range():
+    assert tuple_expectation_exact(6, 1e150, 10.0, 4) == math.inf
+    assert tuple_expectation_exact(700, 2.0, 10.0, 0) == math.inf
+    # Far below double range it underflows to zero, and d is not capped at the simulated 6.
+    assert tuple_expectation_exact(700, 2.0, 0.1, 0) == 0.0
+    assert tuple_expectation_exact(40, 2.0, 0.5, 2) == pytest.approx(
+        (0.5**3 * 9.0 / 8.0) ** 40, rel=1e-12
+    )
+
+
+@pytest.mark.parametrize(
+    "d, rho, kappa, k, message",
+    [
+        (0, 2.0, 0.5, 1, "dimension"),
+        (-3, 2.0, 0.5, 1, "dimension"),
+        (2.0, 2.0, 0.5, 1, "dimension"),
+        (2, 0.5, 0.5, 1, "rho"),
+        (2, 1.0, 0.5, 1, "rho"),
+        (2, math.nan, 0.5, 1, "rho"),
+        (2, math.inf, 0.5, 1, "rho"),
+        (2, 2.0, -1.0, 1, "kappa"),
+        (2, 2.0, 0.0, 0, "kappa"),
+        (2, 2.0, math.nan, 1, "kappa"),
+        (2, 2.0, math.inf, 1, "kappa"),
+        (2, 2.0, 0.5, -1, "k must"),
+        (2, 2.0, 0.5, 1.0, "k must"),
+    ],
+)
+def test_tuple_expectation_validates_like_count_paths(d, rho, kappa, k, message):
+    with pytest.raises(ValueError, match=message):
+        tuple_expectation_exact(d, rho, kappa, k)
+    with pytest.raises(ValueError, match=message):
+        count_paths(d, rho, kappa, k, trials=10, seed=0)
+
+
 def test_validations():
     with pytest.raises(ValueError):
         count_paths(7, 2.0, 0.5, 1, trials=10, seed=0)
@@ -157,7 +192,8 @@ def test_per_sample_domination():
 
 def simple_chain_frontiers(points, trial, rho, k):
     """Sorted distinct last centers of the chains of each length 1..k, enumerated chain by chain."""
-    chains = [(i,) for i in np.flatnonzero(np.einsum("ij,ij->i", points, points) < (1.0 + rho) ** 2)]
+    starts = np.einsum("ij,ij->i", points, points) < (1.0 + rho) ** 2
+    chains = [(i,) for i in np.flatnonzero(starts).tolist()]
     members = np.split(np.arange(len(trial)), np.flatnonzero(np.diff(trial)) + 1)
     by_trial = {int(trial[m[0]]): m for m in members if m.size}
     frontiers = [sorted({c[-1] for c in chains})]
