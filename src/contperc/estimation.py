@@ -1,17 +1,21 @@
 """Percolation threshold estimation and the scale-free quantities built on it.
 
 Every trial of a threshold run reduces to one number, its critical
-intensity (the Newman-Ziff coupling): every ball of a seeded trial carries
-an arrival intensity, the trial's configuration at lambda is its balls
-arriving below lambda, and the trial crosses the box exactly when lambda
-exceeds the latest arrival on a minimax path between the two faces.  The
-trials are sampled in superposed Poisson layers until each has crossed (see
-_critical_intensities), so every critical intensity is finite and the
-crossing probability at lambda is their empirical distribution function.
-The estimate is its median, the intensity at which half of the trials
-cross, and the 95% interval is the pair of order statistics X_(l), X_(u)
-that covers the true median whatever the distribution (binomial order
-statistics; David & Nagaraja, Order Statistics, 3rd ed., 2003).
+intensity (the Newman-Ziff coupling; Newman & Ziff, PRL 85, 4104, 2000):
+a trial is one marked Poisson process whose balls arrive in order of
+increasing intensity, its configuration at lambda is its balls arriving
+below lambda, and it crosses the box exactly when lambda exceeds the latest
+arrival on a minimax path between the two faces.  Each trial draws its
+balls in arrival order from its own streams until it has crossed (see
+_trial), so its critical intensity is finite and depends on the seed and
+the trial's index alone; the trials run in contiguous shares, one process
+per CPU, with results identical for any number of CPUs (see
+_critical_intensities).  The crossing probability at lambda is the
+empirical distribution function of the critical intensities.  The estimate
+is its median, the intensity at which half of the trials cross, and the
+95% interval is the pair of order statistics X_(l), X_(u) that covers the
+true median whatever the distribution (binomial order statistics; David &
+Nagaraja, Order Statistics, 3rd ed., 2003).
 
 Scale handling.  Before simulating, the mixture is canonicalized: radii are
 divided by the largest radius and weights by the total mass, the box side is
@@ -30,6 +34,14 @@ seeds ("radii scaled last").
 from __future__ import annotations
 
 import math
+# The fork pool of _critical_intensities and the modules it would load on
+# first use load with this module, so that a run's time holds no imports.
+import multiprocessing.pool
+import multiprocessing.popen_fork
+import multiprocessing.queues
+import multiprocessing.synchronize
+import os
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -44,7 +56,6 @@ from .boolean_model import (
     RadiusMixture,
     clusters,
     expected_count,
-    sample,
 )
 from .geometry import unit_ball_volume
 from .util import MAX_SIMULATION_DIMENSION, CapacityError, check_rho, derive_seed, ipow, stream
@@ -102,7 +113,7 @@ def canonicalize(mixture: RadiusMixture) -> tuple[RadiusMixture, float, float]:
 
 
 def _first_bracket(canon: RadiusMixture, d: int) -> tuple[float, float]:
-    """(norm_factor, lam_hi): v_d sum w (2r)^d, and the top of trial 0's first layer, 8 over it."""
+    """(norm_factor, lam_hi): v_d sum w (2r)^d, and the bracket top, 8 over it."""
     norm_factor = unit_ball_volume(d) * canon.doubled_moment(d)
     return norm_factor, 8.0 / norm_factor
 
@@ -130,7 +141,7 @@ def _check_run(runs, trials: int) -> None:
     """Reject a threshold run over (mixture, box) pairs before any sampling.
 
     Invalid arguments raise ValueError.  A run whose trials expect more than
-    MAX_EXPECTED_COUNT balls in all, at the first layer top lam_hi of each
+    MAX_EXPECTED_COUNT balls in all, at the bracket top lam_hi of each
     canonical box, raises CapacityError: the cap on one sample does not
     bound a run of many.
     """
@@ -157,32 +168,31 @@ def _check_run(runs, trials: int) -> None:
 def _critical_mark(config: BallConfiguration, box: BoxSpec, marks: np.ndarray) -> float:
     """Smallest q at which the balls with mark < q cross the box; inf if none do.
 
-    This is the minimax mark over the paths between the two faces.  The hit
-    graph gains the low and high face as nodes 0 and 1, joined to the balls
-    touching each face, and the balls are numbered by arrival: ball order[j]
-    is node j + 2.  Every edge is stored in the row of its later end and
-    weighs that end's mark, the larger of its ends' marks, floored at the
-    smallest positive float because csgraph drops zero weights.  The stored
-    weights then ascend, so the spanning tree's stable sort of them is one
-    linear pass.  Any minimum spanning tree holds a minimax path between any
-    two nodes, so which tree scipy returns cannot change the value: the
-    search from the low face decides crossing, and the answer is the mark of
-    the latest ball on its path to the high face, the largest node there.
+    The balls must be in order of ascending (non-decreasing) mark, as a
+    trial draws them.  This is the minimax mark over the paths between the
+    two faces.  The hit graph gains the low and high face as nodes 0 and 1,
+    joined to the balls touching each face, and ball i is node i + 2.  Every
+    edge is stored in the row of its later end and weighs that end's mark,
+    the larger of its ends' marks, floored at the smallest positive float
+    because csgraph drops zero weights; one sort of the packed keys
+    (row << 32) | col groups the rows.  The stored weights then ascend, so
+    the spanning tree's stable sort of them is one linear pass.  Any minimum
+    spanning tree holds a minimax path between any two nodes, so which tree
+    scipy returns cannot change the value: the search from the low face
+    decides crossing, and the answer is the mark of the latest ball on its
+    path to the high face, the largest node there.
     """
     labeling = clusters(config, box)
     n = config.n
-    order = np.argsort(marks)
-    node = np.empty(n, dtype=np.intp)
-    node[order] = np.arange(2, n + 2)
-    ends = node[labeling.edges]
-    low = node[labeling.touches_low]
-    high = node[labeling.touches_high]
+    ends = labeling.edges + 2
+    low = np.flatnonzero(labeling.touches_low) + 2
+    high = np.flatnonzero(labeling.touches_high) + 2
     rows = np.concatenate((ends.max(axis=0), low, high))
     cols = np.concatenate((ends.min(axis=0), np.zeros_like(low), np.ones_like(high)))
-    counts = np.bincount(rows, minlength=n + 2)
-    indptr = np.concatenate(([0], np.cumsum(counts)))
-    data = np.repeat(np.maximum(marks[order], 5e-324), counts[2:])
-    graph = csr_matrix((data, cols[np.argsort(rows)], indptr), shape=(n + 2, n + 2))
+    keys = np.sort((rows << 32) | cols)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n + 2))))
+    data = np.repeat(np.maximum(marks, 5e-324), np.diff(indptr[2:]))
+    graph = csr_matrix((data, keys & 0xFFFFFFFF, indptr), shape=(n + 2, n + 2))
     tree = minimum_spanning_tree(graph, overwrite=True)
     _, pred = breadth_first_order(tree, 0, directed=False, return_predecessors=True)
     if pred[1] < 0:
@@ -192,7 +202,107 @@ def _critical_mark(config: BallConfiguration, box: BoxSpec, marks: np.ndarray) -
         if step > latest:
             latest = step
         step = pred.item(step)
-    return float(marks[order[latest - 2]])
+    return float(marks[latest - 2])
+
+
+def _trial(
+    mixture: RadiusMixture, box: BoxSpec, seed: int, start: float, lam_hi: float
+) -> tuple[float, int, int]:
+    """(critical intensity, tops, balls) of the trial on `seed`, drawn in arrival order.
+
+    The trial is a Poisson process of balls in the sampling window, at rate
+    expected_count(mixture, 1, box) per unit of intensity.  Its gaps are
+    standard exponentials over that rate on stream (seed, 0), and its
+    arrivals their sequential cumulative sum, each chunk's started at the
+    last arrival, so that no bit depends on how the draws are chunked.  Each
+    ball's center is drawn uniform in the window on stream (seed, 1) and its
+    radius from the atoms with probabilities w_i / mass on stream (seed, 2).
+
+    The trial is drawn past `start` and tested on its balls arriving below
+    it; while they do not cross, it is drawn on to lam_hi (if `start` is
+    below it), then 2 lam_hi, 4 lam_hi and so on.  Balls arriving later can
+    only join paths whose latest arrival is later still, so the first top at
+    which the trial crosses yields the critical intensity of the whole
+    process: it depends on `seed` alone, and `start` only decides how much
+    is drawn first.  A top whose expected ball count passes
+    MAX_EXPECTED_COUNT raises CapacityError before it is drawn.  `tops` is
+    the number of tops tested and `balls` the number below the last one.
+    """
+    d = box.dimension
+    rate = expected_count(mixture, 1.0, box)
+    extent = box.side + 2.0 * mixture.r_max
+    probs = mixture.weights / mixture.total_mass
+    gaps, place, pick = (stream(seed, key) for key in range(3))
+    arrivals, centers, radii = np.empty(0), np.empty((0, d)), np.empty(0)
+    last, top, tops = 0.0, start, 0
+    while True:
+        tops += 1
+        if rate * top > MAX_EXPECTED_COUNT:
+            raise CapacityError(
+                f"expected ball count {rate * top:.3g} exceeds the cap {MAX_EXPECTED_COUNT:.0e}"
+            )
+        while last < top:
+            mean = rate * (top - last)
+            count = int(mean + 2.0 * math.sqrt(mean)) + 8
+            sums = np.cumsum(np.concatenate(([last], gaps.standard_exponential(count) / rate)))
+            arrivals = np.concatenate((arrivals, sums[1:]))
+            centers = np.concatenate((centers, -mixture.r_max + place.random((count, d)) * extent))
+            if probs.size > 1:
+                radii = np.concatenate((radii, pick.choice(mixture.radii, size=count, p=probs)))
+            else:
+                radii = np.concatenate((radii, np.full(count, mixture.r_max)))
+            last = sums[-1]
+        balls = int(np.searchsorted(arrivals, top))
+        config = BallConfiguration(centers=centers[:balls], radii=radii[:balls], seed=seed, lam=top)
+        critical = _critical_mark(config, box, arrivals[:balls])
+        if critical < math.inf:
+            return critical, tops, balls
+        top = lam_hi if top < lam_hi else 2.0 * top
+
+
+def _share(
+    mixture: RadiusMixture,
+    box: BoxSpec,
+    seed: int,
+    trials: range,
+    lam_hi: float,
+    progress: ProgressFn | None,
+) -> np.ndarray:
+    """The critical intensities of one contiguous share of the trials, in order.
+
+    The share's first trial is drawn past lam_hi, and each later one past
+    the largest critical intensity below lam_hi of the share's trials before
+    it (lam_hi if there is none), which is a cheap guess at where it
+    crosses; the values do not depend on it (see _trial).  progress, if
+    given, gets one line per trial: its index, its tops (layers), its balls
+    and its critical intensity in normalized units.
+    """
+    norm_factor = _first_bracket(mixture, box.dimension)[0]
+    critical = np.empty(len(trials))
+    peak = None  # the largest critical intensity below lam_hi so far
+    for i, t in enumerate(trials):
+        start = lam_hi if peak is None else peak
+        critical[i], tops, balls = _trial(mixture, box, derive_seed(seed, t), start, lam_hi)
+        if critical[i] < lam_hi and (peak is None or critical[i] > peak):
+            peak = critical[i]
+        if progress is not None:
+            progress(
+                f"trial {t}: layers={tops} balls={balls} "
+                f"lambda~={critical[i] * norm_factor:.5g}"
+            )
+    return critical
+
+
+def _pooled_share(mixture, box, seed, trials, lam_hi, report: bool) -> tuple[np.ndarray, list[str]]:
+    """_share in a pool worker, its progress lines returned rather than reported."""
+    lines: list[str] = []
+    return _share(mixture, box, seed, trials, lam_hi, lines.append if report else None), lines
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on; 1 where the platform cannot say."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return 1 if affinity is None else len(affinity(0))
 
 
 def _critical_intensities(
@@ -203,58 +313,33 @@ def _critical_intensities(
     lam_hi: float,
     progress: ProgressFn | None = None,
 ) -> np.ndarray:
-    """Every trial's critical intensity, sampled layer by layer until it crosses.
+    """Every trial's critical intensity, in trial order; trial t runs on derive_seed(seed, t).
 
-    Every ball of a trial carries an arrival intensity, and the trial's
-    configuration at intensity lam is its balls arriving below lam, so it
-    crosses exactly when its critical intensity is below lam.  A trial is a
-    stack of independent layers: layer j on derive_seed(seed, j, t) is a
-    sample at intensity top - bottom with arrivals uniform on [bottom, top),
-    the arrivals drawn from the layer seed's key 1.  Their union is one
-    sample at the top intensity with uniform arrivals below it.
-
-    Layer 0 of trial 0 ends at lam_hi; layer 0 of trial t ends at the largest
-    critical intensity below lam_hi of the trials before it (lam_hi if there
-    is none).  That start depends only on earlier, independent trials, so
-    every trial is still an exact draw.  While a trial has not crossed, its
-    next layer ends at lam_hi, then at 2 lam_hi, 4 lam_hi and so on.
-
-    progress, if given, gets one line per trial, in order: its index, its
-    layers, its balls and its critical intensity in normalized units.
+    The trials are split into contiguous shares of at least 25 trials, at
+    most one per CPU this process may run on (_cpu_count).  The calling
+    process runs share 0 while a fork-started multiprocessing pool runs the
+    others.  With one share, in a daemon process (which may not have
+    children, such as a pool worker), or while another thread runs (a fork
+    would copy its locks in whatever state they are), the shares run here
+    in turn.  Each critical intensity depends only on the seed and its
+    trial's index (see _trial), so the result is bit-identical for any
+    number of shares.  Memory is about one trial per process.  progress, if given, gets one line per trial in
+    trial order: share 0's as its trials end, the other shares' after it.
     """
-    norm_factor = _first_bracket(mixture, box.dimension)[0]
-    critical = np.empty(trials)
-    peak = None  # the largest critical intensity below lam_hi so far
-    for t in range(trials):
-        bottom, top = 0.0, lam_hi if peak is None else peak
-        layer = 0
-        while True:
-            layer_seed = derive_seed(seed, layer, t)
-            cfg = sample(mixture, top - bottom, box, layer_seed)
-            fresh = bottom + (top - bottom) * stream(derive_seed(layer_seed, 1)).random(cfg.n)
-            if layer == 0:
-                union, arrivals = cfg, fresh
-            else:
-                union = BallConfiguration(
-                    centers=np.concatenate((union.centers, cfg.centers)),
-                    radii=np.concatenate((union.radii, cfg.radii)),
-                    seed=union.seed,
-                    lam=top,
-                )
-                arrivals = np.concatenate((arrivals, fresh))
-            critical[t] = _critical_mark(union, box, arrivals)
-            if critical[t] < math.inf:
-                break
-            bottom, top = top, lam_hi if top < lam_hi else 2.0 * top
-            layer += 1
-        if critical[t] < lam_hi and (peak is None or critical[t] > peak):
-            peak = critical[t]
-        if progress is not None:
-            progress(
-                f"trial {t}: layers={layer + 1} balls={union.n} "
-                f"lambda~={critical[t] * norm_factor:.5g}"
-            )
-    return critical
+    shares = max(1, min(_cpu_count(), trials // 25))
+    bounds = [trials * i // shares for i in range(shares + 1)]
+    ranges = [range(a, b) for a, b in zip(bounds, bounds[1:])]
+    if shares == 1 or multiprocessing.current_process().daemon or threading.active_count() > 1:
+        return np.concatenate([_share(mixture, box, seed, r, lam_hi, progress) for r in ranges])
+    others = [(mixture, box, seed, r, lam_hi, progress is not None) for r in ranges[1:]]
+    with multiprocessing.get_context("fork").Pool(len(others)) as pool:
+        pending = pool.starmap_async(_pooled_share, others)
+        first = _share(mixture, box, seed, ranges[0], lam_hi, progress)
+        rest = pending.get()
+    for _, lines in rest:
+        for line in lines:
+            progress(line)
+    return np.concatenate([first, *(critical for critical, _ in rest)])
 
 
 def estimate_lambda_c(
@@ -267,18 +352,39 @@ def estimate_lambda_c(
     """Estimate the critical intensity as the median of the trials' critical intensities.
 
     The trials run in the canonicalized box, where _critical_intensities
-    gives each one's critical intensity; trial 0's first layer ends at
-    lambda_hi = 8 / (v_d sum w (2r)^d), eight times the branching lower
-    bound.  The interval is [X_(l), X_(u)] with the ranks of _median_ranks.
-    A run expecting more than MAX_EXPECTED_COUNT balls over its trials at
-    lambda_hi raises CapacityError before any sampling.
+    gives each one's critical intensity; each share's first trial is first
+    drawn to lambda_hi = 8 / (v_d sum w (2r)^d), eight times the branching
+    lower bound.  The interval is [X_(l), X_(u)] with the ranks of
+    _median_ranks.  A run expecting more than MAX_EXPECTED_COUNT balls over
+    its trials at lambda_hi raises CapacityError before any sampling.
     """
     _check_run([(mixture, box)], trials)
+    canon, scale, _ = canonicalize(mixture)
+    critical = _canonical_critical(canon, box.side / scale, box.dimension, trials, seed, progress)
+    return _estimate(critical, mixture, box, seed, progress)
+
+
+def _canonical_critical(
+    canon: RadiusMixture, side: float, d: int, trials: int, seed: int, progress: ProgressFn | None
+) -> np.ndarray:
+    """The sorted critical intensities of a canonical mixture's trials in the box of that side."""
+    lam_hi = _first_bracket(canon, d)[1]
+    box = BoxSpec(dimension=d, side=side)
+    return np.sort(_critical_intensities(canon, box, seed, trials, lam_hi, progress))
+
+
+def _estimate(
+    critical: np.ndarray,
+    mixture: RadiusMixture,
+    box: BoxSpec,
+    seed: int,
+    progress: ProgressFn | None,
+) -> ThresholdEstimate:
+    """The estimate for `mixture` in `box` from its sorted canonical critical intensities."""
     d = box.dimension
     canon, scale, mass = canonicalize(mixture)
-    canon_box = BoxSpec(dimension=d, side=box.side / scale)
-    norm_factor, lam_hi = _first_bracket(canon, d)
-    critical = np.sort(_critical_intensities(canon, canon_box, seed, trials, lam_hi, progress))
+    norm_factor = _first_bracket(canon, d)[0]
+    trials = critical.size
     low, high = _median_ranks(trials)
     lam_c = float(np.median(critical))
     x_low, x_high = critical.item(low - 1), critical.item(high - 1)
@@ -421,29 +527,28 @@ def alpha_sweep(
     one estimate per alpha, in the order of `alphas`.
 
     The box side is interpreted in units of the largest mixture radius, so
-    every sweep point runs at the same relative finite-size resolution and
-    the alpha = 0 and alpha = 1 endpoints reduce to the identical canonical
-    problem.  All points share the one seed for the same reason (matched
-    trial streams; common random numbers also smooth the curve).  Every
-    alpha is validated before the first estimate starts, an empty list is
-    rejected, and the run size is checked summed over the alphas.
+    every sweep point runs in the canonical box of side box.side, at the
+    same relative finite-size resolution.  All points share the one seed
+    for the same reason (matched trial streams; common random numbers also
+    smooth the curve).  The alpha = 0 and alpha = 1 endpoints are then the
+    identical canonical problem, the unit ball, and every canonical problem
+    is solved once: a repeated one reuses the sorted critical intensities
+    and reports only the alpha line and the median line.  Every alpha is
+    validated before the first estimate starts, an empty list is rejected,
+    and the run size is checked summed over the alphas.
     """
     if len(alphas) == 0:
         raise ValueError("need at least one alpha")
     mixtures = [mixture_for_alpha(float(alpha), rho, d) for alpha in alphas]
     boxes = [BoxSpec(dimension=d, side=box.side * mixture.r_max) for mixture in mixtures]
     _check_run(zip(mixtures, boxes), trials)
+    solved: dict[tuple, np.ndarray] = {}
     out = []
     for alpha, mixture, physical in zip(alphas, mixtures, boxes):
         if progress is not None:
             progress(f"alpha={alpha:g}")
-        out.append(
-            estimate_lambda_c(
-                mixture,
-                physical,
-                trials,
-                seed=seed,
-                progress=progress,
-            )
-        )
+        canon = canonicalize(mixture)[0]
+        if canon.atoms not in solved:
+            solved[canon.atoms] = _canonical_critical(canon, box.side, d, trials, seed, progress)
+        out.append(_estimate(solved[canon.atoms], mixture, physical, seed, progress))
     return out

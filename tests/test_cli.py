@@ -81,7 +81,7 @@ def test_non_finite_or_overflowing_rho_exits_2_before_optimizing(monkeypatch, ca
         raise AssertionError("optimized or sampled before rho was checked")
 
     monkeypatch.setattr(thresholds, "_path_terms", no_work)
-    monkeypatch.setattr(estimation, "sample", no_work)
+    monkeypatch.setattr(estimation, "_trial", no_work)
     monkeypatch.setattr(pathcount, "_uniform_ball", no_work)
     other_commands = [
         argv
@@ -284,7 +284,7 @@ def test_torus_threshold_exits_2_before_sampling(monkeypatch, capsys):
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled although --boundary is not an option")
 
-    monkeypatch.setattr(estimation, "sample", no_sampling)
+    monkeypatch.setattr(estimation, "_trial", no_sampling)
     code, out, err = run_cli(
         capsys, "threshold", "--d", "2", "--mixture", "1:1", "--L", "16",
         "--boundary", "torus",
@@ -392,7 +392,7 @@ def test_a_threshold_run_over_the_ball_cap_exits_3_before_sampling(monkeypatch, 
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled before the run size was checked")
 
-    monkeypatch.setattr(estimation, "sample", no_sampling)
+    monkeypatch.setattr(estimation, "_trial", no_sampling)
     for argv in (
         ("alpha-sweep", "--rho", "301", "--d", "2", "--L", "6", "--trials", "50", "--tol", "0.3",
          "--alphas", "0.5"),
@@ -408,7 +408,7 @@ def test_alpha_sweep_rejects_an_empty_alpha_list(monkeypatch, capsys):
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled with no alpha to estimate")
 
-    monkeypatch.setattr(estimation, "sample", no_sampling)
+    monkeypatch.setattr(estimation, "_trial", no_sampling)
     for fmt in ("csv", "json"):
         code, out, err = run_cli(
             capsys, "alpha-sweep", "--rho", "10", "--d", "2", "--alpha-count", "0",
@@ -431,7 +431,7 @@ def test_non_finite_box_side_exits_2_before_sampling(monkeypatch, capsys):
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled with a non-finite box side")
 
-    monkeypatch.setattr(estimation, "sample", no_sampling)
+    monkeypatch.setattr(estimation, "_trial", no_sampling)
     for argv in (
         ("threshold", "--d", "2", "--mixture", "1:1", "--L", "inf", "--trials", "50"),
         ("threshold", "--d", "2", "--mixture", "1:1", "--L", "nan", "--trials", "50"),
@@ -447,7 +447,7 @@ def test_an_unwritable_target_exits_2_before_sampling(monkeypatch, tmp_path, cap
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled although the result could not be written")
 
-    monkeypatch.setattr(estimation, "sample", no_sampling)
+    monkeypatch.setattr(estimation, "_trial", no_sampling)
     kept = tmp_path / "kept.json"
     kept.write_text("earlier result\n")
     missing = str(tmp_path / "missing" / "o.json")
@@ -572,7 +572,7 @@ def test_replay_is_checked_by_the_commands_parser(changes, message, monkeypatch,
     def no_work(*args, **kwargs):
         raise AssertionError("sampled or optimized from an invalid config")
 
-    monkeypatch.setattr(estimation, "sample", no_work)
+    monkeypatch.setattr(estimation, "_trial", no_work)
     monkeypatch.setattr(thresholds, "_path_terms", no_work)
     path = tmp_path / "run.json"
     path.write_text(json.dumps(dict(_THRESHOLD_CONFIG, **changes)))
@@ -632,10 +632,11 @@ def test_progress_goes_to_stderr_unless_quiet(command, capsys):
     if command == "threshold":
         assert_trials_then_median(lines)
     elif command == "alpha-sweep":
-        starts = [i for i, line in enumerate(lines) if line.startswith("alpha=")]
-        assert starts[0] == 0 and [lines[i] for i in starts] == ["alpha=0", "alpha=1"]
-        for a, b in zip(starts, starts[1:] + [len(lines)]):
-            assert_trials_then_median(lines[a + 1 : b])
+        # The endpoints are one canonical problem, solved once: alpha = 1
+        # reports no trials, only the same median.
+        assert lines[0] == "alpha=0" and lines[52] == "alpha=1"
+        assert_trials_then_median(lines[1:52])
+        assert lines[53:] == [lines[51]]
     elif command == "kappa-sweep":
         assert lines == [f"kappa-sweep: {i}/30 rows" for i in (10, 20, 30)]
     else:

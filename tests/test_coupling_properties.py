@@ -6,9 +6,10 @@ indicator, critical intensity < lam, must equal the crossing decision of
 that configuration, by clusters() and by the all-pairs oracle.  In the
 property test centers, radii and arrivals (marks of a sample at LAM_MAX) are
 multiples of powers of two, so arrivals equal to a level occur often and
-every comparison is exact.  The trial tests rebuild each trial's layers from
-the layering rule (see estimation._critical_intensities) and decide every
-level with the oracle on their union.
+every comparison is exact; _critical_mark takes its balls in order of
+ascending mark, so each case is sorted by mark first.  The trial tests
+redraw each trial's balls in arrival order by the draw rule (see
+estimation._trial), all at once, and decide every level with the oracle.
 """
 
 import math
@@ -24,6 +25,7 @@ from contperc.boolean_model import (
     BoxSpec,
     RadiusMixture,
     clusters,
+    expected_count,
     percolates,
     sample,
 )
@@ -31,6 +33,7 @@ from contperc.estimation import (
     _critical_intensities,
     _critical_mark,
     _first_bracket,
+    _trial,
     canonicalize,
     mixture_for_alpha,
 )
@@ -82,6 +85,12 @@ def thinned(cfg, marks, keep):
     return make_config(cfg.centers[kept], cfg.radii[kept], cfg.centers.shape[1])
 
 
+def by_mark(cfg, marks):
+    """The configuration and its marks with the balls in order of ascending mark."""
+    order = np.argsort(marks, kind="stable")
+    return make_config(cfg.centers[order], cfg.radii[order], cfg.centers.shape[1]), marks[order]
+
+
 CHAIN = (BoxSpec(2, 4.0), make_config([[0.5, 0.0], [2.0, 0.0], [3.5, 0.0]], [1.0] * 3))
 
 
@@ -94,7 +103,8 @@ CHAIN = (BoxSpec(2, 4.0), make_config([[0.5, 0.0], [2.0, 0.0], [3.5, 0.0]], [1.0
 @example((*CHAIN, np.array([0.0, 0.0, 0.0])))
 def test_coupled_indicator_matches_thinned_oracles(case):
     box, cfg, marks = case
-    critical = _critical_mark(cfg, box, marks)
+    ordered, ascending = by_mark(cfg, marks)
+    critical = _critical_mark(ordered, box, ascending)
     event("crosses at lam_max" if critical < 1.0 else "never crosses")
     assert critical == math.inf or critical in marks
     levels = np.concatenate((marks, marks + MARK_STEP / 2, [0.0, 1.0])) * LAM_MAX
@@ -140,38 +150,39 @@ def test_critical_mark_matches_the_reference_at_realistic_sizes(name, d):
         lam = factor * NORMALIZED_THRESHOLD[d] / norm_factor
         for seed in (0, 1):
             cfg = sample(mixture, lam, box, derive_seed(seed, d))
-            labeling = clusters(cfg, box)
             for marks in mark_variants(seed, cfg.n, lam):
-                critical = _critical_mark(cfg, box, marks)
-                assert critical == reference_critical_mark(labeling, marks)
+                ordered, ascending = by_mark(cfg, marks)
+                critical = _critical_mark(ordered, box, ascending)
+                assert critical == reference_critical_mark(clusters(ordered, box), ascending)
                 results.append(critical)
     assert math.inf in results and any(c < math.inf for c in results)
 
 
-def uniform_draws(seed, n):
-    return stream(seed).random(n)
+def exponential_gaps(rng, n):
+    return rng.standard_exponential(n)
 
 
-def sixteenth_draws(seed, n):
-    return np.floor(stream(seed).random(n) / MARK_STEP) * MARK_STEP
+def whole_gaps(rng, n):
+    """Standard exponentials rounded down, so that about 63% of the gaps are 0."""
+    return np.floor(rng.standard_exponential(n))
 
 
-def superposed_layer(mix, box, seed, t, j, bottom, top, draws=uniform_draws):
-    """Layer j of trial t: a sample at top - bottom, arrivals uniform on [bottom, top)."""
-    layer_seed = derive_seed(seed, j, t)
-    cfg = sample(mix, top - bottom, box, layer_seed)
-    return cfg, bottom + (top - bottom) * draws(derive_seed(layer_seed, 1), cfg.n)
+def drawn_trial(mix, box, trial_seed, count, gaps=exponential_gaps):
+    """The first `count` balls of a trial, drawn in one go: centers, radii and arrivals.
 
-
-def union(layers):
-    """One configuration and its arrivals from a trial's layers."""
-    return (
-        make_config(
-            np.concatenate([cfg.centers.ravel() for cfg, _ in layers]),
-            np.concatenate([cfg.radii for cfg, _ in layers]),
-        ),
-        np.concatenate([arrivals for _, arrivals in layers]),
-    )
+    Gaps are standard exponentials over the rate expected_count(mix, 1, box)
+    on stream (seed, 0), centers uniform in the halo window on (seed, 1) and
+    radii from the atoms on (seed, 2).
+    """
+    d = box.dimension
+    extent = box.side + 2.0 * mix.r_max
+    arrivals = np.cumsum(gaps(stream(trial_seed, 0), count) / expected_count(mix, 1.0, box))
+    centers = -mix.r_max + stream(trial_seed, 1).random((count, d)) * extent
+    if len(mix.radii) == 1:
+        radii = np.full(count, mix.r_max)
+    else:
+        radii = stream(trial_seed, 2).choice(mix.radii, size=count, p=mix.weights / mix.total_mass)
+    return make_config(centers.ravel(), radii, d), arrivals
 
 
 def oracle_critical(box, cfg, arrivals):
@@ -190,97 +201,147 @@ def oracle_critical(box, cfg, arrivals):
     return float(candidates[lo])
 
 
-def rebuild_trials(mix, box, seed, trials, lam_hi, draws=uniform_draws):
-    """Each trial's layers until it crosses and its critical intensity, by the oracle.
+def thinned_with_arrivals(cfg, arrivals, lam):
+    """The balls arriving below lam and their arrivals."""
+    return thinned(cfg, arrivals, lam), arrivals[arrivals < lam]
 
-    Trial 0 starts at lam_hi and trial t at the largest critical intensity
-    below lam_hi of the trials before it; while a trial has not crossed, its
-    next layer ends at lam_hi, then at 2 lam_hi, 4 lam_hi and so on.
+
+def rebuild_trials(mix, box, seed, trials, lam_hi, gaps=exponential_gaps, count=400):
+    """Each trial's balls, the tops it is tested at, and its critical intensity, by the oracle.
+
+    Trial t runs on derive_seed(seed, t).  It is first tested at lam_hi if
+    it is the first trial, else at the largest critical intensity below
+    lam_hi of the trials before it; while it has not crossed, at lam_hi,
+    then 2 lam_hi, 4 lam_hi and so on.
     """
-    layers, criticals = [], []
-    start = lam_hi
+    balls, tops, criticals = [], [], []
+    peak = None
     for t in range(trials):
-        trial, bottom, top = [], 0.0, start
+        cfg, arrivals = drawn_trial(mix, box, derive_seed(seed, t), count, gaps)
+        top = lam_hi if peak is None else peak
+        tried = []
         while True:
-            trial.append(superposed_layer(mix, box, seed, t, len(trial), bottom, top, draws))
-            critical = oracle_critical(box, *union(trial))
+            assert arrivals[-1] > top, "draw more balls"
+            tried.append(top)
+            critical = oracle_critical(box, *thinned_with_arrivals(cfg, arrivals, top))
             if critical < math.inf:
                 break
-            bottom, top = top, lam_hi if top < lam_hi else 2.0 * top
-        if critical < lam_hi:
-            start = critical if start == lam_hi else max(start, critical)
-        layers.append(trial)
+            top = lam_hi if top < lam_hi else 2.0 * top
+        if critical < lam_hi and (peak is None or critical > peak):
+            peak = critical
+        balls.append((cfg, arrivals))
+        tops.append(tried)
         criticals.append(critical)
-    return layers, criticals
+    return balls, tops, criticals
 
 
-def oracle_levels(box, layers, lam):
-    """Per trial: do the balls of its layers arriving below lam cross (all-pairs oracle)?"""
-    out = []
-    for trial in layers:
-        cfg, arrivals = union(trial)
-        out.append(brute_force_percolates(thinned(cfg, arrivals, lam), box))
-    return out
+def oracle_levels(box, balls, lam):
+    """Per trial: do its balls arriving below lam cross (all-pairs oracle)?"""
+    return [brute_force_percolates(thinned(cfg, arrivals, lam), box) for cfg, arrivals in balls]
 
 
-def test_critical_intensities_match_the_oracle_on_the_union_of_layers(monkeypatch):
+def recorded_marks(monkeypatch):
+    """Run every trial in this process and record each configuration it tests."""
+    tested = []
+    critical_mark = estimation._critical_mark
+
+    def recording(config, box, marks):
+        tested.append((config, marks))
+        return critical_mark(config, box, marks)
+
+    monkeypatch.setattr(estimation, "_critical_mark", recording)
+    monkeypatch.setattr(estimation, "_cpu_count", lambda: 1)
+    return tested
+
+
+def test_critical_intensities_match_the_oracle_on_the_trials_drawn_in_arrival_order(monkeypatch):
     mix = RadiusMixture.dirac(1.0)
     box = BoxSpec(2, 8.0)
     seed, trials, lam_hi = 4, 30, 0.25
-    calls = []
-
-    def recording_sample(*args):
-        calls.append(args)
-        return sample(*args)
-
-    monkeypatch.setattr(estimation, "sample", recording_sample)
+    tested = recorded_marks(monkeypatch)
     critical = _critical_intensities(mix, box, seed, trials, lam_hi)
-    layers, criticals = rebuild_trials(mix, box, seed, trials, lam_hi)
+    balls, tops, criticals = rebuild_trials(mix, box, seed, trials, lam_hi)
     assert critical.tolist() == criticals
-    # One sample per layer, in order, and no layer sampled twice.
-    assert [args[3] for args in calls] == [
-        derive_seed(seed, j, t) for t, trial in enumerate(layers) for j in range(len(trial))
+    # One configuration per top, in order: the trial's balls arriving below it.
+    expected = [
+        (derive_seed(seed, t), top, thinned_with_arrivals(cfg, arrivals, top))
+        for t, ((cfg, arrivals), tried) in enumerate(zip(balls, tops))
+        for top in tried
     ]
+    assert len(tested) == len(expected)
+    for (config, marks), (trial_seed, top, (cfg, arrivals)) in zip(tested, expected):
+        assert (config.seed, config.lam) == (trial_seed, top)
+        assert marks.tolist() == arrivals.tolist()
+        assert config.centers.tolist() == cfg.centers.tolist()
+        assert config.radii.tolist() == cfg.radii.tolist()
     # Some trials started below their critical intensity and were extended,
-    # some crossed only above lam_hi, and one needed a layer above 2 lam_hi.
-    starts = [trial[0][0].lam for trial in layers]
-    assert any(top < c < lam_hi for top, c in zip(starts, criticals))
+    # some crossed only above lam_hi, and one needed a top above 2 lam_hi.
+    assert any(tried[0] < c < lam_hi for tried, c in zip(tops, criticals))
     assert any(c >= lam_hi for c in criticals)
     assert any(c >= 2.0 * lam_hi for c in criticals)
-    # Every level reads the oracle on the union, keeping arrivals < lam.
+    # Every level reads the oracle on the balls arriving below it.
     for lam in (0.1, 0.2, lam_hi, 0.45, 2.0 * lam_hi, 0.6, 1.0):
-        assert (critical < lam).tolist() == oracle_levels(box, layers, lam)
+        assert (critical < lam).tolist() == oracle_levels(box, balls, lam)
 
 
 def test_probe_level_at_a_mark_leaves_that_ball_out(monkeypatch):
-    # Uniform draws rounded down to sixteenths, so balls of a layer share
+    # Gaps rounded down to whole multiples of the mean, so that balls share
     # arrivals, and a level at every trial's critical intensity: a trial
     # does not cross at its own critical arrival and does just above it.
     mix = RadiusMixture.dirac(1.0)
     box = BoxSpec(2, 8.0)
     seed, trials, lam_hi = 5, 30, 0.5
 
-    class SixteenthDraws:
-        def __init__(self, seed):
-            self.seed = seed
+    class WholeGaps:
+        def __init__(self, seed, *key):
+            self.rng = stream(seed, *key)
 
-        def random(self, n):
-            return sixteenth_draws(self.seed, n)
+        def standard_exponential(self, n):
+            return whole_gaps(self.rng, n)
 
-    monkeypatch.setattr(estimation, "stream", SixteenthDraws)
+        def __getattr__(self, name):
+            return getattr(self.rng, name)
+
+    recorded_marks(monkeypatch)
+    monkeypatch.setattr(estimation, "stream", WholeGaps)
     critical = _critical_intensities(mix, box, seed, trials, lam_hi)
-    layers, criticals = rebuild_trials(mix, box, seed, trials, lam_hi, sixteenth_draws)
+    balls, _, criticals = rebuild_trials(mix, box, seed, trials, lam_hi, whole_gaps, count=800)
     assert critical.tolist() == criticals
     finite = sorted(set(criticals))
     assert len(finite) > 5
+    assert any(np.count_nonzero(arrivals == c) > 1 for (_, arrivals), c in zip(balls, criticals))
     levels = [lam for c in finite for lam in (c, float(np.nextafter(c, math.inf)))]
     for lam in levels:
         crossings = (critical < lam).tolist()
-        for t, trial in enumerate(layers):
-            cfg, arrivals = union(trial)
-            sub = thinned(cfg, arrivals, lam)
-            assert crossings[t] == percolates(clusters(sub, box))
+        for t, (cfg, arrivals) in enumerate(balls):
+            assert crossings[t] == percolates(clusters(thinned(cfg, arrivals, lam), box))
             if criticals[t] == lam:
                 assert not crossings[t]
             elif criticals[t] < lam:
                 assert crossings[t]
+
+
+TWO_RADII = canonicalize(mixture_for_alpha(0.5, 4.0, 2))[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    mixture=st.sampled_from([RadiusMixture.dirac(1.0), TWO_RADII]),
+    trial_seed=st.integers(0, 2**63 - 1),
+    lam_hi=st.sampled_from([0.05, 0.25, 1.0]),
+    ratio=st.floats(0.02, 4.0),
+)
+@example(mixture=RadiusMixture.dirac(1.0), trial_seed=3, lam_hi=0.05, ratio=1.0)
+@example(mixture=TWO_RADII, trial_seed=3, lam_hi=1.0, ratio=1.0)
+def test_a_trials_critical_intensity_does_not_depend_on_its_start(
+    mixture, trial_seed, lam_hi, ratio
+):
+    """From a start below, at or above its critical intensity, and below or above
+    lam_hi (then through the doubling tops), a trial reaches the same value."""
+    box = BoxSpec(2, 8.0)
+    critical, _, _ = _trial(mixture, box, trial_seed, lam_hi, lam_hi)
+    assert 0.0 < critical < math.inf
+    for start in (ratio * critical, critical, float(np.nextafter(critical, 0.0)), 2.0 * lam_hi):
+        event("start above lam_hi" if start > lam_hi else "start at most lam_hi")
+        event("start above critical" if start > critical else "start at most critical")
+        assert _trial(mixture, box, trial_seed, start, lam_hi)[0] == critical

@@ -1,5 +1,7 @@
 import math
+import multiprocessing
 import re
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -99,10 +101,10 @@ def test_median_ranks_match_the_exact_binomial_oracle(n):
 
 
 def test_estimation_failure_when_never_crossing(monkeypatch):
-    # A trial that never crosses is extended by doubling layers until a
-    # layer passes the ball-count cap, lowered here to keep that cheap.
+    # A trial that never crosses is drawn to doubling tops until a top
+    # passes the ball-count cap, lowered here to keep that cheap.
     monkeypatch.setattr(estimation, "_critical_mark", lambda config, box, marks: math.inf)
-    monkeypatch.setattr(boolean_model, "MAX_EXPECTED_COUNT", 1e5)
+    monkeypatch.setattr(estimation, "MAX_EXPECTED_COUNT", 1e5)
     with pytest.raises(CapacityError):
         estimate_lambda_c(UNIT, BOX, trials=60, seed=0)
 
@@ -111,7 +113,7 @@ def test_alpha_sweep_caps_the_run_summed_over_its_alphas(monkeypatch):
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled before the run size was checked")
 
-    monkeypatch.setattr(estimation, "sample", no_sampling)
+    monkeypatch.setattr(estimation, "_trial", no_sampling)
     box = BoxSpec(2, 12.0)
     # Both endpoints are the canonical unit-ball run: 60 trials at lambda_hi
     # = 8 / (4 pi) in the halo window of side 14.
@@ -129,7 +131,7 @@ def test_size_ladder_caps_the_run_summed_over_its_sides(monkeypatch):
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled before the run size was checked")
 
-    monkeypatch.setattr(estimation, "sample", no_sampling)
+    monkeypatch.setattr(estimation, "_trial", no_sampling)
     sides = [600.0, 700.0, 800.0, 900.0]
     # 50 trials at lambda_hi = 8 / (4 pi) in the halo window of side L + 2:
     # every side alone is under the cap, the four together are over it.
@@ -146,6 +148,7 @@ def test_the_estimator_never_labels_clusters(monkeypatch):
         raise AssertionError("the estimator labelled clusters")
 
     monkeypatch.setattr(boolean_model, "connected_components", refuse)
+    monkeypatch.setattr(estimation, "_cpu_count", lambda: 1)
     box = BoxSpec(2, 8.0)
     lam_hi = 8.0 / (4.0 * math.pi)  # estimate_lambda_c's lambda_hi for unit balls, d = 2
     critical = estimation._critical_intensities(UNIT, box, 3, 50, lam_hi)
@@ -167,33 +170,38 @@ def test_every_spanning_tree_input_is_csr_with_ascending_weights(mixture, monkey
         return tree(graph, overwrite=overwrite)
 
     monkeypatch.setattr(estimation, "minimum_spanning_tree", checked)
+    monkeypatch.setattr(estimation, "_cpu_count", lambda: 1)
     lam_hi = estimation._first_bracket(mixture, 2)[1]
     estimation._critical_intensities(mixture, BoxSpec(2, 8.0), 3, 50, lam_hi)
     assert len(sizes) >= 50 and min(sizes) > 0
 
 
 def test_trial_progress_lines_arrive_in_trial_order(monkeypatch):
-    balls = {}
+    tested = []  # (trial seed, balls) of every configuration a trial tests, in order
+    critical_mark = estimation._critical_mark
 
-    def counting_sample(mixture, lam, box, seed):
-        cfg = sample(mixture, lam, box, seed)
-        balls[seed] = cfg.n
-        return cfg
+    def recording_mark(config, box, marks):
+        tested.append((config.seed, config.n))
+        return critical_mark(config, box, marks)
 
-    monkeypatch.setattr(estimation, "sample", counting_sample)
+    monkeypatch.setattr(estimation, "_critical_mark", recording_mark)
+    monkeypatch.setattr(estimation, "_cpu_count", lambda: 1)
     box, seed, trials = BoxSpec(2, 8.0), 3, 50
     norm_factor, lam_hi = estimation._first_bracket(UNIT, 2)
+    quiet = estimation._critical_intensities(UNIT, box, seed, trials, lam_hi)
+    tested.clear()
     lines = []
     critical = estimation._critical_intensities(UNIT, box, seed, trials, lam_hi, lines.append)
-    assert critical.tolist() == estimation._critical_intensities(UNIT, box, seed, trials, lam_hi).tolist()
+    assert critical.tolist() == quiet.tolist()
     assert len(lines) == trials
     layered = 0
     for t, line in enumerate(lines):
         match = re.fullmatch(rf"trial {t}: layers=(\d+) balls=(\d+) lambda~=(\S+)", line)
         assert match, (t, line)
-        layers = int(match[1])
-        layered += layers > 1
-        assert int(match[2]) == sum(balls[derive_seed(seed, j, t)] for j in range(layers))
+        mine = [balls for trial_seed, balls in tested if trial_seed == derive_seed(seed, t)]
+        assert int(match[1]) == len(mine)
+        layered += len(mine) > 1
+        assert int(match[2]) == mine[-1]
         assert match[3] == f"{critical[t] * norm_factor:.5g}"
     assert layered > 0
     # The estimator passes its callback through: the trial lines come first, then the median.
@@ -204,6 +212,76 @@ def test_trial_progress_lines_arrive_in_trial_order(monkeypatch):
         f"median: lambda~={est.normalized:.5g} "
         f"ci=[{est.normalized_ci_low:.5g},{est.normalized_ci_high:.5g}]"
     ]
+
+
+@pytest.mark.parametrize("mixture", [UNIT, canonicalize(mixture_for_alpha(0.5, 10.0, 2))[0]])
+def test_critical_intensities_do_not_depend_on_the_process_count(mixture, monkeypatch):
+    """Shares of 25 trials or more, one per CPU: 1, 2 and 3 processes give the same
+    bits and report them in trial order; what a trial drew depends on its share."""
+    box, seed, trials = BoxSpec(2, 8.0), 6, 75
+    norm_factor, lam_hi = estimation._first_bracket(mixture, 2)
+    drawn = re.compile(r" layers=\d+ balls=\d+")
+    runs = []
+    for cpus in (1, 2, 3, 8):
+        monkeypatch.setattr(estimation, "_cpu_count", lambda: cpus)
+        lines = []
+        critical = estimation._critical_intensities(mixture, box, seed, trials, lam_hi, lines.append)
+        runs.append((critical.tolist(), [drawn.sub("", line) for line in lines]))
+    assert runs[1:] == runs[:1] * 3
+    critical, lines = runs[0]
+    assert len(set(critical)) == trials
+    assert lines == [f"trial {t}: lambda~={value * norm_factor:.5g}" for t, value in enumerate(critical)]
+
+
+def critical_intensities_with_lines(box, seed, trials, lam_hi):
+    lines = []
+    critical = estimation._critical_intensities(UNIT, box, seed, trials, lam_hi, lines.append)
+    return critical.tolist(), lines
+
+
+def test_the_shares_run_in_turn_where_a_fork_is_barred(monkeypatch):
+    """A pool worker may not have children, and a fork would copy another
+    thread's locks: there the shares run one after another, to the same lines."""
+    monkeypatch.setattr(estimation, "_cpu_count", lambda: 2)
+    args = (BoxSpec(2, 8.0), 5, 50, estimation._first_bracket(UNIT, 2)[1])
+    expected = critical_intensities_with_lines(*args)
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        assert pool.apply_async(critical_intensities_with_lines, args).get(timeout=120) == expected
+
+    def no_pool(*args):
+        raise AssertionError("started a pool while another thread ran")
+
+    monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+    release = threading.Event()
+    waiting = threading.Thread(target=release.wait, args=(60,))
+    waiting.start()
+    try:
+        assert critical_intensities_with_lines(*args) == expected
+    finally:
+        release.set()
+        waiting.join(60)
+    assert not waiting.is_alive()
+
+
+def test_no_worker_outlives_a_run(monkeypatch):
+    """The pool's workers are gone after a run, and after a CapacityError in either share."""
+    monkeypatch.setattr(estimation, "_cpu_count", lambda: 2)
+    box, seed = BoxSpec(2, 8.0), 2
+    lam_hi = estimation._first_bracket(UNIT, 2)[1]
+    estimation._critical_intensities(UNIT, box, seed, 50, lam_hi)
+    assert multiprocessing.active_children() == []
+    trial = estimation._trial
+    for failing in (3, 30):  # in share 0 (this process) and in share 1 (a worker)
+
+        def over_the_cap(mixture, box, trial_seed, start, lam_hi):
+            if trial_seed == derive_seed(seed, failing):
+                raise CapacityError(f"trial {failing}")
+            return trial(mixture, box, trial_seed, start, lam_hi)
+
+        monkeypatch.setattr(estimation, "_trial", over_the_cap)
+        with pytest.raises(CapacityError, match=f"trial {failing}"):
+            estimation._critical_intensities(UNIT, box, seed, 50, lam_hi)
+        assert multiprocessing.active_children() == []
 
 
 def test_canonicalize():

@@ -23,9 +23,14 @@ import numpy
 import pytest
 import scipy
 
-from contperc import cli
+from contperc import cli, estimation
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+
+# Threshold trials run in shares, one per CPU (estimation._critical_intensities).
+# Their values do not depend on the split, but the layers and balls of their
+# progress lines do, so every case runs as on a machine with this many CPUs.
+CPUS = 2
 
 # Relative tolerance on each number when the versions differ from the recorded ones.
 TOLERANCE = 1e-6
@@ -124,7 +129,8 @@ def manifest():
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_cli_output_matches_golden(name, manifest, capsys):
+def test_cli_output_matches_golden(name, manifest, capsys, monkeypatch):
+    monkeypatch.setattr(estimation, "_cpu_count", lambda: CPUS)
     recorded = manifest["cases"][name]
     assert recorded["argv"] == list(CASES[name]), "cases.json is stale; regenerate it"
     code, out, err = run(CASES[name], capsys)
@@ -156,6 +162,7 @@ def test_the_tolerance_reads_numbers_loosely_and_text_exactly():
 def regenerate() -> None:
     """Run every case and write its stdout, stderr and exit code under tests/golden/."""
     GOLDEN.mkdir(exist_ok=True)
+    estimation._cpu_count = lambda: CPUS
 
     def capture(argv):
         out, err = io.StringIO(), io.StringIO()
