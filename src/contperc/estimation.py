@@ -34,12 +34,10 @@ seeds ("radii scaled last").
 from __future__ import annotations
 
 import math
-# The fork pool of _critical_intensities and the modules it would load on
+# The workers of _critical_intensities and the modules they would load on
 # first use load with this module, so that a run's time holds no imports.
-import multiprocessing.pool
+import multiprocessing.connection
 import multiprocessing.popen_fork
-import multiprocessing.queues
-import multiprocessing.synchronize
 import os
 import threading
 from dataclasses import dataclass, field
@@ -293,10 +291,15 @@ def _share(
     return critical
 
 
-def _pooled_share(mixture, box, seed, trials, lam_hi, report: bool) -> tuple[np.ndarray, list[str]]:
-    """_share in a pool worker, its progress lines returned rather than reported."""
+def _worker_share(sender, args, report: bool) -> None:
+    """_share in a forked worker: sends (values, progress lines), or the
+    exception it raised, down a one-way pipe."""
     lines: list[str] = []
-    return _share(mixture, box, seed, trials, lam_hi, lines.append if report else None), lines
+    try:
+        result = _share(*args, lines.append if report else None), lines
+    except Exception as exc:
+        result = exc
+    sender.send(result)
 
 
 def _cpu_count() -> int:
@@ -317,25 +320,57 @@ def _critical_intensities(
 
     The trials are split into contiguous shares of at least 25 trials, at
     most one per CPU this process may run on (_cpu_count).  The calling
-    process runs share 0 while a fork-started multiprocessing pool runs the
-    others.  With one share, in a daemon process (which may not have
-    children, such as a pool worker), or while another thread runs (a fork
-    would copy its locks in whatever state they are), the shares run here
-    in turn.  Each critical intensity depends only on the seed and its
-    trial's index (see _trial), so the result is bit-identical for any
-    number of shares.  Memory is about one trial per process.  progress, if given, gets one line per trial in
-    trial order: share 0's as its trials end, the other shares' after it.
+    process runs share 0 while one fork-started process per other share runs
+    that share and sends its values back down a one-way pipe; the pipes are
+    read in share order.  A worker that ends without sending (killed by the
+    kernel for memory, say) raises ChildProcessError, which names the share
+    and the worker's exit code, and an exception a worker raised is raised
+    here; every worker is ended before this returns or raises.  With one
+    share, in a daemon process (which may not have children, such as a pool
+    worker), or while another thread runs (a fork would copy its locks in
+    whatever state they are), the shares run here in turn.  Each critical
+    intensity depends only on the seed and its trial's index (see _trial),
+    so the result is bit-identical for any number of shares.  Memory is
+    about one trial per process.  progress, if given, gets one line per
+    trial in trial order: share 0's as its trials end, the other shares'
+    after it.
     """
     shares = max(1, min(_cpu_count(), trials // 25))
     bounds = [trials * i // shares for i in range(shares + 1)]
     ranges = [range(a, b) for a, b in zip(bounds, bounds[1:])]
     if shares == 1 or multiprocessing.current_process().daemon or threading.active_count() > 1:
         return np.concatenate([_share(mixture, box, seed, r, lam_hi, progress) for r in ranges])
-    others = [(mixture, box, seed, r, lam_hi, progress is not None) for r in ranges[1:]]
-    with multiprocessing.get_context("fork").Pool(len(others)) as pool:
-        pending = pool.starmap_async(_pooled_share, others)
+    context = multiprocessing.get_context("fork")
+    workers = []
+    try:
+        for r in ranges[1:]:
+            receiver, sender = context.Pipe(duplex=False)
+            worker = context.Process(
+                target=_worker_share,
+                args=(sender, (mixture, box, seed, r, lam_hi), progress is not None),
+            )
+            worker.start()
+            sender.close()
+            workers.append((worker, receiver))
         first = _share(mixture, box, seed, ranges[0], lam_hi, progress)
-        rest = pending.get()
+        rest = []
+        for share, (worker, receiver) in enumerate(workers, 1):
+            try:
+                result = receiver.recv()
+            except EOFError:
+                worker.join()
+                raise ChildProcessError(
+                    f"the worker running share {share} of the trials ended with exit code "
+                    f"{worker.exitcode} before returning them"
+                ) from None
+            if isinstance(result, Exception):
+                raise result
+            rest.append(result)
+    finally:
+        for worker, receiver in workers:
+            receiver.close()
+            worker.terminate()
+            worker.join()
     for _, lines in rest:
         for line in lines:
             progress(line)

@@ -123,8 +123,10 @@ def _hits(a, b, i, j, reach):
 
 
 def _tree(points):
-    # Uncompacted trees build faster and find the same pairs.
-    return cKDTree(points, compact_nodes=False)
+    # Unbalanced, uncompacted trees build faster and find the same pairs;
+    # leaves of 32 points keep the unbalanced tree's extra nodes from
+    # raising peak memory.
+    return cKDTree(points, leafsize=32, balanced_tree=False, compact_nodes=False)
 
 
 def _trial_counts(unit, large, rho, k, n_trials, live=None):

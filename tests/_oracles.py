@@ -9,6 +9,9 @@ from scipy.optimize import minimize
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import breadth_first_order, minimum_spanning_tree
 
+from contperc.thresholds import _LOG2, KappaResult, _path_terms, _stationary_u
+from contperc.util import check_rho
+
 
 def brute_force_edges(config):
     """Every intersecting unordered pair (i, j), i < j, by an all-pairs scan."""
@@ -250,6 +253,35 @@ def reference_kappa_c_k(rho, k):
         )
         finalists.append(np.clip(res.x[:-1], 0.0, _U_MAX))
     return float(values(np.array(finalists)).min())
+
+
+def bisection_kappa_c_k(rho, k):
+    """kappa_c_k by plain bisection: up to 100 halvings of u_1 in [0, hi]
+    along the stationarity curve, each of which evaluates the curve.
+
+    It calls the library's own `_stationary_u` and `_path_terms`, so its
+    floats are the library's on every Python version (`sum` of floats
+    rounds differently on 3.12)."""
+    check_rho(rho)
+    zero = [0.0] * k
+    genealogy, geometry, _ = _path_terms(rho, zero)
+    if genealogy >= geometry:
+        return KappaResult(genealogy, tuple(zero), (genealogy, geometry), k)
+    lo, hi = 0.0, (k + 2) * _LOG2 - math.log(4.0 * rho) + 2.0 * math.log1p(rho)
+    top = _stationary_u(rho, hi, k)
+    ends = [(zero, (genealogy, geometry)), (top, _path_terms(rho, top)[:2])]
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        u = _stationary_u(rho, mid, k)
+        terms = _path_terms(rho, u)[:2]
+        if terms[0] < terms[1]:
+            lo, ends[0] = mid, (u, terms)
+        else:
+            hi, ends[1] = mid, (u, terms)
+    u, terms = min(ends, key=lambda end: max(end[1]))
+    return KappaResult(max(terms), tuple(u), terms, k)
 
 
 def certified_kappa_bracket(rho, k, eps):

@@ -1,6 +1,8 @@
 import math
 import multiprocessing
+import os
 import re
+import signal
 import threading
 from fractions import Fraction
 
@@ -8,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from contperc import boolean_model, estimation
+from contperc import boolean_model, cli, estimation
 from contperc.boolean_model import BoxSpec, RadiusMixture, clusters, percolates, sample
 from contperc.util import CapacityError, derive_seed, stream
 from contperc.estimation import (
@@ -282,6 +284,38 @@ def test_no_worker_outlives_a_run(monkeypatch):
         with pytest.raises(CapacityError, match=f"trial {failing}"):
             estimation._critical_intensities(UNIT, box, seed, 50, lam_hi)
         assert multiprocessing.active_children() == []
+
+
+def test_a_worker_that_dies_fails_the_run(monkeypatch, capsys):
+    """A worker that ends without sending its share, as one killed for memory
+    would, fails the run within a bound and leaves no worker behind; the CLI
+    exits 3 and names the share and the worker's exit code."""
+    monkeypatch.setattr(estimation, "_cpu_count", lambda: 2)
+    share = estimation._share
+
+    def dying(mixture, box, seed, trials, lam_hi, progress):
+        if trials.start > 0:
+            os._exit(7)
+        return share(mixture, box, seed, trials, lam_hi, progress)
+
+    def hung(signum, frame):
+        raise TimeoutError("the run still waits for the dead worker")
+
+    monkeypatch.setattr(estimation, "_share", dying)
+    lam_hi = estimation._first_bracket(UNIT, 2)[1]
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        with pytest.raises(ChildProcessError, match="share 1 of the trials ended with exit code 7"):
+            estimation._critical_intensities(UNIT, BoxSpec(2, 8.0), 2, 50, lam_hi)
+        assert multiprocessing.active_children() == []
+        argv = ["threshold", "--d", "2", "--mixture", "1:1", "--L", "8", "--trials", "50", "--quiet"]
+        assert cli.main(argv) == 3
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert "share 1 of the trials ended with exit code 7" in capsys.readouterr().err
+    assert multiprocessing.active_children() == []
 
 
 def test_canonicalize():

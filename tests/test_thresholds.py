@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from contperc import thresholds
+from contperc import cli, thresholds
 from contperc.thresholds import (
     MAX_K,
     genealogy_envelope,
@@ -18,6 +18,7 @@ from contperc.thresholds import (
 )
 
 from _oracles import (
+    bisection_kappa_c_k,
     certified_kappa_bracket,
     reference_kappa_c_k,
     reference_path_terms,
@@ -249,6 +250,49 @@ def test_shooting_lies_in_the_certified_bracket():
         low, high = certified_kappa_bracket(rho, k, eps)
         assert high - low <= eps, (rho, k)
         assert low - 1e-15 <= kappa_c_k(rho, k).kappa <= high + 1e-15, (rho, k)
+
+
+def assert_same_as_bisection(rho, k):
+    got, want = kappa_c_k(rho, k), bisection_kappa_c_k(rho, k)
+    assert (got.kappa, got.u, got.branch_values) == (want.kappa, want.u, want.branch_values), (rho, k)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.one_of(
+        st.floats(0.0, math.log(1e150), exclude_min=True).map(math.exp),
+        st.floats(0.0, 16.0).map(lambda x: 1.0 + 10.0**-x),
+    ).filter(lambda rho: 1.0 < rho <= 1e150),
+    st.integers(1, MAX_K),
+)
+@example(1e150, MAX_K)
+@example(1.000001, MAX_K)
+@example(1.0 + 2.0**-52, 1)
+def test_located_crossing_replays_the_bisection_bit_for_bit(rho, k):
+    # Locating the crossing first only skips midpoints whose side is certain,
+    # so every float of the result is the plain bisection's.
+    assert_same_as_bisection(rho, k)
+
+
+def test_located_crossing_replays_the_bisection_on_the_sweep_grids():
+    # The golden and benchmark sweeps (30 steps) and the default sweep (90).
+    rhos = {3.0, *np.linspace(1.1, 10.0, 30).tolist(), *np.linspace(1.1, 10.0, 90).tolist()}
+    for rho in sorted(rhos):
+        for k in range(1, MAX_K + 1):
+            assert_same_as_bisection(rho, k)
+
+
+def test_the_benchmark_sweep_evaluates_the_curve_at_most_2200_times(monkeypatch, capsys):
+    # Plain bisection evaluates it 4311 times on these 90 solves.
+    curve, calls = thresholds._stationary_u, []
+
+    def counted(*args):
+        calls.append(args)
+        return curve(*args)
+
+    monkeypatch.setattr(thresholds, "_stationary_u", counted)
+    assert cli.main(["kappa-sweep", "--rho-min", "1.1", "--rho-max", "10", "--steps", "30", "--quiet"]) == 0
+    assert len(calls) <= 2200
 
 
 @pytest.mark.parametrize("rho", [1e9, 1e50, 1e150])
