@@ -1,7 +1,12 @@
 """Boolean models driven by finite atomic radius measures in a d-dimensional box.
 
-A configuration is a Poisson number of balls with centers uniform in a
-sampling window and radii drawn independently from the mixture's atoms.
+A seed fixes one Poisson process of balls arriving in order of intensity
+(Newman & Ziff, PRL 85, 4104, 2000), with centers uniform in a sampling
+window and radii drawn independently from the mixture's atoms; its balls
+arriving below lambda are a configuration at lambda.  draw is the one
+sampler: sample checks the box before it, and threshold trials call it.
+Under one seed, configurations are nested in lambda.
+
 Connectivity uses open balls (strict inequality on center distances).
 Candidate pairs come from one scipy k-d tree per radius class, queried
 within and across classes at each class pair's interaction range r_u + r_v
@@ -64,6 +69,8 @@ class RadiusMixture:
             raise ValueError("mixture needs at least one atom")
         radii = np.array([r for r, _ in pairs])
         weights = np.array([w for _, w in pairs])
+        if not (np.all(np.isfinite(radii)) and np.all(np.isfinite(weights))):
+            raise ValueError("radii and weights must be finite")
         if not np.all(radii > 0.0):
             raise ValueError("radii must be positive")
         if np.any(np.diff(radii) <= 0.0):
@@ -136,12 +143,14 @@ class BallConfiguration:
     """One sampled ball process: parallel center and radius arrays.
 
     Centers may lie in the halo outside the core box (see module docstring).
+    A drawn one also holds its balls' arrivals, ascending and below lam.
     """
 
     centers: np.ndarray = field(repr=False)
     radii: np.ndarray = field(repr=False)
     seed: int
     lam: float
+    arrivals: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
@@ -186,39 +195,55 @@ def expected_count(mixture: RadiusMixture, lam: float, box: BoxSpec) -> float:
     return lam * (mixture.total_mass * ipow(box.side + 2.0 * mixture.r_max, box.dimension))
 
 
-def sample(
-    mixture: RadiusMixture, lam: float, box: BoxSpec, seed: int
-) -> BallConfiguration:
+def draw(mixture: RadiusMixture, lam: float, box: BoxSpec, seed: int) -> BallConfiguration:
+    """The balls of the process on `seed` arriving below lam, in arrival order.
+
+    The gaps are standard exponentials over the rate expected_count(mixture,
+    1, box) on stream (seed, 0), and the arrivals their sequential cumulative
+    sum, drawn in chunks until one passes lam.  The n balls below lam get
+    centers uniform in the halo window [-r_max, L + r_max)^d on stream
+    (seed, 1) and radii from the atoms with probabilities w_i / mass on
+    (seed, 2).  Each stream is used one ball at a time, so no bit depends on
+    the chunks and the draw at a lower lam is a prefix of this one.  A lam
+    expecting over MAX_EXPECTED_COUNT balls raises CapacityError first.
+    """
+    if not lam >= 0.0:
+        raise ValueError(f"intensity must be non-negative, not {lam!r}")
+    rate = expected_count(mixture, 1.0, box)
+    if rate * lam > MAX_EXPECTED_COUNT:
+        raise CapacityError(
+            f"expected ball count {rate * lam:.3g} exceeds the cap {MAX_EXPECTED_COUNT:.0e}"
+        )
+    gaps = stream(seed, 0)
+    arrivals, last = np.empty(0), 0.0
+    while last < lam:
+        mean = rate * (lam - last)
+        count = int(mean + 2.0 * math.sqrt(mean)) + 8
+        sums = np.cumsum(np.concatenate(([last], gaps.standard_exponential(count) / rate)))
+        arrivals = np.concatenate((arrivals, sums[1:]))
+        last = sums[-1]
+    n = int(np.searchsorted(arrivals, lam))
+    extent = box.side + 2.0 * mixture.r_max
+    centers = -mixture.r_max + stream(seed, 1).random((n, box.dimension)) * extent
+    if mixture.radii.size > 1:
+        probs = mixture.weights / mixture.total_mass
+        radii = stream(seed, 2).choice(mixture.radii, size=n, p=probs)
+    else:
+        radii = np.full(n, mixture.r_max)
+    return BallConfiguration(centers, radii, int(seed), float(lam), arrivals[:n])
+
+
+def sample(mixture: RadiusMixture, lam: float, box: BoxSpec, seed: int) -> BallConfiguration:
     """Sample one Boolean model configuration, fully determined by `seed`.
 
-    The number of balls is Poisson with mean lam * mass * window_volume,
-    centers are uniform in the halo window [-r_max, L + r_max)^d (drawn in
-    [0,1)^d and then scaled), and radii are i.i.d. over the atoms with
-    probabilities w_i / mass.
+    The configuration is draw's, so samples under one seed are nested in
+    lam, and sample(canon, lam, box, derive_seed(seed, t)) is what trial t
+    of a threshold run tests at lam.  The box side must exceed four times
+    the largest radius; the estimator, which calls draw, accepts less.
     """
-    if lam < 0.0:
-        raise ValueError("intensity must be non-negative")
     if not box.side > 4.0 * mixture.r_max:
         raise ValueError("box side must exceed four times the largest radius")
-    d = box.dimension
-    origin = -mixture.r_max
-    extent = box.side + 2.0 * mixture.r_max
-    expected = expected_count(mixture, lam, box)
-    if expected > MAX_EXPECTED_COUNT:
-        raise CapacityError(
-            f"expected ball count {expected:.3g} exceeds the cap {MAX_EXPECTED_COUNT:.0e}"
-        )
-    rng = stream(seed)
-    count = int(rng.poisson(expected))
-    unit = rng.random((count, d))
-    centers = origin + unit * extent
-    if len(mixture.radii) == 1:
-        radii = np.full(count, mixture.radii[0])
-    else:
-        probs = mixture.weights / mixture.total_mass
-        idx = rng.choice(len(mixture.radii), size=count, p=probs)
-        radii = mixture.radii[idx]
-    return BallConfiguration(centers=centers, radii=radii, seed=int(seed), lam=float(lam))
+    return draw(mixture, lam, box, seed)
 
 
 def _candidate_pairs(centers: np.ndarray, radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -278,8 +303,8 @@ def percolates(labeling: ClusterLabeling) -> bool:
 
 def covered_fraction_exact(mixture: RadiusMixture, lam: float, d: int) -> float:
     """Fraction of space covered: 1 - exp(-lam * v_d * sum w_i r_i^d)."""
-    if lam < 0.0:
-        raise ValueError("intensity must be non-negative")
+    if not lam >= 0.0:
+        raise ValueError(f"intensity must be non-negative, not {lam!r}")
     if not isinstance(d, int) or d < 1:
         raise ValueError("dimension must be a positive integer")
     return -math.expm1(-lam * unit_ball_volume(d) * mixture.moment(d))

@@ -5,11 +5,13 @@ intensity (the Newman-Ziff coupling; Newman & Ziff, PRL 85, 4104, 2000):
 a trial is one marked Poisson process whose balls arrive in order of
 increasing intensity, its configuration at lambda is its balls arriving
 below lambda, and it crosses the box exactly when lambda exceeds the latest
-arrival on a minimax path between the two faces.  Each trial draws its
-balls in arrival order from its own streams until it has crossed (see
-_trial), so its critical intensity is finite and depends on the seed and
-the trial's index alone; the trials run in contiguous shares, one process
-per CPU, with results identical for any number of CPUs (see
+arrival on a minimax path between the two faces.  Trial t is the process
+of boolean_model.draw on derive_seed(seed, t), drawn to rising tops until
+it has crossed (see _trial), so its critical intensity is finite and
+depends on the seed and the trial's index alone, and
+sample(canon, lambda, box, derive_seed(seed, t)) replays its configuration
+at any lambda in the canonical box.  The trials run in contiguous shares,
+one process per CPU, with results identical for any number of CPUs (see
 _critical_intensities).  The crossing probability at lambda is the
 empirical distribution function of the critical intensities.  The estimate
 is its median, the intensity at which half of the trials cross, and the
@@ -53,10 +55,11 @@ from .boolean_model import (
     BoxSpec,
     RadiusMixture,
     clusters,
+    draw,
     expected_count,
 )
 from .geometry import unit_ball_volume
-from .util import MAX_SIMULATION_DIMENSION, CapacityError, check_rho, derive_seed, ipow, stream
+from .util import MAX_SIMULATION_DIMENSION, CapacityError, check_rho, derive_seed, ipow
 
 __all__ = [
     "ThresholdEstimate",
@@ -206,56 +209,27 @@ def _critical_mark(config: BallConfiguration, box: BoxSpec, marks: np.ndarray) -
 def _trial(
     mixture: RadiusMixture, box: BoxSpec, seed: int, start: float, lam_hi: float
 ) -> tuple[float, int, int]:
-    """(critical intensity, tops, balls) of the trial on `seed`, drawn in arrival order.
+    """(critical intensity, tops, balls) of the trial on `seed`.
 
-    The trial is a Poisson process of balls in the sampling window, at rate
-    expected_count(mixture, 1, box) per unit of intensity.  Its gaps are
-    standard exponentials over that rate on stream (seed, 0), and its
-    arrivals their sequential cumulative sum, each chunk's started at the
-    last arrival, so that no bit depends on how the draws are chunked.  Each
-    ball's center is drawn uniform in the window on stream (seed, 1) and its
-    radius from the atoms with probabilities w_i / mass on stream (seed, 2).
-
-    The trial is drawn past `start` and tested on its balls arriving below
-    it; while they do not cross, it is drawn on to lam_hi (if `start` is
-    below it), then 2 lam_hi, 4 lam_hi and so on.  Balls arriving later can
-    only join paths whose latest arrival is later still, so the first top at
-    which the trial crosses yields the critical intensity of the whole
-    process: it depends on `seed` alone, and `start` only decides how much
-    is drawn first.  A top whose expected ball count passes
-    MAX_EXPECTED_COUNT raises CapacityError before it is drawn.  `tops` is
-    the number of tops tested and `balls` the number below the last one.
+    The trial is the process of boolean_model.draw on `seed`, tested on its
+    balls below `start`, then, while they do not cross, below lam_hi (if
+    `start` is below it), 2 lam_hi, 4 lam_hi and so on, each top drawn
+    afresh.  Balls arriving later can only join paths whose latest arrival
+    is later still, so the first top at which the trial crosses yields the
+    critical intensity of the whole process: it depends on `seed` alone, and
+    `start` only decides how much is drawn first.  A top expecting over
+    MAX_EXPECTED_COUNT balls raises CapacityError before it is drawn.
+    `tops` counts the tops tested and `balls` those below the last one.
     """
-    d = box.dimension
-    rate = expected_count(mixture, 1.0, box)
-    extent = box.side + 2.0 * mixture.r_max
-    probs = mixture.weights / mixture.total_mass
-    gaps, place, pick = (stream(seed, key) for key in range(3))
-    arrivals, centers, radii = np.empty(0), np.empty((0, d)), np.empty(0)
-    last, top, tops = 0.0, start, 0
+    top, tops = start, 1
     while True:
-        tops += 1
-        if rate * top > MAX_EXPECTED_COUNT:
-            raise CapacityError(
-                f"expected ball count {rate * top:.3g} exceeds the cap {MAX_EXPECTED_COUNT:.0e}"
-            )
-        while last < top:
-            mean = rate * (top - last)
-            count = int(mean + 2.0 * math.sqrt(mean)) + 8
-            sums = np.cumsum(np.concatenate(([last], gaps.standard_exponential(count) / rate)))
-            arrivals = np.concatenate((arrivals, sums[1:]))
-            centers = np.concatenate((centers, -mixture.r_max + place.random((count, d)) * extent))
-            if probs.size > 1:
-                radii = np.concatenate((radii, pick.choice(mixture.radii, size=count, p=probs)))
-            else:
-                radii = np.concatenate((radii, np.full(count, mixture.r_max)))
-            last = sums[-1]
-        balls = int(np.searchsorted(arrivals, top))
-        config = BallConfiguration(centers=centers[:balls], radii=radii[:balls], seed=seed, lam=top)
-        critical = _critical_mark(config, box, arrivals[:balls])
+        config = draw(mixture, top, box, seed)
+        critical = _critical_mark(config, box, config.arrivals)
         if critical < math.inf:
-            return critical, tops, balls
+            return critical, tops, config.n
+        del config  # before the next top is drawn, which would otherwise raise peak memory
         top = lam_hi if top < lam_hi else 2.0 * top
+        tops += 1
 
 
 def _share(

@@ -38,6 +38,9 @@ def test_mixture_validation():
         RadiusMixture([(-1.0, 1.0)])
     with pytest.raises(ValueError):
         RadiusMixture([(1.0, 0.0)])
+    for atom in ((math.inf, 1.0), (math.nan, 1.0), (1.0, math.inf), (1.0, math.nan)):
+        with pytest.raises(ValueError, match="radii and weights must be finite"):
+            RadiusMixture([(0.5, 1.0), atom])
     mix = RadiusMixture([(2.0, 0.5), (0.5, 1.0)])
     assert mix.atoms == ((0.5, 1.0), (2.0, 0.5))  # sorted by radius
     assert mix.total_mass == 1.5
@@ -64,6 +67,14 @@ def test_sample_determinism_and_zero_intensity():
     assert not np.array_equal(a.centers, c.centers)
     empty = sample(UNIT, 0.0, box, seed=9)
     assert empty.n == 0
+
+
+def test_a_nan_intensity_is_rejected():
+    # Not a sample of no balls, although `while last < lam` never runs for nan.
+    with pytest.raises(ValueError, match="intensity must be non-negative, not nan"):
+        sample(UNIT, math.nan, BoxSpec(2, 12.0), seed=0)
+    with pytest.raises(ValueError, match="intensity must be non-negative, not nan"):
+        covered_fraction_exact(UNIT, math.nan, 2)
 
 
 def test_sample_rejects_small_box_and_capacity():

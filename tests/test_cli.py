@@ -214,6 +214,18 @@ def test_bad_mixture_exits_2(capsys):
     assert "mixture" in err
 
 
+def test_a_non_finite_mixture_exits_2_without_a_warning():
+    # In a fresh interpreter, where a numpy RuntimeWarning would reach stderr.
+    for mixture in ("inf:1", "1:1,2:nan"):
+        proc = in_a_fresh_interpreter(
+            "-m", "contperc.cli", "threshold", "--d", "2", "--mixture", mixture, "--L", "16",
+            "--trials", "50", check=False,
+        )
+        assert proc.returncode == 2, mixture
+        assert proc.stdout == "", mixture
+        assert proc.stderr == "error: radii and weights must be finite\n", mixture
+
+
 def test_kappa_sweep_csv(capsys):
     code, out, _ = run_cli(
         capsys, "kappa-sweep", "--rho-min", "1.5", "--rho-max", "3", "--steps", "4",
@@ -706,15 +718,16 @@ COMMAND_LOADS = {
 }
 
 
-def loads_in_a_fresh_interpreter(*argv):
+def in_a_fresh_interpreter(*argv, check=True):
+    """Run `python *argv` with this checkout's package first on the path."""
     src = str(Path(cli.__file__).resolve().parents[1])
     path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
-    proc = subprocess.run(
-        [sys.executable, "-c", LOADS_SCRIPT, *argv],
-        capture_output=True, text=True, check=True, env=env,
-    )
-    return json.loads(proc.stdout)
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, check=check, env=env)
+
+
+def loads_in_a_fresh_interpreter(*argv):
+    return json.loads(in_a_fresh_interpreter("-c", LOADS_SCRIPT, *argv).stdout)
 
 
 def loaded_under(modules, packages):

@@ -9,7 +9,9 @@ multiples of powers of two, so arrivals equal to a level occur often and
 every comparison is exact; _critical_mark takes its balls in order of
 ascending mark, so each case is sorted by mark first.  The trial tests
 redraw each trial's balls in arrival order by the draw rule (see
-estimation._trial), all at once, and decide every level with the oracle.
+boolean_model.draw), all at once and without calling it, and decide every
+level with the oracle.  The sample tests check that the public sampler is
+that draw: nested in lambda under one seed, and replaying every trial.
 """
 
 import math
@@ -19,7 +21,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from contperc import estimation
+from contperc import boolean_model, estimation
 from contperc.boolean_model import (
     BallConfiguration,
     BoxSpec,
@@ -156,6 +158,50 @@ def test_critical_mark_matches_the_reference_at_realistic_sizes(name, d):
                 assert critical == reference_critical_mark(clusters(ordered, box), ascending)
                 results.append(critical)
     assert math.inf in results and any(c < math.inf for c in results)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(sorted(MIXTURES)),
+    d=st.integers(2, 4),
+    seed=st.integers(0, 2**63 - 1),
+    level=st.floats(0.0, 2.0),
+    fraction=st.floats(0.0, 1.0),
+)
+@example(name="1:1", d=2, seed=19, level=2.0, fraction=0.5)
+@example(name="1:10", d=3, seed=1, level=1.0, fraction=0.0)
+@example(name="1:10", d=4, seed=2, level=1.0, fraction=1.0)
+def test_samples_are_nested_in_lambda(name, d, seed, level, fraction):
+    """Under one seed the sample at lam1 <= lam2 is the first balls of the one
+    at lam2, bit for bit, whatever chunks either draw took; so crossing is
+    monotone in lambda."""
+    mixture, box = MIXTURES[name], BoxSpec(d, SIDES[name, d])
+    lam2 = level * NORMALIZED_THRESHOLD[d] / _first_bracket(mixture, d)[0]
+    lam1 = lam2 * fraction
+    small, large = sample(mixture, lam1, box, seed), sample(mixture, lam2, box, seed)
+    mean = expected_count(mixture, lam2, box)
+    event("several chunks" if large.n >= int(mean + 2.0 * math.sqrt(mean)) + 8 else "one chunk")
+    n = small.n
+    assert (small.arrivals < lam1).all() and (large.arrivals[n:] >= lam1).all()
+    assert small.arrivals.tobytes() == large.arrivals[:n].tobytes()
+    assert small.centers.tobytes() == large.centers[:n].tobytes()
+    assert small.radii.tobytes() == large.radii[:n].tobytes()
+    assert percolates(clusters(small, box)) <= percolates(clusters(large, box))
+
+
+@settings(max_examples=12, deadline=None)
+@given(name=st.sampled_from(sorted(MIXTURES)), d=st.integers(2, 4), seed=st.integers(0, 2**63 - 1))
+def test_sample_replays_each_trial_at_its_critical_intensity(name, d, seed):
+    """Trial t's configuration at its critical intensity x_t is
+    sample(canon, x_t, box, derive_seed(seed, t)): it does not cross, and one
+    float above x_t, with the ball arriving at x_t, it does."""
+    mixture, box = MIXTURES[name], BoxSpec(d, SIDES[name, d])
+    lam_hi = _first_bracket(mixture, d)[1]
+    for t, x in enumerate(_critical_intensities(mixture, box, seed, 4, lam_hi).tolist()):
+        trial_seed = derive_seed(seed, t)
+        assert not percolates(clusters(sample(mixture, x, box, trial_seed), box))
+        above = sample(mixture, float(np.nextafter(x, math.inf)), box, trial_seed)
+        assert percolates(clusters(above, box))
 
 
 def exponential_gaps(rng, n):
@@ -303,7 +349,7 @@ def test_probe_level_at_a_mark_leaves_that_ball_out(monkeypatch):
             return getattr(self.rng, name)
 
     recorded_marks(monkeypatch)
-    monkeypatch.setattr(estimation, "stream", WholeGaps)
+    monkeypatch.setattr(boolean_model, "stream", WholeGaps)
     critical = _critical_intensities(mix, box, seed, trials, lam_hi)
     balls, _, criticals = rebuild_trials(mix, box, seed, trials, lam_hi, whole_gaps, count=800)
     assert critical.tolist() == criticals

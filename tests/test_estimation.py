@@ -106,8 +106,8 @@ def test_estimation_failure_when_never_crossing(monkeypatch):
     # A trial that never crosses is drawn to doubling tops until a top
     # passes the ball-count cap, lowered here to keep that cheap.
     monkeypatch.setattr(estimation, "_critical_mark", lambda config, box, marks: math.inf)
-    monkeypatch.setattr(estimation, "MAX_EXPECTED_COUNT", 1e5)
-    with pytest.raises(CapacityError):
+    monkeypatch.setattr(boolean_model, "MAX_EXPECTED_COUNT", 1e5)
+    with pytest.raises(CapacityError, match="expected ball count"):
         estimate_lambda_c(UNIT, BOX, trials=60, seed=0)
 
 
