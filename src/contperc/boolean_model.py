@@ -316,7 +316,9 @@ def covered_fraction_empirical(
     """Estimate coverage by uniform probe points in the core box [0, L)^d.
 
     Returns the hit fraction and its binomial standard error
-    sqrt(p(1-p)/probes).
+    sqrt(p(1-p)/probes).  That error is the probes' alone, on this one
+    configuration: it leaves out the configuration's own fluctuation, so
+    it does not bound the distance to covered_fraction_exact.
     """
     if probes < 1:
         raise ValueError("need at least one probe point")

@@ -72,7 +72,10 @@ def parse_mixture(text: str):
 def _parse_seed(text: str) -> int:
     if text == "random":
         return secrets.randbits(63)
-    return int(text)
+    seed = int(text)
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, not {seed}")
+    return seed
 
 
 def _progress_printer(quiet: bool):

@@ -19,10 +19,12 @@ is its median, the intensity at which half of the trials cross, and the
 true median whatever the distribution (binomial order statistics; David &
 Nagaraja, Order Statistics, 3rd ed., 2003).
 
-Scale handling.  Before simulating, the mixture is canonicalized: radii are
-divided by the largest radius and weights by the total mass, the box side is
-re-expressed in the same units, and the estimated intensity is mapped back
-through the exact scaling identities
+Scale handling.  estimate_lambda_c, size_ladder and alpha_sweep hand their
+runs to _estimates, which checks every run before any sampling, then
+canonicalizes each mixture: radii are divided by the largest radius and
+weights by the total mass, and the box side is re-expressed in the same
+units.  Each distinct canonical problem is solved once, and each run's
+estimated intensity is mapped back through the exact scaling identities
 
     lambda_c(c * mixture) = lambda_c(mixture) / c,
     lambda_c(radii scaled by s) = lambda_c(mixture) / s^d.
@@ -136,34 +138,6 @@ def _median_ranks(n: int) -> tuple[int, int]:
         term = term * (n - rank) // (rank + 1)
         rank += 1
     return rank, n + 1 - rank
-
-
-def _check_run(runs, trials: int) -> None:
-    """Reject a threshold run over (mixture, box) pairs before any sampling.
-
-    Invalid arguments raise ValueError.  A run whose trials expect more than
-    MAX_EXPECTED_COUNT balls in all, at the bracket top lam_hi of each
-    canonical box, raises CapacityError: the cap on one sample does not
-    bound a run of many.
-    """
-    if trials < 50:
-        raise ValueError("need at least 50 trials")
-    balls = 0.0
-    for mixture, box in runs:
-        d = box.dimension
-        if d > MAX_SIMULATION_DIMENSION:
-            raise ValueError(
-                f"simulation is supported for dimension <= {MAX_SIMULATION_DIMENSION}; "
-                "box volumes explode beyond that"
-            )
-        canon, scale, _ = canonicalize(mixture)
-        lam_hi = _first_bracket(canon, d)[1]
-        balls += trials * expected_count(canon, lam_hi, BoxSpec(dimension=d, side=box.side / scale))
-    if balls > MAX_EXPECTED_COUNT:
-        raise CapacityError(
-            f"the run's trials expect {balls:.3g} balls at the bracket top, "
-            f"over the cap {MAX_EXPECTED_COUNT:.0e}"
-        )
 
 
 def _critical_mark(config: BallConfiguration, box: BoxSpec, marks: np.ndarray) -> float:
@@ -351,6 +325,80 @@ def _critical_intensities(
     return np.concatenate([first, *(critical for critical, _ in rest)])
 
 
+def _estimates(runs, trials: int, progress: ProgressFn | None) -> list[ThresholdEstimate]:
+    """The estimate of each run (header, mixture, box, canonical side, seed), in order.
+
+    Every run is checked before any sampling: invalid arguments raise
+    ValueError, and runs whose trials expect more than MAX_EXPECTED_COUNT
+    balls in all, at the bracket top lam_hi of each canonical box, raise
+    CapacityError, since the cap on one sample does not bound a run of many.
+    Each distinct canonical problem (atoms, box, seed) is then solved once
+    by _critical_intensities, and each run is mapped back to its own units
+    through the scaling identities.  progress, if given, gets each run's
+    header (unless None), the trial lines the first time its problem is
+    solved, and its median line.
+    """
+    if trials < 50:
+        raise ValueError("need at least 50 trials")
+    plans = []
+    balls = 0.0
+    for header, mixture, box, side, seed in runs:
+        d = box.dimension
+        if d > MAX_SIMULATION_DIMENSION:
+            raise ValueError(
+                f"simulation is supported for dimension <= {MAX_SIMULATION_DIMENSION}; "
+                "box volumes explode beyond that"
+            )
+        canon, scale, mass = canonicalize(mixture)
+        norm_factor, lam_hi = _first_bracket(canon, d)
+        canon_box = BoxSpec(dimension=d, side=side)
+        balls += trials * expected_count(canon, lam_hi, canon_box)
+        denom = mass * ipow(scale, d)
+        plans.append((header, box, seed, canon, canon_box, lam_hi, norm_factor, denom))
+    if balls > MAX_EXPECTED_COUNT:
+        raise CapacityError(
+            f"the run's trials expect {balls:.3g} balls at the bracket top, "
+            f"over the cap {MAX_EXPECTED_COUNT:.0e}"
+        )
+    low, high = _median_ranks(trials)
+    solved: dict[tuple, np.ndarray] = {}
+    out = []
+    for header, box, seed, canon, canon_box, lam_hi, norm_factor, denom in plans:
+        if progress is not None and header is not None:
+            progress(header)
+        key = (canon.atoms, canon_box, seed)
+        if key not in solved:
+            solved[key] = np.sort(
+                _critical_intensities(canon, canon_box, seed, trials, lam_hi, progress)
+            )
+        critical = solved[key]
+        lam_c = float(np.median(critical))
+        x_low, x_high = critical.item(low - 1), critical.item(high - 1)
+        if progress is not None:
+            progress(
+                f"median: lambda~={lam_c * norm_factor:.5g} "
+                f"ci=[{x_low * norm_factor:.5g},{x_high * norm_factor:.5g}]"
+            )
+        normalized = lam_c * norm_factor
+        out.append(
+            ThresholdEstimate(
+                lambda_c=lam_c / denom,
+                ci_low=x_low / denom,
+                ci_high=x_high / denom,
+                box_side=box.side,
+                trials=trials,
+                normalized=normalized,
+                covered_volume=-math.expm1(-normalized / ipow(2.0, box.dimension)),
+                dimension=box.dimension,
+                seed=int(seed),
+                normalized_ci_low=x_low * norm_factor,
+                normalized_ci_high=x_high * norm_factor,
+                critical=tuple(critical.tolist()),
+            )
+        )
+    return out
+
+
 def estimate_lambda_c(
     mixture: RadiusMixture,
     box: BoxSpec,
@@ -367,58 +415,7 @@ def estimate_lambda_c(
     _median_ranks.  A run expecting more than MAX_EXPECTED_COUNT balls over
     its trials at lambda_hi raises CapacityError before any sampling.
     """
-    _check_run([(mixture, box)], trials)
-    canon, scale, _ = canonicalize(mixture)
-    critical = _canonical_critical(canon, box.side / scale, box.dimension, trials, seed, progress)
-    return _estimate(critical, mixture, box, seed, progress)
-
-
-def _canonical_critical(
-    canon: RadiusMixture, side: float, d: int, trials: int, seed: int, progress: ProgressFn | None
-) -> np.ndarray:
-    """The sorted critical intensities of a canonical mixture's trials in the box of that side."""
-    lam_hi = _first_bracket(canon, d)[1]
-    box = BoxSpec(dimension=d, side=side)
-    return np.sort(_critical_intensities(canon, box, seed, trials, lam_hi, progress))
-
-
-def _estimate(
-    critical: np.ndarray,
-    mixture: RadiusMixture,
-    box: BoxSpec,
-    seed: int,
-    progress: ProgressFn | None,
-) -> ThresholdEstimate:
-    """The estimate for `mixture` in `box` from its sorted canonical critical intensities."""
-    d = box.dimension
-    canon, scale, mass = canonicalize(mixture)
-    norm_factor = _first_bracket(canon, d)[0]
-    trials = critical.size
-    low, high = _median_ranks(trials)
-    lam_c = float(np.median(critical))
-    x_low, x_high = critical.item(low - 1), critical.item(high - 1)
-    if progress is not None:
-        progress(
-            f"median: lambda~={lam_c * norm_factor:.5g} "
-            f"ci=[{x_low * norm_factor:.5g},{x_high * norm_factor:.5g}]"
-        )
-
-    denom = mass * ipow(scale, d)
-    normalized = lam_c * norm_factor
-    return ThresholdEstimate(
-        lambda_c=lam_c / denom,
-        ci_low=x_low / denom,
-        ci_high=x_high / denom,
-        box_side=box.side,
-        trials=trials,
-        normalized=normalized,
-        covered_volume=-math.expm1(-normalized / ipow(2.0, d)),
-        dimension=d,
-        seed=int(seed),
-        normalized_ci_low=x_low * norm_factor,
-        normalized_ci_high=x_high * norm_factor,
-        critical=tuple(critical.tolist()),
-    )
+    return _estimates([(None, mixture, box, box.side / mixture.r_max, seed)], trials, progress)[0]
 
 
 @dataclass(frozen=True)
@@ -455,21 +452,12 @@ def size_ladder(
         raise ValueError("need at least one box side")
     if any(b <= a for a, b in zip(sides, sides[1:])):
         raise ValueError("sides must be strictly increasing")
-    boxes = [BoxSpec(dimension=d, side=float(side)) for side in sides]
-    _check_run([(mixture, box) for box in boxes], trials)
-    estimates = []
-    for i, box in enumerate(boxes):
-        if progress is not None:
-            progress(f"ladder level {i}: L={sides[i]:g}")
-        estimates.append(
-            estimate_lambda_c(
-                mixture,
-                box,
-                trials,
-                seed=derive_seed(seed, 101, i),
-                progress=progress,
-            )
-        )
+    runs = []
+    for i, side in enumerate(sides):
+        box = BoxSpec(dimension=d, side=float(side))
+        header = f"ladder level {i}: L={side:g}"
+        runs.append((header, mixture, box, box.side / mixture.r_max, derive_seed(seed, 101, i)))
+    estimates = _estimates(runs, trials, progress)
     drifts = tuple(
         abs(b.normalized - a.normalized) for a, b in zip(estimates, estimates[1:])
     )
@@ -540,24 +528,16 @@ def alpha_sweep(
     same relative finite-size resolution.  All points share the one seed
     for the same reason (matched trial streams; common random numbers also
     smooth the curve).  The alpha = 0 and alpha = 1 endpoints are then the
-    identical canonical problem, the unit ball, and every canonical problem
-    is solved once: a repeated one reuses the sorted critical intensities
-    and reports only the alpha line and the median line.  Every alpha is
-    validated before the first estimate starts, an empty list is rejected,
-    and the run size is checked summed over the alphas.
+    identical canonical problem, the unit ball, which _estimates solves
+    once, reporting only the alpha line and the median line for the second.
+    Every alpha is validated before the first estimate starts, an empty list
+    is rejected, and the run size is checked summed over the alphas.
     """
     if len(alphas) == 0:
         raise ValueError("need at least one alpha")
     mixtures = [mixture_for_alpha(float(alpha), rho, d) for alpha in alphas]
-    boxes = [BoxSpec(dimension=d, side=box.side * mixture.r_max) for mixture in mixtures]
-    _check_run(zip(mixtures, boxes), trials)
-    solved: dict[tuple, np.ndarray] = {}
-    out = []
-    for alpha, mixture, physical in zip(alphas, mixtures, boxes):
-        if progress is not None:
-            progress(f"alpha={alpha:g}")
-        canon = canonicalize(mixture)[0]
-        if canon.atoms not in solved:
-            solved[canon.atoms] = _canonical_critical(canon, box.side, d, trials, seed, progress)
-        out.append(_estimate(solved[canon.atoms], mixture, physical, seed, progress))
-    return out
+    runs = []
+    for alpha, mixture in zip(alphas, mixtures):
+        physical = BoxSpec(dimension=d, side=box.side * mixture.r_max)
+        runs.append((f"alpha={alpha:g}", mixture, physical, box.side, seed))
+    return _estimates(runs, trials, progress)

@@ -549,6 +549,18 @@ def test_paths_needs_two_trials_before_sampling(monkeypatch, capsys):
         assert "trials must be at least 2" in err, trials
 
 
+@pytest.mark.parametrize("command", ["threshold", "kappa"])
+def test_a_negative_seed_exits_2_before_any_work(command, monkeypatch, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("sampled or optimized with a negative seed")
+
+    monkeypatch.setattr(estimation, "_trial", no_work)
+    monkeypatch.setattr(thresholds, "_path_terms", no_work)
+    code, out, err = run_cli(capsys, command, *REPLAY_ARGV[command], "--seed=-1")
+    assert (code, out) == (2, "")
+    assert err == "error: seed must be a non-negative integer, not -1\n"
+
+
 _THRESHOLD_CONFIG = {
     "command": "threshold",
     "params": {"d": 2, "mixture": "1:1", "L": 8.0, "trials": 50, "tol": 0.5},
@@ -568,6 +580,7 @@ _THRESHOLD_CONFIG = {
         ({"fmt": "xml"}, "argument --format: invalid choice: 'xml'"),
         ({"seed": 3.9}, "the saved seed must be an integer, not 3.9"),
         ({"seed": "random"}, "the saved seed must be an integer, not 'random'"),
+        ({"seed": -1}, "seed must be a non-negative integer, not -1"),
         ({"params": ["x"]}, "the saved params must be a JSON object"),
         ({"command": "replay"}, "the following arguments are required: config_path"),
         ({"command": "--help"}, "unknown command '--help'"),
@@ -577,7 +590,8 @@ _THRESHOLD_CONFIG = {
         ({"params": dict(_THRESHOLD_CONFIG["params"], format="csv")},
          "the saved parameter 'format' is read as another option"),
     ],
-    ids=["non-integral-d", "k-and-kmax", "xml", "float-seed", "random-seed", "params-list",
+    ids=["non-integral-d", "k-and-kmax", "xml", "float-seed", "random-seed", "negative-seed",
+         "params-list",
          "replay-of-replay", "help-command", "abbreviated-key", "common-option-key"],
 )
 def test_replay_is_checked_by_the_commands_parser(changes, message, monkeypatch, tmp_path, capsys):

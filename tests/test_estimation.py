@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import multiprocessing
 import os
@@ -121,7 +122,8 @@ def test_alpha_sweep_caps_the_run_summed_over_its_alphas(monkeypatch):
     # = 8 / (4 pi) in the halo window of side 14.
     one = 60 * 8.0 / (4.0 * math.pi) * 14.0**2
     monkeypatch.setattr(estimation, "MAX_EXPECTED_COUNT", 1.5 * one)
-    estimation._check_run([(UNIT, box)], 60)
+    fake_critical_intensities(monkeypatch, [0.37] * 60)  # one run alone passes the check
+    assert estimate_lambda_c(UNIT, box, trials=60).lambda_c == 0.37
     with pytest.raises(CapacityError, match="over the cap"):
         alpha_sweep(2.0, [0.0, 1.0], 2, box, trials=60)
     monkeypatch.setattr(estimation, "MAX_EXPECTED_COUNT", 0.99 * one)
@@ -405,6 +407,37 @@ def test_alpha_endpoints_identical_per_seed():
     assert e0.normalized == e1.normalized
     assert e0.covered_volume == e1.covered_volume
     assert e0.critical == e1.critical
+
+
+def test_an_alpha_sweep_point_is_the_estimate_of_its_mixture():
+    # The sweep's box side is in units of rho, so L = 12 is the physical box 120.
+    (point,) = alpha_sweep(10.0, [0.5], 2, BoxSpec(2, 12.0), trials=60, seed=4)
+    alone = estimate_lambda_c(mixture_for_alpha(0.5, 10.0, 2), BoxSpec(2, 120.0), trials=60, seed=4)
+    assert dataclasses.astuple(point) == dataclasses.astuple(alone)
+
+
+def test_each_canonical_problem_is_solved_once(monkeypatch):
+    calls = []
+
+    def fake(mixture, box, seed, trials, lam_hi, progress=None):
+        calls.append((mixture.atoms, box.side, seed))
+        return np.linspace(0.3, 0.4, trials)
+
+    monkeypatch.setattr(estimation, "_critical_intensities", fake)
+    lines = []
+    e0, e1, _ = alpha_sweep(
+        10.0, [0.0, 1.0, 0.5], 2, BoxSpec(2, 12.0), trials=60, seed=3, progress=lines.append
+    )
+    assert len(calls) == 2 and e0.critical == e1.critical
+    assert [line.split(":")[0] for line in lines] == [
+        "alpha=0", "median", "alpha=1", "median", "alpha=0.5", "median"
+    ]
+    calls.clear()
+    size_ladder(UNIT, 2, [12.0, 16.0], trials=60, seed=8)
+    assert calls == [
+        (UNIT.atoms, 12.0, derive_seed(8, 101, 0)),
+        (UNIT.atoms, 16.0, derive_seed(8, 101, 1)),
+    ]
 
 
 def test_size_ladder_single_side_passthrough():
