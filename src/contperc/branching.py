@@ -14,10 +14,12 @@ for rho = 10.
 from __future__ import annotations
 
 import math
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .util import check_rho, exp_or_inf
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "mean_matrix",
@@ -38,6 +40,8 @@ def _check(d: int, kappa: float, rho: float) -> None:
 
 def mean_matrix(d: int, kappa: float, rho: float) -> np.ndarray:
     """Return ln(M_d), the 2x2 array of the logs of the entries of M_d."""
+    import numpy as np  # here, so that the gw command, which needs only math, does not load it
+
     _check(d, kappa, rho)
     base = d * math.log(kappa)
     up = d * math.log((1.0 + rho) / (2.0 * rho))

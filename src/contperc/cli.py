@@ -16,8 +16,6 @@ import secrets
 import sys
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
 from .util import CapacityError, check_rho
 
 DEFAULT_SEED = 20260808
@@ -76,6 +74,15 @@ def _parse_seed(text: str) -> int:
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, not {seed}")
     return seed
+
+
+def _linspace(start: float, stop: float, n: int) -> list[float]:
+    """n evenly spaced floats from start to stop (none for n <= 0): the floats
+    of numpy.linspace, start + i * step with the last set to stop."""
+    if n < 2:
+        return [start] * n
+    step = (stop - start) / (n - 1)
+    return [start + i * step for i in range(n - 1)] + [stop]
 
 
 def _progress_printer(quiet: bool):
@@ -138,12 +145,12 @@ def _cmd_kappa_sweep(params: dict, seed: int, quiet: bool):
         raise ValueError("need steps >= 2 and rho_min < rho_max")
     progress = _progress_printer(quiet)
     rows = []
-    for i, rho in enumerate(np.linspace(rho_min, rho_max, steps)):
-        results = {k: thresholds.kappa_c_k(float(rho), k) for k in range(1, k_max + 1)}
+    for i, rho in enumerate(_linspace(rho_min, rho_max, steps)):
+        results = {k: thresholds.kappa_c_k(rho, k) for k in range(1, k_max + 1)}
         best_k = min(results, key=lambda k: results[k].kappa)
         rows.append(
             {
-                "rho": float(rho),
+                "rho": rho,
                 "kappa_k1": results[1].kappa,
                 "kappa_k2": results[2].kappa,
                 "kappa_k3": results[3].kappa,
@@ -182,7 +189,7 @@ def _cmd_alpha_sweep(params: dict, seed: int, quiet: bool):
         text = params["alphas"]
         alphas = [float(a) for a in text.split(",")] if text else []
     else:
-        alphas = np.linspace(0.0, 1.0, params["alpha_count"]).tolist()
+        alphas = _linspace(0.0, 1.0, params["alpha_count"])
     box = BoxSpec(dimension=d, side=params["L"])
     points = estimation.alpha_sweep(
         rho,

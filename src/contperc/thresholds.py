@@ -35,7 +35,9 @@ a certified branch-and-bound bracket that do not use the curve.  K and
 1 - a are carried in logs, since K passes double range for large rho.
 Every reported value, the envelope and `objective` come from one
 plain-float evaluation of both terms, in u, where 1 - a^2 = sech^2 u does
-not cancel as the offsets crowd toward 1.
+not cancel as the offsets crowd toward 1.  That evaluation and the curve
+are one function, `_evaluator`, built once per solve; the tests hold its
+floats to a frozen copy of the code the golden outputs were written with.
 
 How the crossing is found: locate, then replay.  Within some hundreds of
 ulps of the crossing, the computed sign of G - H flips back and forth with
@@ -61,7 +63,8 @@ increasing, so has every point beyond it.  The bisection moves an end to a
 midpoint at or below `below`, or at or above `above`, without evaluating
 it, and evaluates each end so moved once, after the loop.  Its result is
 the plain bisection's, bit for bit.  On the benchmark's 90 solves it
-evaluates the curve 1587 times, where plain bisection does so 4311 times.
+evaluates the curve 1587 times, and the zero offsets once per solve, where
+plain bisection evaluates the curve 4311 times.
 """
 
 from __future__ import annotations
@@ -69,7 +72,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .util import check_rho, exp_or_inf
+from .util import check_rho
 
 __all__ = [
     "KappaResult",
@@ -112,21 +115,69 @@ class KappaResult:
         return tuple(math.tanh(x) for x in self.u)
 
 
-def _path_terms(rho: float, u) -> tuple[float, float, list[float]]:
-    """Genealogy term, geometry term and distances D_0, ..., D_k of the path
-    with offsets a_j = tanh(u_j).
+def _evaluator(rho: float, k: int):
+    """The evaluator of k-step paths at this rho, built once per solve.
 
-    log cosh u = u + log1p(e^{-2u}) - log 2 stays finite for every u >= 0.
+    `evaluate(u)` returns (u, (G, H)) for the offsets u_j = atanh(a_j).  u
+    holds all k offsets, or u_1 alone, which is first extended in place
+    along the stationarity curve through u_1 > 0 (module docstring).  The
+    constants of (rho, k) are computed here once; each call does only the
+    float operations of the curve and then of the two terms.
+
+    The curve: with q = K_j / D_j and t = r_{j+1} / D_j, a_{j+1} = 2q / (1 + s)
+    with s = sqrt(1 + 4q (t + q)) when q <= 1, where a_{j+1} < 0.62 and atanh
+    is exact.  Beyond it, w = 1 / (2q) gives a_{j+1} = 1 / (w + s'),
+    s' = sqrt(w^2 + 2wt + 1), and 1 - a_{j+1} = w (1 + (w + 2t) / (s' + 1))
+    / (w + s'); log q is kept, and w may underflow to 0.
+
+    The terms: log cosh u = u + log1p(e^{-2u}) - log 2 stays finite for
+    every u >= 0, and D_j follows the law of cosines from D_0 = 1 + rho.
     """
-    k = len(u)
-    log_cosh = sum(x + math.log1p(math.exp(-2.0 * x)) for x in u) - k * _LOG2
-    genealogy = exp_or_inf((math.log(4.0 * rho) - 2.0 * math.log1p(rho) + log_cosh) / (k + 1))
-    dists = [1.0 + rho]
-    for j, x in enumerate(u):
-        r = 2.0 if j < k - 1 else 1.0 + rho
-        d, a = dists[-1], math.tanh(x)
-        dists.append(math.sqrt(d * d + 2.0 * r * a * d + r * r))
-    return genealogy, 2.0 * rho / dists[-1], dists
+    d_0 = 1.0 + rho
+    log_base = math.log(4.0 * rho) - 2.0 * math.log1p(rho)
+    k_log2, k_plus_1, two_rho, two_log2 = k * _LOG2, k + 1, 2.0 * rho, 2.0 * _LOG2
+    radii = [2.0] * (k - 1) + [d_0]
+    # (2 r, r^2) of each step of the path, and (2 r_prev, r_prev^2,
+    # r / r_prev, r) of each step of the curve past the first.
+    path_steps = [(2.0 * r, r * r) for r in radii]
+    curve_steps = [
+        (2.0 * r_prev, r_prev * r_prev, r / r_prev, r) for r_prev, r in zip(radii, radii[1:])
+    ]
+
+    def evaluate(u: list[float]) -> tuple[list[float], tuple[float, float]]:
+        if len(u) < k:
+            x = u[0]
+            a, d = math.tanh(x), d_0
+            for two_r_prev, r_prev_sq, r_ratio, r in curve_steps:
+                d_prev, d = d, math.sqrt(d * d + two_r_prev * a * d + r_prev_sq)
+                # log f(a_j) = log(sinh(2 u_j) / 2), exact for small and large u_j.
+                log_f = 2.0 * x - two_log2 + math.log(-math.expm1(-4.0 * x))
+                log_q = log_f + math.log(r_ratio * d / d_prev)
+                t = r / d
+                if log_q <= 0.0:
+                    q = math.exp(log_q)
+                    a = 2.0 * q / (1.0 + math.sqrt(1.0 + 4.0 * q * (t + q)))
+                    x = math.atanh(a)
+                else:
+                    w = 0.5 * math.exp(-log_q)
+                    s = math.sqrt(w * w + 2.0 * w * t + 1.0)
+                    a = 1.0 / (w + s)
+                    log_gap = -log_q - _LOG2 + math.log1p((w + 2.0 * t) / (s + 1.0)) - math.log(w + s)
+                    x = 0.5 * (math.log1p(a) - log_gap)
+                u.append(x)
+        # sum() of the same floats in the same order: from Python 3.12 it
+        # compensates, so the list must not be summed any other way.
+        log_cosh = sum([x + math.log1p(math.exp(-2.0 * x)) for x in u]) - k_log2
+        try:
+            genealogy = math.exp((log_base + log_cosh) / k_plus_1)
+        except OverflowError:  # as util.exp_or_inf
+            genealogy = math.inf
+        d = d_0
+        for (two_r, r_sq), x in zip(path_steps, u):
+            d = math.sqrt(d * d + two_r * math.tanh(x) * d + r_sq)
+        return u, (genealogy, two_rho / d)
+
+    return evaluate
 
 
 def objective(rho: float, offsets=(), *, u=None) -> tuple[float, float]:
@@ -144,60 +195,19 @@ def objective(rho: float, offsets=(), *, u=None) -> tuple[float, float]:
         u = [math.atanh(a) for a in offsets]
     elif len(offsets) or len(u) == 0 or any(not 0.0 <= x < math.inf for x in u):
         raise ValueError("u must be one or more finite values >= 0, given without offsets")
-    genealogy, geometry, _ = _path_terms(rho, u)
-    return genealogy, geometry
+    return _evaluator(rho, len(u))(list(u))[1]
 
 
 def genealogy_envelope(rho: float, k: int) -> float:
     """Zero-offset lower bound (4 rho / (1+rho)^2)^(1/(k+1)) for kappa_c(rho, k)."""
-    return _path_terms(rho, [0.0] * k)[0]
-
-
-def _stationary_u(rho: float, u_1: float, k: int) -> list[float]:
-    """The offsets u_1, ..., u_k, u_j = atanh(a_j), of the stationarity curve
-    through u_1 > 0 (module docstring).
-
-    With q = K_j / D_j and t = r_{j+1} / D_j, a_{j+1} = 2q / (1 + s) with
-    s = sqrt(1 + 4q (t + q)) when q <= 1, where a_{j+1} < 0.62 and atanh is
-    exact.  Beyond it, w = 1 / (2q) gives a_{j+1} = 1 / (w + s'),
-    s' = sqrt(w^2 + 2wt + 1), and 1 - a_{j+1} = w (1 + (w + 2t) / (s' + 1))
-    / (w + s'); log q is kept, and w may underflow to 0.
-    """
-    radii = [2.0] * (k - 1) + [1.0 + rho]
-    u = [u_1]
-    a, d = math.tanh(u_1), 1.0 + rho
-    for j in range(1, k):
-        r_prev = radii[j - 1]
-        d_prev, d = d, math.sqrt(d * d + 2.0 * r_prev * a * d + r_prev * r_prev)
-        r = radii[j]
-        # log f(a_j) = log(sinh(2 u_j) / 2), exact for small and large u_j.
-        log_f = 2.0 * u[-1] - 2.0 * _LOG2 + math.log(-math.expm1(-4.0 * u[-1]))
-        log_q = log_f + math.log(r / r_prev * d / d_prev)
-        t = r / d
-        if log_q <= 0.0:
-            q = math.exp(log_q)
-            a = 2.0 * q / (1.0 + math.sqrt(1.0 + 4.0 * q * (t + q)))
-            u.append(math.atanh(a))
-        else:
-            w = 0.5 * math.exp(-log_q)
-            s = math.sqrt(w * w + 2.0 * w * t + 1.0)
-            a = 1.0 / (w + s)
-            log_gap = -log_q - _LOG2 + math.log1p((w + 2.0 * t) / (s + 1.0)) - math.log(w + s)
-            u.append(0.5 * (math.log1p(a) - log_gap))
-    return u
-
-
-def _curve_point(rho: float, u_1: float, k: int) -> tuple[list[float], tuple[float, float]]:
-    """Offsets of the stationarity curve through u_1 and their (G, H)."""
-    u = _stationary_u(rho, u_1, k)
-    return u, _path_terms(rho, u)[:2]
+    return _evaluator(rho, k)([0.0] * k)[1][0]
 
 
 def _log_gap(terms: tuple[float, float]) -> float:
     return math.log(terms[0]) - math.log(terms[1])
 
 
-def _certain_sides(rho: float, k: int, hi: float, f_0: float, f_hi: float) -> tuple[float, float]:
+def _certain_sides(evaluate, k: int, hi: float, f_0: float, f_hi: float) -> tuple[float, float]:
     """Points u_1 in [0, hi] below and above the crossing, as close to it as
     found, at which the sign of G - H is certain.
 
@@ -215,7 +225,7 @@ def _certain_sides(rho: float, k: int, hi: float, f_0: float, f_hi: float) -> tu
         x = a - g_a * (b - a) / (g_b - g_a)
         if not a < x < b:
             return a, b
-        f_x = _log_gap(_curve_point(rho, x, k)[1])
+        f_x = _log_gap(evaluate([x])[1])
         if abs(f_x) <= doubt:
             break
         # Illinois: an end kept twice running has its value halved.
@@ -233,7 +243,7 @@ def _certain_sides(rho: float, k: int, hi: float, f_0: float, f_hi: float) -> tu
     root, step = x - f_x / slope, 2.0 * doubt / slope
     for y in (root - step, root + step):
         if a < y < b:
-            f_y = _log_gap(_curve_point(rho, y, k)[1])
+            f_y = _log_gap(evaluate([y])[1])
             if f_y < -doubt:
                 a = y
             elif f_y > doubt:
@@ -257,22 +267,23 @@ def kappa_c_k(rho: float, k: int) -> KappaResult:
     if not isinstance(k, int) or not 1 <= k <= MAX_K:
         raise ValueError(f"k must lie in 1..{MAX_K}")
 
-    zero = [0.0] * k
-    genealogy, geometry, _ = _path_terms(rho, zero)
+    evaluate = _evaluator(rho, k)
+    zero = evaluate([0.0] * k)
+    genealogy, geometry = zero[1]
     if genealogy >= geometry:
-        return KappaResult(genealogy, tuple(zero), (genealogy, geometry), k)
+        return KappaResult(genealogy, tuple(zero[0]), zero[1], k)
     # Every offset raises G, so G >= 2 > sqrt(2) > H(0) >= H once
     # log cosh u_1 >= (k + 1) log 2 - log(4 rho / (1 + rho)^2); as
     # log cosh x >= x - log 2, this hi brackets the crossing from above.
     lo, hi = 0.0, (k + 2) * _LOG2 - math.log(4.0 * rho) + 2.0 * math.log1p(rho)
-    ends = [(zero, (genealogy, geometry)), _curve_point(rho, hi, k)]
-    below, above = _certain_sides(rho, k, hi, *(_log_gap(terms) for _, terms in ends))
+    ends = [zero, evaluate([hi])]
+    below, above = _certain_sides(evaluate, k, hi, *(_log_gap(terms) for _, terms in ends))
     for _ in range(_BISECTIONS):
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
         if below < mid < above:
-            end = _curve_point(rho, mid, k)
+            end = evaluate([mid])
             upper = end[1][0] >= end[1][1]
         else:
             end, upper = None, mid >= above
@@ -280,7 +291,7 @@ def kappa_c_k(rho: float, k: int) -> KappaResult:
             hi, ends[1] = mid, end
         else:
             lo, ends[0] = mid, end
-    ends = [end or _curve_point(rho, x, k) for end, x in zip(ends, (lo, hi))]
+    ends = [end or evaluate([x]) for end, x in zip(ends, (lo, hi))]
     u, terms = min(ends, key=lambda end: max(end[1]))
     return KappaResult(max(terms), tuple(u), terms, k)
 

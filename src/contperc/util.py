@@ -4,13 +4,18 @@ Random streams use the Philox counter-based generator.  Every stochastic
 routine in the package takes an explicit 64-bit seed and derives independent
 substreams from (seed, *key) with a SeedSequence, so results never depend on
 scheduling or evaluation order.
+
+numpy is imported inside the two stream functions, so that the analytic
+commands, which import this module but draw nothing, do not load it.
 """
 
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "MAX_SIMULATION_DIMENSION", "CapacityError", "check_rho", "derive_seed", "exp_or_inf", "ipow",
@@ -63,11 +68,15 @@ def ipow(x, n: int):
 
 def stream(seed: int, *key: int) -> np.random.Generator:
     """Return a Philox generator for the substream identified by (seed, *key)."""
+    import numpy as np
+
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
     return np.random.Generator(np.random.Philox(seed=ss))
 
 
 def derive_seed(seed: int, *key: int) -> int:
     """Fold (seed, *key) into a single 64-bit integer seed."""
+    import numpy as np
+
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
     return int(ss.generate_state(1, np.uint64)[0])

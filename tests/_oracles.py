@@ -9,8 +9,10 @@ from scipy.optimize import minimize
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import breadth_first_order, minimum_spanning_tree
 
-from contperc.thresholds import _LOG2, KappaResult, _path_terms, _stationary_u
-from contperc.util import check_rho
+from contperc.thresholds import KappaResult
+from contperc.util import check_rho, exp_or_inf
+
+_LOG2 = math.log(2.0)
 
 
 def brute_force_edges(config):
@@ -255,13 +257,71 @@ def reference_kappa_c_k(rho, k):
     return float(values(np.array(finalists)).min())
 
 
+# The library's curve and term functions (the `thresholds` module) as they
+# stood before one evaluator per solve replaced them, kept unchanged apart
+# from their imports.  The evaluator must reproduce their floats bit for bit;
+# as `sum` of floats rounds differently from Python 3.12, both sum the same
+# floats in the same order.
+
+
+def _path_terms(rho: float, u) -> tuple[float, float, list[float]]:
+    """Genealogy term, geometry term and distances D_0, ..., D_k of the path
+    with offsets a_j = tanh(u_j).
+
+    log cosh u = u + log1p(e^{-2u}) - log 2 stays finite for every u >= 0.
+    """
+    k = len(u)
+    log_cosh = sum(x + math.log1p(math.exp(-2.0 * x)) for x in u) - k * _LOG2
+    genealogy = exp_or_inf((math.log(4.0 * rho) - 2.0 * math.log1p(rho) + log_cosh) / (k + 1))
+    dists = [1.0 + rho]
+    for j, x in enumerate(u):
+        r = 2.0 if j < k - 1 else 1.0 + rho
+        d, a = dists[-1], math.tanh(x)
+        dists.append(math.sqrt(d * d + 2.0 * r * a * d + r * r))
+    return genealogy, 2.0 * rho / dists[-1], dists
+
+
+def _stationary_u(rho: float, u_1: float, k: int) -> list[float]:
+    """The offsets u_1, ..., u_k, u_j = atanh(a_j), of the stationarity curve
+    through u_1 > 0 (module docstring).
+
+    With q = K_j / D_j and t = r_{j+1} / D_j, a_{j+1} = 2q / (1 + s) with
+    s = sqrt(1 + 4q (t + q)) when q <= 1, where a_{j+1} < 0.62 and atanh is
+    exact.  Beyond it, w = 1 / (2q) gives a_{j+1} = 1 / (w + s'),
+    s' = sqrt(w^2 + 2wt + 1), and 1 - a_{j+1} = w (1 + (w + 2t) / (s' + 1))
+    / (w + s'); log q is kept, and w may underflow to 0.
+    """
+    radii = [2.0] * (k - 1) + [1.0 + rho]
+    u = [u_1]
+    a, d = math.tanh(u_1), 1.0 + rho
+    for j in range(1, k):
+        r_prev = radii[j - 1]
+        d_prev, d = d, math.sqrt(d * d + 2.0 * r_prev * a * d + r_prev * r_prev)
+        r = radii[j]
+        # log f(a_j) = log(sinh(2 u_j) / 2), exact for small and large u_j.
+        log_f = 2.0 * u[-1] - 2.0 * _LOG2 + math.log(-math.expm1(-4.0 * u[-1]))
+        log_q = log_f + math.log(r / r_prev * d / d_prev)
+        t = r / d
+        if log_q <= 0.0:
+            q = math.exp(log_q)
+            a = 2.0 * q / (1.0 + math.sqrt(1.0 + 4.0 * q * (t + q)))
+            u.append(math.atanh(a))
+        else:
+            w = 0.5 * math.exp(-log_q)
+            s = math.sqrt(w * w + 2.0 * w * t + 1.0)
+            a = 1.0 / (w + s)
+            log_gap = -log_q - _LOG2 + math.log1p((w + 2.0 * t) / (s + 1.0)) - math.log(w + s)
+            u.append(0.5 * (math.log1p(a) - log_gap))
+    return u
+
+
 def bisection_kappa_c_k(rho, k):
     """kappa_c_k by plain bisection: up to 100 halvings of u_1 in [0, hi]
     along the stationarity curve, each of which evaluates the curve.
 
-    It calls the library's own `_stationary_u` and `_path_terms`, so its
-    floats are the library's on every Python version (`sum` of floats
-    rounds differently on 3.12)."""
+    It calls the frozen `_stationary_u` and `_path_terms` above, so a change
+    in the order of the library's float operations shows as a difference
+    in the last bits."""
     check_rho(rho)
     zero = [0.0] * k
     genealogy, geometry, _ = _path_terms(rho, zero)

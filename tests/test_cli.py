@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from contperc import cli, estimation, pathcount, thresholds
@@ -69,18 +70,22 @@ def test_kappa_k_above_max_exits_2(monkeypatch, capsys):
     def no_optimizing(*args, **kwargs):
         raise AssertionError("optimized before k was checked")
 
-    monkeypatch.setattr(thresholds, "_path_terms", no_optimizing)
+    monkeypatch.setattr(thresholds, "_evaluator", no_optimizing)
     for argv in (("--k", "13"), ("--kmax", "13")):
         code, out, err = run_cli(capsys, "kappa", "--rho", "3", *argv)
         assert code == 2, argv
         assert out == "" and "must lie in 1..12" in err
+    # The guard trips on every solve, so it would have caught one.
+    for argv in (("--k", "12"), ("--kmax", "12")):
+        with pytest.raises(AssertionError, match="optimized before k was checked"):
+            main(["kappa", "--rho", "3", *argv])
 
 
 def test_non_finite_or_overflowing_rho_exits_2_before_optimizing(monkeypatch, capsys):
     def no_work(*args, **kwargs):
         raise AssertionError("optimized or sampled before rho was checked")
 
-    monkeypatch.setattr(thresholds, "_path_terms", no_work)
+    monkeypatch.setattr(thresholds, "_evaluator", no_work)
     monkeypatch.setattr(estimation, "_trial", no_work)
     monkeypatch.setattr(pathcount, "_uniform_ball", no_work)
     other_commands = [
@@ -429,6 +434,12 @@ def test_alpha_sweep_rejects_an_empty_alpha_list(monkeypatch, capsys):
         assert code == 2, fmt
         assert out == "", fmt
         assert "need at least one alpha" in err, fmt
+    code, out, err = run_cli(
+        capsys, "alpha-sweep", "--rho", "10", "--d", "2", "--alpha-count", "-1",
+        "--L", "12", "--trials", "60",
+    )
+    assert (code, out) == (2, "")
+    assert "need at least one alpha" in err
     # An empty --alphas is an empty list, not a request for the default sweep.
     code, out, err = run_cli(
         capsys, "alpha-sweep", "--rho", "2", "--L", "6", "--alphas", "", "--trials", "50",
@@ -555,7 +566,7 @@ def test_a_negative_seed_exits_2_before_any_work(command, monkeypatch, capsys):
         raise AssertionError("sampled or optimized with a negative seed")
 
     monkeypatch.setattr(estimation, "_trial", no_work)
-    monkeypatch.setattr(thresholds, "_path_terms", no_work)
+    monkeypatch.setattr(thresholds, "_evaluator", no_work)
     code, out, err = run_cli(capsys, command, *REPLAY_ARGV[command], "--seed=-1")
     assert (code, out) == (2, "")
     assert err == "error: seed must be a non-negative integer, not -1\n"
@@ -599,7 +610,7 @@ def test_replay_is_checked_by_the_commands_parser(changes, message, monkeypatch,
         raise AssertionError("sampled or optimized from an invalid config")
 
     monkeypatch.setattr(estimation, "_trial", no_work)
-    monkeypatch.setattr(thresholds, "_path_terms", no_work)
+    monkeypatch.setattr(thresholds, "_evaluator", no_work)
     path = tmp_path / "run.json"
     path.write_text(json.dumps(dict(_THRESHOLD_CONFIG, **changes)))
     code, out, err = run_cli(capsys, "replay", str(path), "--quiet")
@@ -686,6 +697,18 @@ def test_a_random_seed_is_saved_as_an_integer_and_replays(tmp_path, capsys):
     assert code == 0 and replayed == first
 
 
+def test_the_grids_are_those_of_numpy_linspace():
+    # The golden and benchmark sweep, the default sweep and the default alphas.
+    parser = cli.build_parser()
+    sweep = parser.parse_args(["kappa-sweep"])
+    alpha_count = parser.parse_args(["alpha-sweep", "--rho", "2", "--L", "6"]).alpha_count
+    for start, stop, n in (
+        (1.1, 10.0, 30), (sweep.rho_min, sweep.rho_max, sweep.steps), (0.0, 1.0, alpha_count),
+        (0.0, 1.0, 1), (0.0, 1.0, 0),
+    ):
+        assert cli._linspace(start, stop, n) == np.linspace(start, stop, n).tolist(), (start, stop, n)
+
+
 def test_kappa_sweep_rejects_its_steps_and_rho_range_before_optimizing(monkeypatch, capsys):
     def no_optimizing(*args, **kwargs):
         raise AssertionError("kappa_c_k called before the range was checked")
@@ -722,11 +745,11 @@ _NOT_SIMULATED = {"contperc.boolean_model", "contperc.estimation", "contperc.pat
 # Command -> modules loaded once its arguments are parsed, and modules, each
 # with its submodules, that are not.
 COMMAND_LOADS = {
-    "kappa": ({"contperc.thresholds"}, _NOT_SIMULATED | {"scipy"}),
-    "kappa-sweep": ({"contperc.thresholds"}, _NOT_SIMULATED | {"scipy"}),
+    "kappa": ({"contperc.thresholds"}, _NOT_SIMULATED | {"scipy", "numpy"}),
+    "kappa-sweep": ({"contperc.thresholds"}, _NOT_SIMULATED | {"scipy", "numpy"}),
     "threshold": ({"contperc.estimation", "scipy.sparse.csgraph"}, {"scipy.optimize"}),
     "alpha-sweep": ({"contperc.estimation", "scipy.sparse.csgraph"}, {"scipy.optimize"}),
-    "gw": ({"contperc.branching"}, {"scipy"}),
+    "gw": ({"contperc.branching"}, {"scipy", "numpy"}),
     "paths": ({"contperc.pathcount", "scipy.spatial"}, {"scipy.optimize", "scipy.sparse.csgraph"}),
     "slab": ({"contperc.geometry", "scipy.special"}, {"scipy.optimize", "scipy.sparse"}),
 }
@@ -749,10 +772,11 @@ def loaded_under(modules, packages):
 
 
 def test_importing_the_cli_and_a_parse_error_load_no_scipy():
-    # A parse error exits before any command module is imported.
+    # A parse error exits before any command module is imported, and the
+    # cli and util load neither scipy nor numpy.
     report = loads_in_a_fresh_interpreter("threshold", "--d", "2")
     assert report["exit"] == 2
-    assert loaded_under(report["parsed"], {"scipy"}) == []
+    assert loaded_under(report["parsed"], {"scipy", "numpy"}) == []
     assert loaded_under(report["parsed"], {"contperc"}) == [
         "contperc", "contperc.cli", "contperc.util",
     ]

@@ -18,6 +18,8 @@ from contperc.thresholds import (
 )
 
 from _oracles import (
+    _path_terms,
+    _stationary_u,
     bisection_kappa_c_k,
     certified_kappa_bracket,
     reference_kappa_c_k,
@@ -61,30 +63,33 @@ def test_kappa_below_one_and_k1_exact_up_to_max_rho():
         assert all(math.isfinite(r.kappa) and r.kappa <= 1.0 + 1e-13 for r in res), rho
 
 
-def distances(rho, offsets):
-    """The distances d_1, ..., d_{k+1} reached along the path with these offsets."""
-    return thresholds._path_terms(rho, [math.atanh(a) for a in offsets])[2]
+def distance(rho, offsets):
+    """The distance D_k reached by the path with these offsets, from its
+    geometry term 2 rho / D_k; the library keeps no other distance."""
+    return 2.0 * rho / objective(rho, offsets)[1]
 
 
 def test_distance_profile_zero_offset():
-    dists = distances(3.0, (0.0,))
-    assert dists[0] == 4.0
-    assert dists[1] == pytest.approx(4.0 * math.sqrt(2.0), rel=1e-14)
+    assert distance(3.0, (0.0,)) == pytest.approx(4.0 * math.sqrt(2.0), rel=1e-14)
 
 
 def test_distance_profile_rho3_crossing_offset():
-    dists = distances(3.0, (5.0 / 13.0,))
     # d_2^2 = 16 + 2*4*(5/13)*4 + 16 = 576/13
-    assert dists[-1] == pytest.approx(24.0 / math.sqrt(13.0), rel=1e-14)
+    assert distance(3.0, (5.0 / 13.0,)) == pytest.approx(24.0 / math.sqrt(13.0), rel=1e-14)
 
 
 def test_distances_strictly_increase():
+    # Every step leaves D_0 = 1 + rho farther behind, and more so at a
+    # larger offset.
     rng = np.random.default_rng(3)
     for _ in range(50):
         k = int(rng.integers(1, 5))
         rho = float(rng.uniform(1.01, 8.0))
-        dists = distances(rho, tuple(rng.uniform(0.0, 0.99, size=k)))
-        assert all(b > a for a, b in zip(dists, dists[1:]))
+        offsets = rng.uniform(0.0, 0.99, size=k).tolist()
+        assert distance(rho, [0.0] * k) > 1.0 + rho
+        for j in range(k):
+            lower = offsets[:j] + [0.5 * offsets[j]] + offsets[j + 1:]
+            assert distance(rho, offsets) > distance(rho, lower), (rho, offsets, j)
 
 
 def test_objective_examples():
@@ -283,16 +288,41 @@ def test_located_crossing_replays_the_bisection_on_the_sweep_grids():
 
 
 def test_the_benchmark_sweep_evaluates_the_curve_at_most_2200_times(monkeypatch, capsys):
-    # Plain bisection evaluates it 4311 times on these 90 solves.
-    curve, calls = thresholds._stationary_u, []
+    # Plain bisection evaluates the curve 4311 times on these 90 solves, and
+    # the zero offsets once per solve.  Each solve builds one evaluator.
+    build, calls = thresholds._evaluator, []
 
-    def counted(*args):
-        calls.append(args)
-        return curve(*args)
+    def counted(rho, k):
+        evaluate = build(rho, k)
 
-    monkeypatch.setattr(thresholds, "_stationary_u", counted)
+        def counted_evaluate(u):
+            calls.append(len(u))
+            return evaluate(u)
+
+        return counted_evaluate
+
+    monkeypatch.setattr(thresholds, "_evaluator", counted)
     assert cli.main(["kappa-sweep", "--rho-min", "1.1", "--rho-max", "10", "--steps", "30", "--quiet"]) == 0
-    assert len(calls) <= 2200
+    assert 90 < len(calls) <= 2200
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.floats(0.0, math.log(1e150), exclude_min=True).map(math.exp).filter(lambda rho: rho <= 1e150),
+    st.integers(1, MAX_K),
+    st.floats(0.0, 1.0, exclude_min=True),
+)
+@example(1e150, MAX_K, 1.0)
+@example(1.0 + 2.0**-52, 1, 1.0)
+def test_the_evaluator_returns_the_frozen_floats(rho, k, share):
+    # u_1 anywhere in the solve's bracket (0, hi]; the frozen copies in
+    # _oracles are the curve and terms the goldens were written with.
+    hi = (k + 2) * math.log(2.0) - math.log(4.0 * rho) + 2.0 * math.log1p(rho)
+    evaluate = thresholds._evaluator(rho, k)
+    want = _stationary_u(rho, share * hi, k)
+    assert evaluate([share * hi]) == (want, _path_terms(rho, want)[:2])
+    zero = [0.0] * k
+    assert evaluate(zero) == (zero, _path_terms(rho, zero)[:2])
 
 
 @pytest.mark.parametrize("rho", [1e9, 1e50, 1e150])
@@ -371,6 +401,6 @@ def test_vector_terms_match_scalar_reference(path):
     got_genealogy, got_geometry = objective(rho, offsets)
     assert got_genealogy == pytest.approx(genealogy, rel=1e-13, abs=0.0)
     assert got_geometry == pytest.approx(geometry, rel=1e-13, abs=0.0)
-    assert distances(rho, offsets) == pytest.approx(dists, rel=1e-13, abs=0.0)
+    assert distance(rho, offsets) == pytest.approx(dists[-1], rel=1e-13, abs=0.0)
     zero = reference_path_terms(rho, k, (0.0,) * k)[0]
     assert genealogy_envelope(rho, k) == pytest.approx(zero, rel=1e-13, abs=0.0)
