@@ -224,7 +224,9 @@ def draw(mixture: RadiusMixture, lam: float, box: BoxSpec, seed: int) -> BallCon
         last = sums[-1]
     n = int(np.searchsorted(arrivals, lam))
     extent = box.side + 2.0 * mixture.r_max
-    centers = -mixture.r_max + stream(seed, 1).random((n, box.dimension)) * extent
+    centers = stream(seed, 1).random((n, box.dimension))
+    centers *= extent
+    centers += -mixture.r_max
     if mixture.radii.size > 1:
         probs = mixture.weights / mixture.total_mass
         radii = stream(seed, 2).choice(mixture.radii, size=n, p=probs)

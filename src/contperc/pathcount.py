@@ -113,12 +113,17 @@ def _norm2(points: np.ndarray) -> np.ndarray:
 def _hits(a, b, i, j, reach):
     """Keep the candidate pairs (i, j) of one trial strictly closer than reach.
 
-    Pairs across trials are dropped before the coordinates are gathered.
+    a and b are (points, trial ids, unshifted axis-0 column) triples.  Pairs
+    across trials are dropped before the coordinates are gathered, and each
+    difference takes its axis 0 from the unshifted column, so the test sees
+    the floats of the unshifted points.
     """
-    (points_a, trial_a), (points_b, trial_b) = a, b
+    (points_a, trial_a, x_a), (points_b, trial_b, x_b) = a, b
     same = trial_a[i] == trial_b[j]
     i, j = i[same], j[same]
-    hit = _norm2(points_a[i] - points_b[j]) < reach * reach
+    diff = points_a[i] - points_b[j]
+    diff[:, 0] = x_a[i] - x_b[j]
+    hit = _norm2(diff) < reach * reach
     return i[hit], j[hit]
 
 
@@ -146,10 +151,13 @@ def _trial_counts(unit, large, rho, k, n_trials, live=None):
     each length 1..k appended.
 
     Trials share d-dimensional k-d trees, trial t shifted by t * spacing
-    along axis 0, beyond both query radii of the others.  The shift rounds a
-    first coordinate by at most half an ulp of the largest, so both query
-    radii grow by two such ulps; the strict test in _hits, on the unshifted
-    points and trial ids, alone decides every edge.
+    along axis 0, beyond both query radii of the others.  For k >= 1 the
+    walker shifts the points of unit and large in place and keeps their
+    unshifted axis-0 columns, so the trees hold the caller's arrays and no
+    second copy; the caller must not reuse them.  The shift rounds a first
+    coordinate by at most half an ulp of the largest, so both query radii
+    grow by two such ulps; the strict test in _hits, on the unshifted
+    coordinates and trial ids, alone decides every edge.
     """
     if k == 0:
         hit = _norm2(large[0]) < (2.0 * rho) ** 2
@@ -157,18 +165,20 @@ def _trial_counts(unit, large, rho, k, n_trials, live=None):
         return counts, counts
     reach = 1.0 + rho
     spacing = 2.0 * (2.0 * rho + 2.0 * k + reach)
-    shifted = [np.column_stack([p[:, 0] + t * spacing, p[:, 1:]]) for p, t in (unit, large)]
-    slack = 2.0 * np.spacing(max(np.abs(p[:, 0]).max(initial=0.0) for p in shifted))
+    chains = np.flatnonzero(_norm2(unit[0]) < reach * reach)[:, None]
+    unit, large = [(p, t, p[:, 0].copy()) for p, t in (unit, large)]
+    for p, t, _ in (unit, large):
+        p[:, 0] += t * spacing
+    slack = 2.0 * np.spacing(max(np.abs(p[:, 0]).max(initial=0.0) for p, _, _ in (unit, large)))
     n_unit = len(unit[0])
 
-    chains = np.flatnonzero(_norm2(unit[0]) < reach * reach)[:, None]
     if k >= 2:
-        tree_u = _tree(shifted[0])
+        tree_u = _tree(unit[0])
     for _ in range(k - 1):
         if live is not None:
             live.append(len(chains))
         front = np.flatnonzero(np.bincount(chains[:, -1], minlength=n_unit))
-        near = _tree(shifted[0][front]).sparse_distance_matrix(
+        near = _tree(unit[0][front]).sparse_distance_matrix(
             tree_u, 2.0 * _QUERY_SLACK + slack, output_type="ndarray"
         )
         a, b = front[near["i"]], near["j"]
@@ -183,8 +193,8 @@ def _trial_counts(unit, large, rho, k, n_trials, live=None):
         live.append(len(chains))
     per_last = np.bincount(chains[:, -1], minlength=n_unit)
     front = np.flatnonzero(per_last)
-    near = _tree(shifted[0][front]).sparse_distance_matrix(
-        _tree(shifted[1]), reach * _QUERY_SLACK + slack, output_type="ndarray"
+    near = _tree(unit[0][front]).sparse_distance_matrix(
+        _tree(large[0]), reach * _QUERY_SLACK + slack, output_type="ndarray"
     )
     u, l = _hits(unit, large, front[near["i"]], near["j"], reach)
     per_end = np.bincount(l, weights=per_last[u], minlength=len(large[0]))
@@ -198,8 +208,12 @@ def _uniform_ball(rng: np.random.Generator, n: int, d: int, radius: float) -> np
     g = rng.standard_normal((n, d))
     norms = np.sqrt(_norm2(g))
     norms[norms == 0.0] = 1.0
-    scale = radius * rng.random(n) ** (1.0 / d) / norms
-    return g * scale[:, None]
+    scale = rng.random(n)
+    scale **= 1.0 / d
+    scale *= radius
+    scale /= norms
+    g *= scale[:, None]
+    return g
 
 
 def _count_text(log_count: float) -> str:
@@ -273,7 +287,7 @@ def count_paths(
         counts_rho = rng.poisson(mean_rho, count)
         pts1 = _uniform_ball(rng, int(counts1.sum()), d, radius1)
         pts_rho = _uniform_ball(rng, int(counts_rho.sum()), d, radius_rho)
-        trial_ids = np.arange(count)
+        trial_ids = np.arange(count, dtype=np.int32)
         unit = (pts1, np.repeat(trial_ids, counts1))
         large = (pts_rho, np.repeat(trial_ids, counts_rho))
         live = None if progress is None else []

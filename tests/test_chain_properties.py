@@ -49,8 +49,11 @@ def point_sets(draw, d, rho):
 
 
 def chain_counts(unit, large, rho, k):
-    """(N_k, M_k) of one realization, walked as a batch of one trial."""
-    one = lambda points: (points, np.zeros(len(points), dtype=np.intp))
+    """(N_k, M_k) of one realization, walked as a batch of one trial.
+
+    The walker shifts its inputs in place, so it gets copies.
+    """
+    one = lambda points: (points.copy(), np.zeros(len(points), dtype=np.intp))
     n, m = pathcount._trial_counts(one(unit), one(large), rho, k, 1)
     return int(n[0]), int(m[0])
 

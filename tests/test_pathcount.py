@@ -1,10 +1,12 @@
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from contperc import pathcount
-from contperc.cli import main
+from contperc.cli import DEFAULT_SEED, main
 from contperc.geometry import unit_ball_volume
 from contperc.pathcount import count_paths, tuple_expectation_exact
 from contperc.util import CapacityError
@@ -179,7 +181,8 @@ def test_per_sample_domination():
     # matrix).  Only trial 1 of 3 holds points.
     none, one, pair = np.zeros((0, 2)), np.array([[1.0, 0.0]]), np.array([[1.0, 0.0], [2.0, 0.0]])
     large = np.array([[2.5, 0.0]])
-    in_trial_1 = lambda points: (points, np.ones(len(points), dtype=np.intp))
+    # The walker shifts its inputs in place, so each call gets copies.
+    in_trial_1 = lambda points: (points.copy(), np.ones(len(points), dtype=np.intp))
     for p1, pr in ((none, large), (pair, none), (one, large), (pair, large)):
         for k in (1, 2, 3, 4):
             n, m = pathcount._trial_counts(in_trial_1(p1), in_trial_1(pr), rho, k, 3)
@@ -230,7 +233,8 @@ def test_queries_start_from_the_live_frontier(monkeypatch):
     trial_counts = pathcount._trial_counts
 
     def recording(unit, large, *args):
-        walks.append((unit, large))
+        # Copies: the walker shifts the points it is given in place.
+        walks.append(((unit[0].copy(), unit[1]), (large[0].copy(), large[1])))
         return trial_counts(unit, large, *args)
 
     monkeypatch.setattr(pathcount, "cKDTree", Recording)
@@ -251,6 +255,22 @@ def test_queries_start_from_the_live_frontier(monkeypatch):
         # Trials are shifted along axis 0 only, so the other axes name the centers.
         assert np.array_equal(front.data[:, 1:], points[expected, 1:]), step
     assert {id(t) for t in trees} == {id(t) for q in queries for t in q}
+
+
+def test_a_chunk_holds_its_points_once():
+    # The README's run at the point cap: the walker's trees hold the sampled
+    # points themselves, so the traced peak stays below two copies of them.
+    lines = []
+    tracemalloc.start()
+    try:
+        count_paths(6, 4.0, 0.8, 4, trials=42, seed=DEFAULT_SEED, progress=lines.append)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    (line,) = lines
+    points = sum(map(int, re.findall(r"(?:unit|large)=(\d+)", line)))
+    assert points > 250_000
+    assert peak < 2 * points * 6 * np.dtype(float).itemsize
 
 
 def test_determinism():
