@@ -48,23 +48,19 @@ down to adjacent floats, but evaluates only the midpoints whose side is in
 doubt.  It first locates the crossing by Illinois regula falsi on
 log G - log H (Dowell & Jarratt, BIT 11, 1971), and keeps the nearest
 points `below` and `above` it at which that difference lies outside the
-band [-doubt, doubt], doubt = 2^-48 (k + 1) hi.
+band [-doubt, doubt], doubt = 2^-50 (k + 1) hi.
 
-The band's width: against a 1000-digit evaluation of the curve from the
-same u_1 (rho from 1 + 1e-12 to 1e150, k <= 12), the computed difference
-was within 0.85 * 2^-53 (k + 1) hi of the exact one everywhere on [0, hi],
-and within 0.3 * 2^-53 (k + 1) hi near the crossing.  That scale follows
-the largest term: log G sums the k values u_j, whose sum stays below hi at
-the crossing, and each of the k additions and k steps of the curve rounds
-at that magnitude before the division by k + 1.  doubt is 32 times the
-scale, more than twice the largest error seen.  A point outside the band
-thus has the sign of the exact difference, and, the difference being
-increasing, so has every point beyond it.  The bisection moves an end to a
-midpoint at or below `below`, or at or above `above`, without evaluating
-it, and evaluates each end so moved once, after the loop.  Its result is
-the plain bisection's, bit for bit.  On the benchmark's 90 solves it
-evaluates the curve 1587 times, and the zero offsets once per solve, where
-plain bisection evaluates the curve 4311 times.
+The band's width: the tests hold the computed difference within doubt / 4
+of a 60-digit evaluation of the curve from the same u_1, and that exact
+difference to increasing, for rho up to 1e150 and every k
+(`test_the_curve_gap_lies_in_the_rounding_band_and_increases`).  A point
+outside the band thus has the sign of the exact difference, and so has
+every point beyond it.  The bisection moves an end to a midpoint at or below `below`,
+or at or above `above`, without evaluating it, and evaluates each end so
+moved once, after the loop.  Its result is the plain bisection's, bit for
+bit.  On the benchmark's 90 solves it evaluates the curve 1399 times, and
+the zero offsets once per solve, where plain bisection evaluates the curve
+4311 times.
 """
 
 from __future__ import annotations
@@ -85,13 +81,14 @@ __all__ = [
 ]
 
 MAX_K = 12
-# Halvings of the bisection bracket [0, hi], hi < 360; a crossing above
-# hi * 2**-47 is resolved to the float before the limit.
+# Halvings of the bisection bracket [0, hi], hi < 360 (tested); a crossing
+# above hi * 2**-47 is resolved to the float before the limit.
 _BISECTIONS = 100
 _LOG2 = math.log(2.0)
 # Half-width, per unit of (k + 1) hi, of the band around 0 outside which
-# the computed log G - log H has the sign of the exact one (module docstring).
-_DOUBT = 2.0**-48
+# the computed log G - log H has the sign of the exact one: 8 times the
+# scale of its rounding, 2^-53 (k + 1) hi, as log G sums k values u_j.
+_DOUBT = 2.0**-50
 
 
 @dataclass(frozen=True)
@@ -216,7 +213,7 @@ def _certain_sides(evaluate, k: int, hi: float, f_0: float, f_hi: float) -> tupl
     [-doubt, doubt], doubt = _DOUBT (k + 1) hi.  Illinois regula falsi
     narrows the bracket until an iterate falls inside the band; then one
     probe on each side, where the bracket's slope puts the difference at
-    -2 doubt and 2 doubt, tries to step past it.
+    -1.25 doubt and 1.25 doubt, tries to step past it.
     """
     doubt = _DOUBT * (k + 1) * hi
     (a, f_a), (b, f_b) = (0.0, f_0), (hi, f_hi)
@@ -240,7 +237,7 @@ def _certain_sides(evaluate, k: int, hi: float, f_0: float, f_hi: float) -> tupl
                 g_a *= 0.5
             kept = "a"
     slope = (f_b - f_a) / (b - a)
-    root, step = x - f_x / slope, 2.0 * doubt / slope
+    root, step = x - f_x / slope, 1.25 * doubt / slope
     for y in (root - step, root + step):
         if a < y < b:
             f_y = _log_gap(evaluate([y])[1])
@@ -282,16 +279,18 @@ def kappa_c_k(rho: float, k: int) -> KappaResult:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
-        if below < mid < above:
+        if mid <= below:
+            lo = mid
+        elif mid >= above:
+            hi = mid
+        else:
             end = evaluate([mid])
-            upper = end[1][0] >= end[1][1]
-        else:
-            end, upper = None, mid >= above
-        if upper:
-            hi, ends[1] = mid, end
-        else:
-            lo, ends[0] = mid, end
-    ends = [end or evaluate([x]) for end, x in zip(ends, (lo, hi))]
+            if end[1][0] >= end[1][1]:
+                hi, ends[1] = mid, end
+            else:
+                lo, ends[0] = mid, end
+    # An end whose u_1 is not the bracket's moved without an evaluation.
+    ends = [end if end[0][0] == x else evaluate([x]) for end, x in zip(ends, (lo, hi))]
     u, terms = min(ends, key=lambda end: max(end[1]))
     return KappaResult(max(terms), tuple(u), terms, k)
 

@@ -4,6 +4,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 from scipy.optimize import minimize
 from scipy.sparse import coo_matrix
@@ -342,6 +343,37 @@ def bisection_kappa_c_k(rho, k):
             hi, ends[1] = mid, (u, terms)
     u, terms = min(ends, key=lambda end: max(end[1]))
     return KappaResult(max(terms), tuple(u), terms, k)
+
+
+def high_precision_gap(rho, k, u_1):
+    """log G - log H along the stationarity curve through u_1, at 60 digits.
+
+    Written from the `thresholds` module docstring in mpmath's arbitrary
+    exponent range: log G = (log(4 rho) - 2 log(1 + rho) + sum log cosh u_j)
+    / (k + 1), log H = log(2 rho) - log D_k, f(a_j) = sinh(2 u_j) / 2, and
+    a_{j+1} = 2K / (D_j + S) with 1 - a_{j+1} = (D_j + (D_j^2 + 4K r_{j+1})
+    / (S + 2K)) / (D_j + S), so u_{j+1} = (log(1 + a) - log(1 - a)) / 2
+    keeps its digits when a rounds to 1 (atanh a for a < 1/2).  rho and u_1
+    are taken exactly.
+    """
+    with mpmath.workdps(60):
+        rho, u = mpmath.mpf(rho), [mpmath.mpf(u_1)]
+        radii = [mpmath.mpf(2)] * (k - 1) + [1 + rho]
+        d = 1 + rho
+        for j, r in enumerate(radii):
+            d_prev, d = d, mpmath.sqrt(d * d + 2 * r * mpmath.tanh(u[j]) * d + r * r)
+            if j + 1 < k:
+                r_next = radii[j + 1]
+                big_k = mpmath.sinh(2 * u[j]) / 2 * r_next * d * d / (r * d_prev)
+                s = mpmath.sqrt(d * d + 4 * big_k * (r_next + big_k))
+                a = 2 * big_k / (d + s)
+                if a < 0.5:
+                    u.append(mpmath.atanh(a))
+                else:
+                    one_minus_a = (d + (d * d + 4 * big_k * r_next) / (s + 2 * big_k)) / (d + s)
+                    u.append((mpmath.log1p(a) - mpmath.log(one_minus_a)) / 2)
+        log_g = (mpmath.log(4 * rho) - 2 * mpmath.log1p(rho) + sum(mpmath.log(mpmath.cosh(x)) for x in u)) / (k + 1)
+        return log_g - mpmath.log(2 * rho) + mpmath.log(d)
 
 
 def certified_kappa_bracket(rho, k, eps):

@@ -22,6 +22,7 @@ from _oracles import (
     _stationary_u,
     bisection_kappa_c_k,
     certified_kappa_bracket,
+    high_precision_gap,
     reference_kappa_c_k,
     reference_path_terms,
     reference_term_gradients,
@@ -287,9 +288,10 @@ def test_located_crossing_replays_the_bisection_on_the_sweep_grids():
             assert_same_as_bisection(rho, k)
 
 
-def test_the_benchmark_sweep_evaluates_the_curve_at_most_2200_times(monkeypatch, capsys):
+def test_the_benchmark_sweep_evaluates_the_curve_at_most_1550_times(monkeypatch, capsys):
     # Plain bisection evaluates the curve 4311 times on these 90 solves, and
-    # the zero offsets once per solve.  Each solve builds one evaluator.
+    # the zero offsets once per solve; the replay takes 1489 evaluations in
+    # all.  Each solve builds one evaluator.
     build, calls = thresholds._evaluator, []
 
     def counted(rho, k):
@@ -303,7 +305,51 @@ def test_the_benchmark_sweep_evaluates_the_curve_at_most_2200_times(monkeypatch,
 
     monkeypatch.setattr(thresholds, "_evaluator", counted)
     assert cli.main(["kappa-sweep", "--rho-min", "1.1", "--rho-max", "10", "--steps", "30", "--quiet"]) == 0
-    assert 90 < len(calls) <= 2200
+    assert 90 < len(calls) <= 1550
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.one_of(
+        st.floats(0.0, math.log(1e150), exclude_min=True).map(math.exp),
+        st.just(1.0 + 1e-12),
+    ).filter(lambda rho: 1.0 < rho <= 1e150),
+    st.integers(1, MAX_K),
+    st.lists(st.integers(1, 2**30), min_size=1, max_size=12),
+    st.lists(st.floats(-1e-6, 1e-6), max_size=6),
+)
+@example(1e4, 2, [890399562], [-1e-6, 0.0, 1e-6])
+@example(1e150, MAX_K, [1, 2**30], [-1e-6, 0.0, 1e-6])
+@example(1.0 + 1e-12, MAX_K, [1, 2**30], [0.0])
+def test_the_curve_gap_lies_in_the_rounding_band_and_increases(rho, k, steps, nears):
+    # u_1 on a grid of 2^30 steps over (0, hi], coarse enough for 60 digits
+    # to order the exact gaps, and within 1e-6 relative of the solve's own.
+    # The replay needs the computed gap within doubt / 2 of the exact one;
+    # the largest error seen, at the first example, is about doubt / 8.
+    hi = (k + 2) * math.log(2.0) - math.log(4.0 * rho) + 2.0 * math.log1p(rho)
+    u_star = kappa_c_k(rho, k).u[0]
+    points = sorted(({i * 2.0**-30 * hi for i in steps} | {u_star * (1.0 + t) for t in nears}) - {0.0})
+    evaluate = thresholds._evaluator(rho, k)
+    exact = [high_precision_gap(rho, k, u_1) for u_1 in points]
+    for u_1, want in zip(points, exact):
+        got = thresholds._log_gap(evaluate([u_1])[1])
+        assert abs(got - want) <= thresholds._DOUBT * (k + 1) * hi / 4, (u_1, got, want)
+    assert all(a < b for a, b in zip(exact, exact[1:]))
+
+
+def test_the_bisection_bracket_stays_below_360(monkeypatch):
+    # _BISECTIONS is sized for hi < 360; hi grows with rho and k, so a
+    # longer path than MAX_K allows must size it anew.
+    find, tops = thresholds._certain_sides, []
+
+    def recorded(evaluate, k, hi, f_0, f_hi):
+        tops.append(hi)
+        return find(evaluate, k, hi, f_0, f_hi)
+
+    monkeypatch.setattr(thresholds, "_certain_sides", recorded)
+    for k in range(1, MAX_K + 1):
+        kappa_c_k(1e150, k)
+    assert len(tops) == MAX_K and max(tops) < 360.0
 
 
 @settings(deadline=None, max_examples=300)
