@@ -30,7 +30,7 @@ print(f"normalized threshold, two scales: {multi.normalized:.3f} (covered {multi
 
 print("\nalpha sweep at rho=4 (small boxes, quick look):", file=sys.stderr)
 alphas = [0.0, 0.25, 0.5, 0.75, 1.0]
-estimates = alpha_sweep(4.0, alphas, 2, BoxSpec(2, 10.0), trials=100, seed=5)
+estimates = alpha_sweep(4.0, alphas, BoxSpec(2, 10.0), trials=100, seed=5)
 print("\nalpha   normalized   covered")
 for alpha, est in zip(alphas, estimates):
     print(f"{alpha:4.2f}    {est.normalized:7.4f}     {est.covered_volume:.4f}")

@@ -3,9 +3,9 @@
 A seed fixes one Poisson process of balls arriving in order of intensity
 (Newman & Ziff, PRL 85, 4104, 2000), with centers uniform in a sampling
 window and radii drawn independently from the mixture's atoms; its balls
-arriving below lambda are a configuration at lambda.  draw is the one
-sampler: sample checks the box before it, and threshold trials call it.
-Under one seed, configurations are nested in lambda.
+arriving below lambda are a configuration at lambda.  sample is the one
+sampler, which the threshold trials call too.  Under one seed,
+configurations are nested in lambda.
 
 Connectivity uses open balls (strict inequality on center distances).
 Candidate pairs come from one scipy k-d tree per radius class, queried
@@ -33,7 +33,9 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from .geometry import unit_ball_volume
-from .util import _QUERY_SLACK, CapacityError, ipow, stream
+from .util import (
+    _QUERY_SLACK, CapacityError, check_int, check_intensity, check_positive, ipow, stream
+)
 
 __all__ = [
     "RadiusMixture",
@@ -106,14 +108,12 @@ class RadiusMixture:
 
     def scaled(self, a: float) -> "RadiusMixture":
         """Image under r -> a*r (weights unchanged)."""
-        if not a > 0.0:
-            raise ValueError("scale factor must be positive")
+        check_positive(a, "scale factor")
         return RadiusMixture(zip((self.radii * a).tolist(), self.weights.tolist()))
 
     def mass_scaled(self, c: float) -> "RadiusMixture":
         """Same atoms with all weights multiplied by c."""
-        if not c > 0.0:
-            raise ValueError("mass factor must be positive")
+        check_positive(c, "mass factor")
         return RadiusMixture(zip(self.radii.tolist(), (self.weights * c).tolist()))
 
     def __eq__(self, other) -> bool:
@@ -132,10 +132,8 @@ class BoxSpec:
     side: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.dimension, int) or self.dimension < 2:
-            raise ValueError("dimension must be an integer >= 2")
-        if not 0.0 < self.side < math.inf:
-            raise ValueError(f"box side must be positive and finite, not {self.side!r}")
+        check_int(self.dimension, "dimension", 2)
+        check_positive(self.side, "box side")
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,7 +193,7 @@ def expected_count(mixture: RadiusMixture, lam: float, box: BoxSpec) -> float:
     return lam * (mixture.total_mass * ipow(box.side + 2.0 * mixture.r_max, box.dimension))
 
 
-def draw(mixture: RadiusMixture, lam: float, box: BoxSpec, seed: int) -> BallConfiguration:
+def sample(mixture: RadiusMixture, lam: float, box: BoxSpec, seed: int) -> BallConfiguration:
     """The balls of the process on `seed` arriving below lam, in arrival order.
 
     The gaps are standard exponentials over the rate expected_count(mixture,
@@ -207,8 +205,7 @@ def draw(mixture: RadiusMixture, lam: float, box: BoxSpec, seed: int) -> BallCon
     the chunks and the draw at a lower lam is a prefix of this one.  A lam
     expecting over MAX_EXPECTED_COUNT balls raises CapacityError first.
     """
-    if not lam >= 0.0:
-        raise ValueError(f"intensity must be non-negative, not {lam!r}")
+    check_intensity(lam)
     rate = expected_count(mixture, 1.0, box)
     if rate * lam > MAX_EXPECTED_COUNT:
         raise CapacityError(
@@ -233,19 +230,6 @@ def draw(mixture: RadiusMixture, lam: float, box: BoxSpec, seed: int) -> BallCon
     else:
         radii = np.full(n, mixture.r_max)
     return BallConfiguration(centers, radii, int(seed), float(lam), arrivals[:n])
-
-
-def sample(mixture: RadiusMixture, lam: float, box: BoxSpec, seed: int) -> BallConfiguration:
-    """Sample one Boolean model configuration, fully determined by `seed`.
-
-    The configuration is draw's, so samples under one seed are nested in
-    lam, and sample(canon, lam, box, derive_seed(seed, t)) is what trial t
-    of a threshold run tests at lam.  The box side must exceed four times
-    the largest radius; the estimator, which calls draw, accepts less.
-    """
-    if not box.side > 4.0 * mixture.r_max:
-        raise ValueError("box side must exceed four times the largest radius")
-    return draw(mixture, lam, box, seed)
 
 
 def _candidate_pairs(centers: np.ndarray, radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -305,10 +289,8 @@ def percolates(labeling: ClusterLabeling) -> bool:
 
 def covered_fraction_exact(mixture: RadiusMixture, lam: float, d: int) -> float:
     """Fraction of space covered: 1 - exp(-lam * v_d * sum w_i r_i^d)."""
-    if not lam >= 0.0:
-        raise ValueError(f"intensity must be non-negative, not {lam!r}")
-    if not isinstance(d, int) or d < 1:
-        raise ValueError("dimension must be a positive integer")
+    check_intensity(lam)
+    check_int(d, "dimension", 1)
     return -math.expm1(-lam * unit_ball_volume(d) * mixture.moment(d))
 
 
@@ -322,8 +304,7 @@ def covered_fraction_empirical(
     configuration: it leaves out the configuration's own fluctuation, so
     it does not bound the distance to covered_fraction_exact.
     """
-    if probes < 1:
-        raise ValueError("need at least one probe point")
+    check_int(probes, "probes", 1)
     d = box.dimension
     rng = stream(seed)
     points = rng.random((probes, d)) * box.side

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
-from .util import check_rho, exp_or_inf
+from .util import check_int, check_positive, check_rho, exp_or_inf
 
 if TYPE_CHECKING:
     import numpy as np
@@ -31,10 +31,8 @@ __all__ = [
 
 
 def _check(d: int, kappa: float, rho: float) -> None:
-    if not isinstance(d, int) or d < 1:
-        raise ValueError("dimension must be a positive integer")
-    if not 0.0 < kappa < math.inf:
-        raise ValueError(f"kappa must be positive and finite, not {kappa!r}")
+    check_int(d, "dimension", 1)
+    check_positive(kappa, "kappa")
     check_rho(rho)
 
 
@@ -72,8 +70,7 @@ def gw_critical_kappa(d: int, rho: float) -> float:
     Closed form (1 + ((1+rho)/(2 sqrt(rho)))^d)^(-1/d), increasing in d
     toward the limit 2 sqrt(rho)/(1+rho).
     """
-    if not isinstance(d, int) or d < 1:
-        raise ValueError("dimension must be a positive integer")
+    check_int(d, "dimension", 1)
     check_rho(rho)
     log_beta = math.log((1.0 + rho) / (2.0 * math.sqrt(rho)))
     return math.exp(-log_beta - math.log1p(math.exp(-d * log_beta)) / d)

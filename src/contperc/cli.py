@@ -16,7 +16,7 @@ import secrets
 import sys
 from dataclasses import asdict, dataclass
 
-from .util import CapacityError, check_rho
+from .util import CapacityError, check_int, check_rho, check_seed
 
 DEFAULT_SEED = 20260808
 
@@ -71,8 +71,7 @@ def _parse_seed(text: str) -> int:
     if text == "random":
         return secrets.randbits(63)
     seed = int(text)
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, not {seed}")
+    check_seed(seed)
     return seed
 
 
@@ -137,8 +136,7 @@ def _cmd_kappa_sweep(params: dict, seed: int, quiet: bool):
     rho_max = params["rho_max"]
     steps = params["steps"]
     k_max = params["kmax"]
-    if not 3 <= k_max <= thresholds.MAX_K:
-        raise ValueError(f"kappa-sweep needs kmax in 3..{thresholds.MAX_K}")
+    check_int(k_max, "kmax", 3, thresholds.MAX_K, f"kappa-sweep needs kmax in 3..{thresholds.MAX_K}")
     check_rho(rho_min)
     check_rho(rho_max)
     if steps < 2 or not rho_min < rho_max:
@@ -184,17 +182,15 @@ def _cmd_alpha_sweep(params: dict, seed: int, quiet: bool):
     from .boolean_model import BoxSpec
 
     rho = params["rho"]
-    d = params["d"]
     if "alphas" in params:
         text = params["alphas"]
         alphas = [float(a) for a in text.split(",")] if text else []
     else:
         alphas = _linspace(0.0, 1.0, params["alpha_count"])
-    box = BoxSpec(dimension=d, side=params["L"])
+    box = BoxSpec(dimension=params["d"], side=params["L"])
     points = estimation.alpha_sweep(
         rho,
         alphas,
-        d,
         box,
         trials=params["trials"],
         seed=seed,

@@ -6,7 +6,7 @@ a trial is one marked Poisson process whose balls arrive in order of
 increasing intensity, its configuration at lambda is its balls arriving
 below lambda, and it crosses the box exactly when lambda exceeds the latest
 arrival on a minimax path between the two faces.  Trial t is the process
-of boolean_model.draw on derive_seed(seed, t), drawn to rising tops until
+of boolean_model.sample on derive_seed(seed, t), drawn to rising tops until
 it has crossed (see _trial), so its critical intensity is finite and
 depends on the seed and the trial's index alone, and
 sample(canon, lambda, box, derive_seed(seed, t)) replays its configuration
@@ -57,11 +57,11 @@ from .boolean_model import (
     BoxSpec,
     RadiusMixture,
     clusters,
-    draw,
     expected_count,
+    sample,
 )
 from .geometry import unit_ball_volume
-from .util import MAX_SIMULATION_DIMENSION, CapacityError, check_rho, derive_seed, ipow
+from .util import MAX_SIMULATION_DIMENSION, CapacityError, check_int, check_rho, derive_seed, ipow
 
 __all__ = [
     "ThresholdEstimate",
@@ -185,7 +185,7 @@ def _trial(
 ) -> tuple[float, int, int]:
     """(critical intensity, tops, balls) of the trial on `seed`.
 
-    The trial is the process of boolean_model.draw on `seed`, tested on its
+    The trial is the process of boolean_model.sample on `seed`, tested on its
     balls below `start`, then, while they do not cross, below lam_hi (if
     `start` is below it), 2 lam_hi, 4 lam_hi and so on, each top drawn
     afresh.  Balls arriving later can only join paths whose latest arrival
@@ -197,7 +197,7 @@ def _trial(
     """
     top, tops = start, 1
     while True:
-        config = draw(mixture, top, box, seed)
+        config = sample(mixture, top, box, seed)
         critical = _critical_mark(config, box, config.arrivals)
         if critical < math.inf:
             return critical, tops, config.n
@@ -338,17 +338,12 @@ def _estimates(runs, trials: int, progress: ProgressFn | None) -> list[Threshold
     header (unless None), the trial lines the first time its problem is
     solved, and its median line.
     """
-    if trials < 50:
-        raise ValueError("need at least 50 trials")
+    check_int(trials, "trials", 50, message="need at least 50 trials")
     plans = []
     balls = 0.0
     for header, mixture, box, side, seed in runs:
         d = box.dimension
-        if d > MAX_SIMULATION_DIMENSION:
-            raise ValueError(
-                f"simulation is supported for dimension <= {MAX_SIMULATION_DIMENSION}; "
-                "box volumes explode beyond that"
-            )
+        check_int(d, "dimension", 2, MAX_SIMULATION_DIMENSION)
         canon, scale, mass = canonicalize(mixture)
         norm_factor, lam_hi = _first_bracket(canon, d)
         canon_box = BoxSpec(dimension=d, side=side)
@@ -472,8 +467,7 @@ def mu_d_transform(mixture: RadiusMixture, d: int) -> RadiusMixture:
     This makes the expected number of balls of each radius covering a fixed
     point independent of the dimension.  d = 0 is the identity.
     """
-    if not isinstance(d, int) or d < 0:
-        raise ValueError("d must be a non-negative integer")
+    check_int(d, "d", 0)
     new_weights = mixture.weights / ipow(mixture.radii, d)
     return RadiusMixture(zip(mixture.radii.tolist(), new_weights.tolist()))
 
@@ -484,12 +478,10 @@ def multiscale_family(n: int, a: float, d: int) -> RadiusMixture:
     Every atom contributes the same d-th moment w r^d = 1, so the n scales
     carry equal coverage weight.
     """
-    if not isinstance(n, int) or n < 1:
-        raise ValueError("n must be a positive integer")
+    check_int(n, "n", 1)
     if not a > 1.0:
         raise ValueError("a must exceed 1")
-    if not isinstance(d, int) or d < 1:
-        raise ValueError("d must be a positive integer")
+    check_int(d, "d", 1)
     atoms = [(1.0 / ipow(a, k), ipow(a, d * k)) for k in range(n)]
     return RadiusMixture(atoms)
 
@@ -514,7 +506,6 @@ def mixture_for_alpha(alpha: float, rho: float, d: int) -> RadiusMixture:
 def alpha_sweep(
     rho: float,
     alphas: Sequence[float],
-    d: int,
     box: BoxSpec,
     trials: int,
     seed: int = 0,
@@ -523,21 +514,21 @@ def alpha_sweep(
     """Estimate critical covered volumes along the two-radius interpolation,
     one estimate per alpha, in the order of `alphas`.
 
-    The box side is interpreted in units of the largest mixture radius, so
-    every sweep point runs in the canonical box of side box.side, at the
-    same relative finite-size resolution.  All points share the one seed
-    for the same reason (matched trial streams; common random numbers also
-    smooth the curve).  The alpha = 0 and alpha = 1 endpoints are then the
-    identical canonical problem, the unit ball, which _estimates solves
-    once, reporting only the alpha line and the median line for the second.
-    Every alpha is validated before the first estimate starts, an empty list
-    is rejected, and the run size is checked summed over the alphas.
+    The dimension is the box's, and its side is read in units of the largest
+    mixture radius, so every sweep point runs in the canonical box of side
+    box.side, at the same relative finite-size resolution.  All points share
+    the one seed for the same reason (matched trial streams; common random
+    numbers also smooth the curve).  The alpha = 0 and alpha = 1 endpoints are
+    then the identical canonical problem, the unit ball, which _estimates
+    solves once, reporting only the alpha line and the median line for the
+    second.  Every alpha is validated before the first estimate starts, an
+    empty list is rejected, and the run size is checked summed over the alphas.
     """
     if len(alphas) == 0:
         raise ValueError("need at least one alpha")
-    mixtures = [mixture_for_alpha(float(alpha), rho, d) for alpha in alphas]
+    mixtures = [mixture_for_alpha(float(alpha), rho, box.dimension) for alpha in alphas]
     runs = []
     for alpha, mixture in zip(alphas, mixtures):
-        physical = BoxSpec(dimension=d, side=box.side * mixture.r_max)
+        physical = BoxSpec(dimension=box.dimension, side=box.side * mixture.r_max)
         runs.append((f"alpha={alpha:g}", mixture, physical, box.side, seed))
     return _estimates(runs, trials, progress)

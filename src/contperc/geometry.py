@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from scipy.special import gammaln
 
-from .util import exp_or_inf
+from .util import check_int, exp_or_inf
 
 __all__ = [
     "SlabSpec",
@@ -58,8 +58,7 @@ class SlabSpec:
     upper: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.dimension, int) or self.dimension < 1:
-            raise ValueError("dimension must be a positive integer")
+        check_int(self.dimension, "dimension", 1)
         if not 0.0 < self.radius < math.inf:
             raise ValueError("radius must be positive and finite")
         if not (0.0 <= self.lower < self.upper <= 1.0):
@@ -68,8 +67,7 @@ class SlabSpec:
 
 def log_unit_ball_volume(d: int) -> float:
     """Return ln(v_d), the log volume of the unit ball in R^d."""
-    if not isinstance(d, int) or d < 1:
-        raise ValueError("dimension must be a positive integer")
+    check_int(d, "dimension", 1)
     return 0.5 * d * _LN_PI - gammaln(0.5 * d + 1.0)
 
 
@@ -100,25 +98,19 @@ def _beta_cont_frac(a: float, b: float, x: float) -> float:
     h = d
     for m in range(1, _BETA_CF_MAX_ITER + 1):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        for aa in (
+            m * (b - m) * x / ((qam + m2) * (a + m2)),
+            -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2)),
+        ):
+            d = 1.0 + aa * d
+            if abs(d) < tiny:
+                d = tiny
+            c = 1.0 + aa / c
+            if abs(c) < tiny:
+                c = tiny
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < _BETA_CF_TOL:
             return h
     raise RuntimeError(
@@ -168,8 +160,7 @@ def log_upper_cap_fraction(d: int, t: float) -> float:
     Spherical-cap formula: the fraction equals (1/2) I_{1-t^2}((d+1)/2, 1/2).
     `t` must lie in [0, 1]; t = 0 gives the half ball, t = 1 the empty cap.
     """
-    if not isinstance(d, int) or d < 1:
-        raise ValueError("dimension must be a positive integer")
+    check_int(d, "dimension", 1)
     if not 0.0 <= t <= 1.0:
         raise ValueError("cap height fraction must lie in [0, 1]")
     x = (1.0 - t) * (1.0 + t)

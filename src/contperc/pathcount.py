@@ -45,6 +45,8 @@ from .util import (
     _QUERY_SLACK,
     MAX_SIMULATION_DIMENSION,
     CapacityError,
+    check_int,
+    check_positive,
     check_rho,
     exp_or_inf,
     stream,
@@ -89,13 +91,10 @@ def tuple_expectation_exact(d: int, rho: float, kappa: float, k: int) -> float:
     Evaluated in log space, and math.inf past double range.  The formula
     holds in every dimension, so d is not capped as in count_paths.
     """
-    if not isinstance(d, int) or d < 1:
-        raise ValueError("dimension must be a positive integer")
+    check_int(d, "dimension", 1)
     check_rho(rho)
-    if not 0.0 < kappa < math.inf:
-        raise ValueError(f"kappa must be positive and finite, not {kappa!r}")
-    if not isinstance(k, int) or k < 0:
-        raise ValueError("k must be a non-negative integer")
+    check_positive(kappa, "kappa")
+    check_int(k, "k", 0)
     if k == 0:
         return exp_or_inf(d * math.log(kappa))
     log_val = d * (
@@ -247,15 +246,12 @@ def count_paths(
     progress, if given, gets one line per chunk, in order: its index, its
     trials, its unit and large points, and its chains of each length 1..k.
     """
-    if not isinstance(d, int) or not 1 <= d <= MAX_SIMULATION_DIMENSION:
-        raise ValueError(f"dimension must lie in 1..{MAX_SIMULATION_DIMENSION}")
+    check_int(d, "dimension", 1, MAX_SIMULATION_DIMENSION)
     check_rho(rho)
-    if not 0.0 < kappa < math.inf:
-        raise ValueError(f"kappa must be positive and finite, not {kappa!r}")
-    if not isinstance(k, int) or k < 0 or k > _MAX_K:
-        raise ValueError(f"k must lie in 0..{_MAX_K}")
-    if trials < 2:
-        raise ValueError("trials must be at least 2, so that the standard errors are finite")
+    check_positive(kappa, "kappa")
+    check_int(k, "k", 0, _MAX_K)
+    finite_se = "trials must be at least 2, so that the standard errors are finite"
+    check_int(trials, "trials", 2, message=finite_se)
     radius1 = 1.0 + rho + 2.0 * (k - 1)  # x_i lies within 1 + rho + 2 (i - 1)
     radius_rho = 2.0 * rho + 2.0 * k
 

@@ -68,7 +68,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .util import check_rho
+from .util import check_int, check_positive, check_rho
 
 __all__ = [
     "KappaResult",
@@ -261,8 +261,7 @@ def kappa_c_k(rho: float, k: int) -> KappaResult:
     every rho up to 1e150.
     """
     check_rho(rho)
-    if not isinstance(k, int) or not 1 <= k <= MAX_K:
-        raise ValueError(f"k must lie in 1..{MAX_K}")
+    check_int(k, "k", 1, MAX_K)
 
     evaluate = _evaluator(rho, k)
     zero = evaluate([0.0] * k)
@@ -306,8 +305,7 @@ def kappa_c(rho: float, k_max: int = 6) -> KappaResult:
     k > k_max then costs at least that much.  Otherwise the result is
     flagged uncertified.
     """
-    if not isinstance(k_max, int) or not 1 <= k_max <= MAX_K:
-        raise ValueError(f"k_max must lie in 1..{MAX_K}")
+    check_int(k_max, "k_max", 1, MAX_K)
     best = kappa_c_k(rho, 1)
     for k in range(2, k_max + 1):
         if genealogy_envelope(rho, k) >= best.kappa:
@@ -338,8 +336,7 @@ def k2_crossover_rho(tol: float = 1e-3) -> float:
     claim is made that the k = 1 optimum stays global all the way up to
     this point.
     """
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    check_positive(tol, "tol")
     lo, hi = 2.0, 12.0
     while hi - lo > 2.0 * tol:
         mid = 0.5 * (lo + hi)

@@ -1,12 +1,13 @@
-"""Small helpers shared across modules: limits, the capacity error, random streams.
+"""Shared helpers: limits, parameter checks, the capacity error, random streams.
 
 Random streams use the Philox counter-based generator.  Every stochastic
 routine in the package takes an explicit 64-bit seed and derives independent
 substreams from (seed, *key) with a SeedSequence, so results never depend on
 scheduling or evaluation order.
 
-numpy is imported inside the two stream functions, so that the analytic
-commands, which import this module but draw nothing, do not load it.
+Each check_* function holds one parameter domain.  numpy is imported inside
+the two stream functions, so that the analytic commands, which import this
+module but draw nothing, do not load it.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ if TYPE_CHECKING:
     import numpy as np
 
 __all__ = [
-    "MAX_SIMULATION_DIMENSION", "CapacityError", "check_rho", "derive_seed", "exp_or_inf", "ipow",
-    "stream",
+    "MAX_SIMULATION_DIMENSION", "CapacityError", "check_int", "check_intensity", "check_positive",
+    "check_rho", "check_seed", "derive_seed", "exp_or_inf", "ipow", "stream",
 ]
 
 # Largest dimension the Monte Carlo layers (estimation, pathcount) simulate;
@@ -43,6 +44,35 @@ def check_rho(rho: float) -> None:
         raise ValueError("rho must exceed 1 and be at most 1e+150")
 
 
+def check_int(value, name: str, low: int, high: float = math.inf, message: str = "") -> None:
+    """Raise ValueError unless value is an int, not a bool, in low..high: naming
+    `name` for another type, and out of range with `message` or the range."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    if not low <= value <= high:
+        rule = f"lie in {low}..{high}" if high < math.inf else f"be an integer >= {low}"
+        if high == math.inf and low in (0, 1):
+            rule = ("be a non-negative integer", "be a positive integer")[low]
+        raise ValueError(message or f"{name} must {rule}")
+
+
+def check_seed(seed) -> None:
+    """The check of every seed, made by stream and derive_seed, so that none is truncated."""
+    check_int(seed, "seed", 0, message=f"seed must be a non-negative integer, not {seed!r}")
+
+
+def check_positive(value: float, name: str) -> None:
+    """Raise ValueError unless value, not a bool, is positive and finite (so not nan)."""
+    if isinstance(value, bool) or not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, not {value!r}")
+
+
+def check_intensity(lam: float) -> None:
+    """Raise ValueError unless the intensity lam, not a bool, is non-negative (so not nan)."""
+    if isinstance(lam, bool) or not lam >= 0.0:
+        raise ValueError(f"intensity must be non-negative, not {lam!r}")
+
+
 def exp_or_inf(x: float) -> float:
     """e^x, or math.inf past double range, just as math.exp gives 0.0 below it."""
     try:
@@ -58,8 +88,7 @@ def ipow(x, n: int):
     by a power of two, which the coupled-seed invariance tests rely on.
     Works elementwise on numpy arrays.
     """
-    if n < 0:
-        raise ValueError("exponent must be non-negative")
+    check_int(n, "exponent", 0)
     result = x * 0 + 1.0
     for _ in range(n):
         result = result * x
@@ -68,6 +97,7 @@ def ipow(x, n: int):
 
 def stream(seed: int, *key: int) -> np.random.Generator:
     """Return a Philox generator for the substream identified by (seed, *key)."""
+    check_seed(seed)
     import numpy as np
 
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
@@ -76,6 +106,7 @@ def stream(seed: int, *key: int) -> np.random.Generator:
 
 def derive_seed(seed: int, *key: int) -> int:
     """Fold (seed, *key) into a single 64-bit integer seed."""
+    check_seed(seed)
     import numpy as np
 
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))

@@ -209,7 +209,7 @@ def test_criterion_7_invariance_suite():
         and doubled.critical == base.critical
     )
 
-    e0, e1 = alpha_sweep(10.0, [0.0, 1.0], 2, BoxSpec(2, 12.0), trials=60, seed=SEED)
+    e0, e1 = alpha_sweep(10.0, [0.0, 1.0], BoxSpec(2, 12.0), trials=60, seed=SEED)
     ok_alpha = (
         e0.normalized == e1.normalized
         and e0.covered_volume == e1.covered_volume

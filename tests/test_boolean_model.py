@@ -77,9 +77,9 @@ def test_a_nan_intensity_is_rejected():
         covered_fraction_exact(UNIT, math.nan, 2)
 
 
-def test_sample_rejects_small_box_and_capacity():
-    with pytest.raises(ValueError):
-        sample(UNIT, 0.1, BoxSpec(2, 4.0), seed=0)  # needs side > 4 r_max
+def test_sample_takes_any_box_side_and_rejects_capacity():
+    # A side of four radii or less is sampled like any other, as the threshold trials are.
+    assert sample(UNIT, 0.5, BoxSpec(2, 4.0), seed=0).n > 0
     with pytest.raises(CapacityError):
         sample(UNIT, 10.0, BoxSpec(2, 3000.0), seed=0)
 

@@ -9,9 +9,9 @@ multiples of powers of two, so arrivals equal to a level occur often and
 every comparison is exact; _critical_mark takes its balls in order of
 ascending mark, so each case is sorted by mark first.  The trial tests
 redraw each trial's balls in arrival order by the draw rule (see
-boolean_model.draw), all at once and without calling it, and decide every
-level with the oracle.  The sample tests check that the public sampler is
-that draw: nested in lambda under one seed, and replaying every trial.
+boolean_model.sample), all at once and without calling it, and decide every
+level with the oracle.  The sample tests check that the public sampler
+draws that way: nested in lambda under one seed, and replaying every trial.
 """
 
 import math

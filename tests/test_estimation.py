@@ -125,7 +125,7 @@ def test_alpha_sweep_caps_the_run_summed_over_its_alphas(monkeypatch):
     fake_critical_intensities(monkeypatch, [0.37] * 60)  # one run alone passes the check
     assert estimate_lambda_c(UNIT, box, trials=60).lambda_c == 0.37
     with pytest.raises(CapacityError, match="over the cap"):
-        alpha_sweep(2.0, [0.0, 1.0], 2, box, trials=60)
+        alpha_sweep(2.0, [0.0, 1.0], box, trials=60)
     monkeypatch.setattr(estimation, "MAX_EXPECTED_COUNT", 0.99 * one)
     with pytest.raises(CapacityError, match="over the cap"):
         estimate_lambda_c(UNIT, box, trials=60)
@@ -403,7 +403,7 @@ def test_mass_invariance_halves_lambda_exactly():
 
 
 def test_alpha_endpoints_identical_per_seed():
-    e0, e1 = alpha_sweep(10.0, [0.0, 1.0], 2, BoxSpec(2, 12.0), trials=60, seed=3)
+    e0, e1 = alpha_sweep(10.0, [0.0, 1.0], BoxSpec(2, 12.0), trials=60, seed=3)
     assert e0.normalized == e1.normalized
     assert e0.covered_volume == e1.covered_volume
     assert e0.critical == e1.critical
@@ -411,7 +411,7 @@ def test_alpha_endpoints_identical_per_seed():
 
 def test_an_alpha_sweep_point_is_the_estimate_of_its_mixture():
     # The sweep's box side is in units of rho, so L = 12 is the physical box 120.
-    (point,) = alpha_sweep(10.0, [0.5], 2, BoxSpec(2, 12.0), trials=60, seed=4)
+    (point,) = alpha_sweep(10.0, [0.5], BoxSpec(2, 12.0), trials=60, seed=4)
     alone = estimate_lambda_c(mixture_for_alpha(0.5, 10.0, 2), BoxSpec(2, 120.0), trials=60, seed=4)
     assert dataclasses.astuple(point) == dataclasses.astuple(alone)
 
@@ -426,7 +426,7 @@ def test_each_canonical_problem_is_solved_once(monkeypatch):
     monkeypatch.setattr(estimation, "_critical_intensities", fake)
     lines = []
     e0, e1, _ = alpha_sweep(
-        10.0, [0.0, 1.0, 0.5], 2, BoxSpec(2, 12.0), trials=60, seed=3, progress=lines.append
+        10.0, [0.0, 1.0, 0.5], BoxSpec(2, 12.0), trials=60, seed=3, progress=lines.append
     )
     assert len(calls) == 2 and e0.critical == e1.critical
     assert [line.split(":")[0] for line in lines] == [

@@ -48,6 +48,8 @@ def test_tuple_expectation_is_infinite_past_double_range():
         (0, 2.0, 0.5, 1, "dimension"),
         (-3, 2.0, 0.5, 1, "dimension"),
         (2.0, 2.0, 0.5, 1, "dimension"),
+        (True, 2.0, 0.5, 1, "dimension"),
+        (math.nan, 2.0, 0.5, 1, "dimension"),
         (2, 0.5, 0.5, 1, "rho"),
         (2, 1.0, 0.5, 1, "rho"),
         (2, math.nan, 0.5, 1, "rho"),
@@ -56,8 +58,11 @@ def test_tuple_expectation_is_infinite_past_double_range():
         (2, 2.0, 0.0, 0, "kappa"),
         (2, 2.0, math.nan, 1, "kappa"),
         (2, 2.0, math.inf, 1, "kappa"),
+        (2, 2.0, True, 1, "kappa"),
         (2, 2.0, 0.5, -1, "k must"),
         (2, 2.0, 0.5, 1.0, "k must"),
+        (2, 2.0, 0.5, True, "k must"),
+        (2, 2.0, 0.5, math.nan, "k must"),
     ],
 )
 def test_tuple_expectation_validates_like_count_paths(d, rho, kappa, k, message):
