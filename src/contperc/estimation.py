@@ -61,7 +61,8 @@ from .boolean_model import (
     sample,
 )
 from .geometry import unit_ball_volume
-from .util import MAX_SIMULATION_DIMENSION, CapacityError, check_int, check_rho, derive_seed, ipow
+from .util import MAX_SIMULATION_DIMENSION, CapacityError, check_int, check_rho, check_seed
+from .util import derive_seed, ipow
 
 __all__ = [
     "ThresholdEstimate",
@@ -344,6 +345,7 @@ def _estimates(runs, trials: int, progress: ProgressFn | None) -> list[Threshold
     for header, mixture, box, side, seed in runs:
         d = box.dimension
         check_int(d, "dimension", 2, MAX_SIMULATION_DIMENSION)
+        check_seed(seed)
         canon, scale, mass = canonicalize(mixture)
         norm_factor, lam_hi = _first_bracket(canon, d)
         canon_box = BoxSpec(dimension=d, side=side)

@@ -26,9 +26,11 @@ live frontier, the distinct last centers of the live chains: each step
 finds the unit-unit steps within 2 of the frontier, dropping steps back
 onto a center already in the chain, and the final frontier finds the
 unit-large hits within 1 + rho.  The work so follows the chains rather
-than the sampled points.  count_paths walks all trials of a chunk at once,
-side by side along the first axis; chunks are sized so that their expected
-points and partial chains stay under caps.
+than the sampled points.  count_paths samples trials in chunks, sized so
+that their expected points and partial chains stay under caps, and walks
+each chunk in slices of consecutive trials, side by side along the first
+axis, that hold at most _WALK_POINTS sampled points unless one trial holds
+more; the walker's trees and pair lists so span a slice, not a chunk.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.sparse import csr_matrix
 from scipy.spatial import cKDTree
 
 from .util import (
@@ -65,6 +66,8 @@ _MAX_K = 4
 _CHUNK_TRIALS = 4096
 _MAX_CHUNK_POINTS = 1.5e6
 _MAX_CHUNK_CHAINS = 1e6
+# Sampled points, unit and large together, per walk of the chain walker.
+_WALK_POINTS = 2**14
 
 
 @dataclass(frozen=True)
@@ -140,14 +143,14 @@ def _trial_counts(unit, large, rho, k, n_trials, live=None):
     unit indices of one chain, and the frontier is the distinct last centers
     of the live chains; every query starts from it.  Each step queries a
     k-d tree over the frontier against the tree over all unit centers at 2,
-    drops each frontier center's pair with itself, holds the steps as a CSR
-    matrix, reads its rows at the chains' last centers and drops steps back
-    onto a center already in the chain.  After the walk, a tree over the
-    final frontier finds the large centers within 1 + rho; each such hit
-    carries the chains ending at its unit center, so their sum per large
-    center counts the chains ending there, which sum to M_k and are nonzero
-    at the N_k endpoints.  live, if a list, gets the number of chains of
-    each length 1..k appended.
+    drops each frontier center's pair with itself, sorts the steps by
+    (center, successor), reads each chain's successors through searchsorted
+    offsets at its last center and drops steps back onto a center already
+    in the chain.  After the walk, a tree over the final frontier finds the
+    large centers within 1 + rho; each such hit carries the chains ending at
+    its unit center, so their sum per large center counts the chains ending
+    there, which sum to M_k and are nonzero at the N_k endpoints.  live, if
+    a list, gets the number of chains of each length 1..k appended.
 
     Trials share d-dimensional k-d trees, trial t shifted by t * spacing
     along axis 0, beyond both query radii of the others.  For k >= 1 the
@@ -171,8 +174,7 @@ def _trial_counts(unit, large, rho, k, n_trials, live=None):
     slack = 2.0 * np.spacing(max(np.abs(p[:, 0]).max(initial=0.0) for p, _, _ in (unit, large)))
     n_unit = len(unit[0])
 
-    if k >= 2:
-        tree_u = _tree(unit[0])
+    tree_u = _tree(unit[0]) if k >= 2 else None
     for _ in range(k - 1):
         if live is not None:
             live.append(len(chains))
@@ -183,11 +185,17 @@ def _trial_counts(unit, large, rho, k, n_trials, live=None):
         a, b = front[near["i"]], near["j"]
         other = a != b  # by index, so that duplicate centers still link
         a, b = _hits(unit, unit, a[other], b[other], 2.0)
-        steps = csr_matrix((np.ones(a.size, dtype=bool), (a, b)), shape=(n_unit, n_unit))
-        step = steps[chains[:, -1]]
-        prev = np.repeat(chains, np.diff(step.indptr), axis=0)
-        fresh = (prev != step.indices[:, None]).all(axis=1)
-        chains = np.column_stack([prev[fresh], step.indices[fresh]])
+        order = np.lexsort((b, a))
+        a, b = a[order], b[order]
+        # Chain r's successors are b[first[r] : first[r] + count[r]].
+        first = np.searchsorted(a, chains[:, -1])
+        count = np.searchsorted(a, chains[:, -1], side="right") - first
+        prev = np.repeat(chains, count, axis=0)
+        step = b[np.arange(len(prev)) + np.repeat(first - np.cumsum(count) + count, count)]
+        fresh = (prev != step[:, None]).all(axis=1)
+        chains = np.column_stack([prev[fresh], step[fresh]])
+        del near, other, a, b, order, first, count, prev, step, fresh
+    del tree_u
     if live is not None:
         live.append(len(chains))
     per_last = np.bincount(chains[:, -1], minlength=n_unit)
@@ -205,7 +213,8 @@ def _trial_counts(unit, large, rho, k, n_trials, live=None):
 def _uniform_ball(rng: np.random.Generator, n: int, d: int, radius: float) -> np.ndarray:
     """n points uniform in the ball of the given radius around the origin."""
     g = rng.standard_normal((n, d))
-    norms = np.sqrt(_norm2(g))
+    norms = _norm2(g)
+    np.sqrt(norms, out=norms)
     norms[norms == 0.0] = 1.0
     scale = rng.random(n)
     scale **= 1.0 / d
@@ -235,13 +244,13 @@ def count_paths(
 
     Trials are processed in chunks, one Philox substream per chunk; within
     a chunk the counts for both processes are drawn first, then all points
-    of the chunk in one batch, and the chain walker counts every trial of
-    the chunk at once.  Unit centers are drawn only in the ball of radius
-    1 + rho + 2 (k - 1), where a chain can reach them (none for k = 0), and
-    large centers in the ball of radius 2 rho + 2 k.  A chunk holds
-    _CHUNK_TRIALS trials unless its expected points or partial chains would
-    pass their caps; a request whose single trial passes a cap raises
-    CapacityError before any sampling.
+    of the chunk in one batch, and the chain walker counts the chunk's
+    trials in slices of at most _WALK_POINTS points (or of one trial).  Unit
+    centers are drawn only in the ball of radius 1 + rho + 2 (k - 1), where
+    a chain can reach them (none for k = 0), and large centers in the ball
+    of radius 2 rho + 2 k.  A chunk holds _CHUNK_TRIALS trials unless its
+    expected points or partial chains would pass their caps; a request whose
+    single trial passes a cap raises CapacityError before any sampling.
 
     progress, if given, gets one line per chunk, in order: its index, its
     trials, its unit and large points, and its chains of each length 1..k.
@@ -283,18 +292,25 @@ def count_paths(
         counts_rho = rng.poisson(mean_rho, count)
         pts1 = _uniform_ball(rng, int(counts1.sum()), d, radius1)
         pts_rho = _uniform_ball(rng, int(counts_rho.sum()), d, radius_rho)
-        trial_ids = np.arange(count, dtype=np.int32)
-        unit = (pts1, np.repeat(trial_ids, counts1))
-        large = (pts_rho, np.repeat(trial_ids, counts_rho))
+        # Rows before each trial; a slice from trial t0 to t1 holds rows ends[t0]:ends[t1].
+        ends1, ends_rho = (np.concatenate([[0], np.cumsum(c)]) for c in (counts1, counts_rho))
+        ends = ends1 + ends_rho
         live = None if progress is None else []
-        n, m = _trial_counts(unit, large, rho, k, count, live)
+        t0 = 0
+        while t0 < count:
+            t1 = max(t0 + 1, int(np.searchsorted(ends, ends[t0] + _WALK_POINTS, "right")) - 1)
+            trial_ids = np.arange(t1 - t0, dtype=np.int32)
+            unit = (pts1[ends1[t0] : ends1[t1]], np.repeat(trial_ids, counts1[t0:t1]))
+            large = (pts_rho[ends_rho[t0] : ends_rho[t1]], np.repeat(trial_ids, counts_rho[t0:t1]))
+            n, m = _trial_counts(unit, large, rho, k, t1 - t0, live)
+            totals += [n.sum(), (n * n).sum(), m.sum(), (m * m).sum()]
+            t0 = t1
         if live is not None:
-            chains = ",".join(map(str, live)) or "none"
+            chains = ",".join(str(sum(live[j::k])) for j in range(k)) or "none"
             progress(
                 f"chunk {chunk_index}: trials={count} unit={len(pts1)} "
                 f"large={len(pts_rho)} chains={chains}"
             )
-        totals += [n.sum(), (n * n).sum(), m.sum(), (m * m).sum()]
 
     sum_n, sumsq_n, sum_m, sumsq_m = totals.tolist()
 

@@ -197,6 +197,8 @@ def objective(rho: float, offsets=(), *, u=None) -> tuple[float, float]:
 
 def genealogy_envelope(rho: float, k: int) -> float:
     """Zero-offset lower bound (4 rho / (1+rho)^2)^(1/(k+1)) for kappa_c(rho, k)."""
+    check_rho(rho)
+    check_int(k, "k", 1)  # no upper bound: kappa_c takes the envelope at MAX_K + 1
     return _evaluator(rho, k)([0.0] * k)[1][0]
 
 

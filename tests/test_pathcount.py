@@ -218,9 +218,9 @@ def simple_chain_frontiers(points, trial, rho, k):
 
 
 def test_queries_start_from_the_live_frontier(monkeypatch):
-    # Every unit-side tree but the one over all unit points must hold exactly
-    # the distinct last centers of the live chains, and no query may pair all
-    # sampled unit points.
+    # In every walk, each unit-side tree but the one over all its unit points
+    # must hold exactly the distinct last centers of the live chains, and no
+    # query may pair all sampled unit points.
     trees, queries, walks = [], [], []
 
     class Recording(pathcount.cKDTree):
@@ -239,32 +239,68 @@ def test_queries_start_from_the_live_frontier(monkeypatch):
 
     def recording(unit, large, *args):
         # Copies: the walker shifts the points it is given in place.
-        walks.append(((unit[0].copy(), unit[1]), (large[0].copy(), large[1])))
-        return trial_counts(unit, large, *args)
+        points, trial, n_large = unit[0].copy(), unit[1], len(large[0])
+        first_tree, first_query = len(trees), len(queries)
+        counts = trial_counts(unit, large, *args)
+        walks.append((points, trial, n_large, trees[first_tree:], queries[first_query:]))
+        return counts
 
     monkeypatch.setattr(pathcount, "cKDTree", Recording)
     monkeypatch.setattr(pathcount, "_trial_counts", recording)
     d, rho, k = 5, 1.5, 4
     run = count_paths(d, rho, 0.9, k, trials=300, seed=7)
-    assert run.mean_m > 0.0 and len(walks) == 1
-    (points, trial), (large, _) = walks[0]
-    frontiers = simple_chain_frontiers(points, trial, rho, k)
-    assert [len(f) for f in frontiers] == [498, 277, 133, 70]
+    assert run.mean_m > 0.0 and len(walks) > 1
+    sizes = np.zeros(k, dtype=int)
+    for points, trial, n_large, walk_trees, walk_queries in walks:
+        frontiers = simple_chain_frontiers(points, trial, rho, k)
+        sizes += [len(f) for f in frontiers]
+        whole = walk_trees[0]
+        assert whole.n == len(points) and len(walk_trees) == k + 2
+        assert len(walk_queries) == k
+        for step, ((front, other), expected) in enumerate(zip(walk_queries, frontiers), start=1):
+            assert other is (whole if step < k else walk_trees[-1]), step
+            assert other.n == (len(points) if step < k else n_large), step
+            # Trials are shifted along axis 0 only, so the other axes name the centers.
+            assert np.array_equal(front.data[:, 1:], points[expected, 1:]), step
+        assert {id(t) for t in walk_trees} == {id(t) for q in walk_queries for t in q}
+    # The frontiers of the whole run, summed over its walks.
+    assert sizes.tolist() == [498, 277, 133, 70]
 
-    whole = [t for t in trees if t.n == len(points)]
-    assert len(whole) == 1 and len(trees) == k + 2
-    assert len(queries) == k
-    for step, ((front, other), expected) in enumerate(zip(queries, frontiers), start=1):
-        assert other is (whole[0] if step < k else trees[-1]), step
-        assert other.n == (len(points) if step < k else len(large)), step
-        # Trials are shifted along axis 0 only, so the other axes name the centers.
-        assert np.array_equal(front.data[:, 1:], points[expected, 1:]), step
-    assert {id(t) for t in trees} == {id(t) for q in queries for t in q}
+
+@pytest.mark.parametrize("k", range(5))
+def test_slices_of_a_chunk_count_as_the_whole_chunk(monkeypatch, k):
+    # A budget of 2 points makes most trials walk alone, one over the chunk
+    # walks it at once; the counts and progress lines must not tell them apart.
+    walks = []
+    trial_counts = pathcount._trial_counts
+
+    def counting(*args):
+        walks.append(args[4])  # the walk's trials
+        return trial_counts(*args)
+
+    monkeypatch.setattr(pathcount, "_trial_counts", counting)
+    for d in range(1, 7):
+        # E(M_k) = 1 per trial.
+        rho, trials = 1.5 + 0.5 * d, 150 if d < 5 else 30
+        kappa = (4.0 * rho / (1.0 + rho) ** 2) ** (1.0 / (k + 1)) if k else 1.0
+        runs = []
+        for budget in (2, 10**9):
+            monkeypatch.setattr(pathcount, "_WALK_POINTS", budget)
+            walks.clear()
+            lines = []
+            run = count_paths(d, rho, kappa, k, trials=trials, seed=d, progress=lines.append)
+            runs.append((run, lines, len(walks), walks.count(1)))
+        (sliced, sliced_lines, n_walks, alone), (whole, whole_lines, n_whole, _) = runs
+        # k = 0 samples no unit centers, so its trials hold about one point each.
+        assert n_whole == 1 and n_walks > 1 and (2 * alone > trials or k == 0), (d, n_walks, alone)
+        assert sliced == whole and sliced_lines == whole_lines, d
+        assert whole.mean_m > 0.0, d
 
 
 def test_a_chunk_holds_its_points_once():
     # The README's run at the point cap: the walker's trees hold the sampled
-    # points themselves, so the traced peak stays below two copies of them.
+    # points themselves and span one slice of the chunk, so the traced peak
+    # stays below one and a half copies of the points.
     lines = []
     tracemalloc.start()
     try:
@@ -275,7 +311,7 @@ def test_a_chunk_holds_its_points_once():
     (line,) = lines
     points = sum(map(int, re.findall(r"(?:unit|large)=(\d+)", line)))
     assert points > 250_000
-    assert peak < 2 * points * 6 * np.dtype(float).itemsize
+    assert peak < 1.5 * points * 6 * np.dtype(float).itemsize
 
 
 def test_determinism():

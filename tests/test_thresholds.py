@@ -159,6 +159,9 @@ def test_envelope_bound_subset():
         for k in (1, 2, 4):
             res = kappa_c_k(rho, k)
             assert res.kappa >= genealogy_envelope(rho, k) - 1e-12
+        # k has no upper bound: kappa_c takes the envelope at MAX_K + 1 = 13.
+        closed_form = (4.0 * rho / (1.0 + rho) ** 2) ** (1.0 / 14.0)
+        assert genealogy_envelope(rho, 13) == pytest.approx(closed_form, rel=1e-13)
 
 
 def test_kappa_c_certification_and_values():

@@ -7,10 +7,13 @@ test_pathcount, which lists their cases with tuple_expectation_exact's.
 """
 
 import math
+import multiprocessing
+from multiprocessing.process import BaseProcess
 
 import numpy as np
 import pytest
 
+from contperc import estimation
 from contperc.boolean_model import (
     BoxSpec,
     RadiusMixture,
@@ -33,7 +36,7 @@ from contperc.geometry import (
     unit_ball_volume,
 )
 from contperc.pathcount import count_paths
-from contperc.thresholds import kappa_c, kappa_c_k
+from contperc.thresholds import genealogy_envelope, kappa_c, kappa_c_k
 from contperc.util import derive_seed, stream
 
 UNIT = RadiusMixture.dirac(1.0)
@@ -94,6 +97,8 @@ CASES = {
     "count_paths-seed": (lambda x: count_paths(2, 2.0, 0.5, 1, 10, x), "seed", SEEDS),
     "kappa_c_k-k": (lambda x: kappa_c_k(3.0, x), "k", [1.5, True, 0, 13, math.nan]),
     "kappa_c-k_max": (lambda x: kappa_c(3.0, x), "k_max", [1.5, True, 0, 13, math.nan]),
+    "genealogy_envelope-rho": (lambda x: genealogy_envelope(x, 2), "rho", [1.0, math.inf, math.nan]),
+    "genealogy_envelope-k": (lambda x: genealogy_envelope(3.0, x), "k", [2.5, True, 0, math.nan]),
     "stream-seed": (stream, "seed", SEEDS),
     "derive_seed-seed": (lambda x: derive_seed(x, 1), "seed", SEEDS),
 }
@@ -110,3 +115,20 @@ def test_an_invalid_parameter_raises_before_sampling(case, monkeypatch):
     for value in values:
         with pytest.raises(ValueError, match=rf"\b{name}\b"):
             call(value)
+
+
+def test_a_run_checks_its_seed_before_starting_a_worker(monkeypatch):
+    # 200 trials on 2 CPUs run in two shares, one of them in a forked worker.
+    started = []
+    start = BaseProcess.start
+
+    def recording(process):
+        started.append(process)
+        return start(process)
+
+    monkeypatch.setattr(BaseProcess, "start", recording)
+    monkeypatch.setattr(estimation, "_cpu_count", lambda: 2)
+    for seed in SEEDS:
+        with pytest.raises(ValueError, match="seed"):
+            estimate_lambda_c(UNIT, BOX, 200, seed=seed)
+    assert started == [] and multiprocessing.active_children() == []
